@@ -19,8 +19,7 @@ Commands
     at fixed offsets, as CSV with header ``w0,w1,numerator,scale,approx``.
     The exact columns are never rounded; ``approx`` is a 12-significant-
     digit round-half-even decimal and is not authoritative.  Output rows
-    are sorted by ``w0`` then ``w1`` and byte-identical across runs and
-    thread counts (``AZTEC_DIMERS_THREADS`` sets the worker count).
+    are sorted by ``w0`` then ``w1`` and byte-identical across runs.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.
@@ -32,10 +31,11 @@ Pattern files are JSON, one object::
      "dominoes": [[["white", 1, 1], ["black", 1, 1]],
                   [["black", 2, 1], ["white", 1, 2]]]}
 
-``format`` must be 1.  Each domino lists its two cells as
-``[color, x, y]`` triples in diagonal coordinates, one white and one black
-in either order; the pair must be adjacent on the order-``n`` diamond and
-no cell may repeat.
+``format`` must be 1; ``format``, ``n`` and every coordinate must be JSON
+integers, so ``true`` and ``false`` are rejected.  Each domino lists its
+two cells as ``[color, x, y]`` triples in diagonal coordinates, one white
+and one black in either order; the pair must be adjacent on the order-``n``
+diamond and no cell may repeat.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -44,9 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from typing import Optional, Sequence
 
@@ -82,6 +80,11 @@ def _cmd_coupling(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: ``bool`` is an ``int`` subclass, so exclude it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_pattern_file(path: str) -> tuple[int, Pattern]:
     """Parse a pattern file into its diamond order and :class:`Pattern`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -91,10 +94,11 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
             raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if doc.get("format") != 1:
-        raise ValueError(f"{path}: unsupported format {doc.get('format')!r} (expected 1)")
+    fmt = doc.get("format")
+    if not _is_int(fmt) or fmt != 1:
+        raise ValueError(f"{path}: unsupported format {fmt!r} (expected 1)")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
     dominoes = []
     for k, pair in enumerate(doc.get("dominoes", [])):
@@ -109,7 +113,7 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
                 color = Color(color_name)
             except ValueError:
                 raise ValueError(f"{path}: domino {k}: unknown color {color_name!r}") from None
-            if not isinstance(x, int) or not isinstance(y, int):
+            if not _is_int(x) or not _is_int(y):
                 raise ValueError(f"{path}: domino {k}: coordinates must be integers")
             cells.append(Vertex(color, x, y))
         colors = {c.color for c in cells}
@@ -151,12 +155,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         approx = _approx(value.numerator, 2 ** value.scale)
         return f"{w0},{w1},{value.numerator},{value.scale},{approx}"
 
-    workers = max(1, int(os.environ.get("AZTEC_DIMERS_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lines = list(pool.map(evaluate, cells))
-    else:
-        lines = [evaluate(cell) for cell in cells]
+    lines = [evaluate(cell) for cell in cells]
     text = "w0,w1,numerator,scale,approx\n" + "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)

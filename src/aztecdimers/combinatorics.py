@@ -117,7 +117,11 @@ def krawtchouk(a: int, b: int, c: int) -> int:
 
 
 def krawtchouk_convolution(a: int, b: int, c: int) -> int:
-    """Binomial-convolution fast path; equal to :func:`krawtchouk` everywhere."""
+    """Binomial-convolution form of :func:`krawtchouk`, equal to it everywhere.
+
+    Not used by the library: it is the independent reference that the
+    tests check the polynomial-product rows of :func:`krawtchouk` against.
+    """
     if a < 0 or b < 0 or a > b or c < 0 or c > b:
         return 0
     lo = max(0, a - (b - c))

@@ -15,39 +15,27 @@ given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
 so all arithmetic happens in :class:`DyadicRational`.
 
-Which way the diagonal axes run is fixed operationally rather than assumed:
-:func:`calibrate_orientation` evaluates the formula under all eight
-dihedral relabelings of the board and keeps those that reproduce the exact
-signed inverse-Kasteleyn entries.  Two relabelings survive (the canonical
-one and its transpose, which define the same function on every pair); the
-canonical one is frozen as :data:`CALIBRATED_ORIENTATION` and covered by a
-regression test.
-
-The signed entry itself is exposed as :func:`coupling_signed`, which folds
-in the calibrated prefactor ``(-1)^{d0+d1+w1}``; holes with ``d1 <= 0`` are
-handled by rotating the board half a turn, which maps the hole pair onto
-one with ``d1 >= 1`` and multiplies the entry by ``(-1)^{d0+d1+1}``.
+The signed inverse-Kasteleyn entry is exposed as :func:`coupling_signed`:
+``(-1)^{d0+d1+w1}`` times ``c(v, w)`` for every hole offset.  Both
+functions evaluate the same formula in the canonical diagonal labelling of
+:mod:`aztecdimers.lattice`, which the ``verify`` suite and the tests hold
+against the exact inverse-Kasteleyn oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .combinatorics import krawtchouk
 from .exactlinalg import IntMatrix, det
 from .lattice import Board, BoardError, Color, Pattern, Vertex, build_diamond, validate_pattern
-from . import kasteleyn
-
-
-class CalibrationError(RuntimeError):
-    """Orientation calibration found no consistent relabeling."""
 
 
 @dataclass(frozen=True)
 class DyadicRational:
-    """Exact ``numerator / 2^scale`` with odd (or zero) numerator."""
+    """Exact ``numerator / 2^scale`` in lowest terms: the numerator is odd
+    whenever ``scale > 0``, and zero has scale 0."""
 
     numerator: int
     scale: int
@@ -56,14 +44,9 @@ class DyadicRational:
         if self.scale < 0:
             raise ValueError(f"negative scale {self.scale}")
         num, scale = self.numerator, self.scale
-        if num == 0:
-            scale = 0
-        else:
-            while num % 2 == 0 and scale > 0:
-                num //= 2
-                scale -= 1
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "scale", scale)
+        shift = min(scale, (num & -num).bit_length() - 1) if num else scale
+        object.__setattr__(self, "numerator", num >> shift)
+        object.__setattr__(self, "scale", scale - shift)
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.numerator, 2**self.scale)
@@ -93,44 +76,6 @@ class DyadicRational:
         return f"{self.numerator} / 2^{self.scale}"
 
 
-@dataclass(frozen=True)
-class OrientationMap:
-    """One of the eight dihedral relabelings of the board's coordinates."""
-
-    index: int
-    name: str
-    transform: Callable[[int, int, int], tuple[int, int]]
-
-    def apply(self, n: int, v: Vertex) -> Vertex:
-        return Vertex.from_cart(*self.transform(*v.cart, n))
-
-    def pair_coordinates(
-        self, n: int, v: Vertex, w: Vertex
-    ) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Formula coordinates ((x, y), (x', y')) for a white/black pair."""
-        v2, w2 = self.apply(n, v), self.apply(n, w)
-        if v2.color is Color.WHITE:
-            return (v2.x, v2.y), (w2.x, w2.y)
-        return (w2.x, w2.y), (v2.x, v2.y)  # color-swapping relabeling
-
-
-ORIENTATIONS: tuple[OrientationMap, ...] = (
-    OrientationMap(0, "identity", lambda cx, cy, n: (cx, cy)),
-    OrientationMap(1, "flip-x", lambda cx, cy, n: (2 * n - cx, cy)),
-    OrientationMap(2, "flip-y", lambda cx, cy, n: (cx, 2 * n - cy)),
-    OrientationMap(3, "rot180", lambda cx, cy, n: (2 * n - cx, 2 * n - cy)),
-    OrientationMap(4, "transpose", lambda cx, cy, n: (cy, cx)),
-    OrientationMap(5, "rot90", lambda cx, cy, n: (2 * n - cy, cx)),
-    OrientationMap(6, "rot270", lambda cx, cy, n: (cy, 2 * n - cx)),
-    OrientationMap(7, "anti-transpose", lambda cx, cy, n: (2 * n - cy, 2 * n - cx)),
-)
-
-#: Calibrated at n=3 against the signed inverse-Kasteleyn oracle and
-#: regression-tested: the canonical labelling already matches (its
-#: transpose defines the same values and also passes).
-CALIBRATED_ORIENTATION: OrientationMap = ORIENTATIONS[0]
-
-
 def _check_white(n: int, v: Vertex) -> None:
     if v.color is not Color.WHITE or not (1 <= v.x <= n and 1 <= v.y <= n + 1):
         raise BoardError(f"{v!r} is not a white vertex of the order-{n} diamond")
@@ -155,43 +100,32 @@ def _branch_sum(n: int, x: int, y: int, x2: int, y2: int) -> int:
     )
 
 
-def coupling(
-    n: int, v: Vertex, w: Vertex, orientation: Optional[OrientationMap] = None
-) -> DyadicRational:
+def _entry(n: int, v: Vertex, w: Vertex, sign: int) -> DyadicRational:
+    """``sign * 2^{-n}`` times the branch sum at white ``v`` and black ``w``."""
+    if n < 1:
+        raise BoardError(f"diamond order must be positive, got {n}")
+    _check_white(n, v)
+    _check_black(n, w)
+    return DyadicRational(sign * _branch_sum(n, v.x, v.y, w.x, w.y), n)
+
+
+def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     """The coupling function ``c(v, w)`` on the order-``n`` diamond.
 
     Its absolute value is the probability weight entering pattern
     determinants; for the signed inverse-Kasteleyn entry use
     :func:`coupling_signed`.
     """
-    if n < 1:
-        raise BoardError(f"diamond order must be positive, got {n}")
-    _check_white(n, v)
-    _check_black(n, w)
-    orient = orientation if orientation is not None else CALIBRATED_ORIENTATION
-    (x, y), (x2, y2) = orient.pair_coordinates(n, v, w)
-    return DyadicRational(_branch_sum(n, x, y, x2, y2), n)
+    return _entry(n, v, w, 1)
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)``
-    and white vertex ``(w0, w1+d1)``.
-
-    Equal to ``(-1)^{d0+d1+w1} * 2^{-n}`` times the coupling branch sum when
-    ``d1 >= 1``; a half-turn of the board reduces ``d1 <= 0`` to that case
-    at the cost of a factor ``(-1)^{d0+d1+1}``.
+    and white vertex ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their
+    coupling value, for offsets of either sign.
     """
-    if n < 1:
-        raise BoardError(f"diamond order must be positive, got {n}")
-    _check_white(n, Vertex(Color.WHITE, w0, w1 + d1))
-    _check_black(n, Vertex(Color.BLACK, w0 + d0, w1))
-    if d1 < 1:
-        flipped = coupling_signed(n, n + 1 - w0, 1 - d0, n + 1 - w1, 1 - d1)
-        if (d0 + d1) % 2 == 0:
-            flipped = -flipped
-        return flipped
     sign = -1 if (d0 + d1 + w1) % 2 else 1
-    return DyadicRational(sign * _branch_sum(n, w0, w1 + d1, w0 + d0, w1), n)
+    return _entry(n, Vertex(Color.WHITE, w0, w1 + d1), Vertex(Color.BLACK, w0 + d0, w1), sign)
 
 
 def pattern_probability(n: int, pattern: Pattern) -> Fraction:
@@ -221,41 +155,3 @@ def _diamond(n: int) -> Board:
     if n not in _diamond_cache:
         _diamond_cache[n] = build_diamond(n)
     return _diamond_cache[n]
-
-
-def _signed_value_oriented(
-    n: int, orient: OrientationMap, v: Vertex, w: Vertex
-) -> Fraction:
-    """Signed entry predicted under a candidate orientation (any d0, d1)."""
-    (x, y), (x2, y2) = orient.pair_coordinates(n, v, w)
-    w0, d0, w1, d1 = x, x2 - x, y2, y - y2
-    sign = -1 if (d0 + d1 + w1) % 2 else 1
-    return Fraction(sign * _branch_sum(n, x, y, x2, y2), 2**n)
-
-
-def calibrate_orientation(n: int = 3) -> OrientationMap:
-    """Select the coordinate relabeling that reproduces the signed oracle.
-
-    Evaluates the closed form under all eight dihedral orientations and
-    keeps those matching the exact signed inverse-Kasteleyn entry on every
-    white/black pair of the order-``n`` diamond.  The survivors necessarily
-    agree with each other everywhere; the lowest-index one is returned.
-    Raises :class:`CalibrationError` if none survive.
-    """
-    if n > 4:
-        raise ValueError("calibration is an oracle comparison; keep n <= 4")
-    oracle = kasteleyn.inverse_coupling_matrix(n)
-    passers = [
-        orient
-        for orient in ORIENTATIONS
-        if all(
-            _signed_value_oriented(n, orient, v, w) == entry
-            for (v, w), entry in oracle.items()
-        )
-    ]
-    if not passers:
-        raise CalibrationError(
-            f"no orientation reproduces the inverse-Kasteleyn oracle at n={n}; "
-            "the coupling formula was mistranscribed"
-        )
-    return passers[0]

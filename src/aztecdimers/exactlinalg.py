@@ -2,9 +2,9 @@
 
 Python's ``int`` and :class:`fractions.Fraction` supply the scalar types;
 this module adds the dense matrix operations the counting layer needs:
-fraction-free (Bareiss) determinants, minors, cofactor-based inverse
-entries, and a Gauss-Jordan inverse over rationals used both as a
-cross-check and as the fast path when a whole inverse is wanted.
+determinants of integer and rational matrices, minors, and whole inverses.
+All three eliminations run through one fraction-free (Bareiss) core over
+integer rows, so intermediate values stay integers with no gcd work.
 
 Matrices at play are small (a desk-scale Kasteleyn matrix is at most a few
 dozen rows), so everything is dense and single-threaded.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 
@@ -58,16 +59,40 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            )
-        )
+
+def _bareiss(a: list[list[int]], jordan: bool) -> int:
+    """Fraction-free elimination of the square left block ``K`` of ``a``, in place.
+
+    Column by column, each pivot row clears the rows below it (and, with
+    ``jordan``, the rows above it too) by Bareiss' exact update
+    ``a[r][j] = (a[r][j]*p - a[r][c]*a[c][j]) // prev`` on every column to
+    the right of the pivot.  Returns ``det K``, which is 0 when ``K`` is
+    singular.  After a Gauss-Jordan run every diagonal entry of ``K``'s
+    block equals the last pivot ``p``, the rest of the block is zero, and
+    each column ``b`` to its right has become ``p * K^{-1} b``.
+    """
+    k = len(a)
+    sign = 1
+    prev = 1
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if a[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        p, tail = a[c][c], a[c][c + 1:]
+        for r in range(0 if jordan else c + 1, k):
+            if r == c:
+                continue
+            other, f = a[r], a[r][c]
+            # Exact by the Bareiss identity; // never truncates here.
+            other[c + 1:] = [(x * p - f * y) // prev for x, y in zip(other[c + 1:], tail)]
+            other[c] = 0
+            if r < c:
+                other[r] = other[r] * p // prev
+        prev = p
+    return sign * prev
 
 
 def det(m: IntMatrix) -> int:
@@ -77,26 +102,7 @@ def det(m: IntMatrix) -> int:
     """
     if not m.is_square:
         raise ShapeError(f"determinant of a {m.rows}x{m.cols} matrix")
-    k = m.rows
-    if k == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for c in range(k - 1):
-        pivot = next((r for r in range(c, k) if a[r][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        for r in range(c + 1, k):
-            for j in range(c + 1, k):
-                # Exact by the Bareiss identity; // never truncates here.
-                a[r][j] = (a[r][j] * a[c][c] - a[r][c] * a[c][j]) // prev
-            a[r][c] = 0
-        prev = a[c][c]
-    return sign * a[k - 1][k - 1]
+    return _bareiss([list(row) for row in m.entries], jordan=False)
 
 
 def minor(m: IntMatrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> IntMatrix:
@@ -118,58 +124,27 @@ def minor(m: IntMatrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> I
     )
 
 
-def inverse_entry(m: IntMatrix, i: int, j: int) -> Fraction:
-    """Entry ``(i, j)`` of ``m^{-1}``: signed cofactor of ``(j, i)`` over det."""
-    if not m.is_square:
-        raise ShapeError("inverse of a non-square matrix")
-    d = det(m)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    cof = (-1) ** ((i + j) % 2) * det(minor(m, [j], [i]))
-    return Fraction(cof, d)
-
-
 def invert(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Full inverse by Gauss-Jordan elimination over rationals."""
+    """Full inverse by fraction-free Gauss-Jordan elimination on ``[m | I]``."""
     if not m.is_square:
         raise ShapeError("inverse of a non-square matrix")
     k = m.rows
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(k)]
-         for i, row in enumerate(m.entries)]
-    for c in range(k):
-        pivot = next((r for r in range(c, k) if a[r][c] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        a[c], a[pivot] = a[pivot], a[c]
-        pv = a[c][c]
-        a[c] = [v / pv for v in a[c]]
-        for r in range(k):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [v - f * u for v, u in zip(a[r], a[c])]
-    return tuple(tuple(row[k:]) for row in a)
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m.entries)]
+    if _bareiss(a, jordan=True) == 0:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(tuple(Fraction(v, row[i]) for v in row[k:]) for i, row in enumerate(a))
 
 
 def det_fractions(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a small rational matrix by Gaussian elimination."""
+    """Determinant of a small rational matrix.
+
+    Each row is scaled by the lcm of its denominators to integers; the
+    integer determinant over the product of those scales is the answer.
+    """
     k = len(rows)
     if any(len(row) != k for row in rows):
         raise ShapeError("determinant of a non-square matrix")
-    if k == 0:
-        return Fraction(1)
-    a = [[Fraction(v) for v in row] for row in rows]
-    result = Fraction(1)
-    for c in range(k):
-        pivot = next((r for r in range(c, k) if a[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        inv = 1 / a[c][c]
-        for r in range(c + 1, k):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [v - f * u for v, u in zip(a[r], a[c])]
-    return result
+    rows = [[Fraction(v) for v in row] for row in rows]
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]
+    ints = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
+    return Fraction(_bareiss(ints, jordan=False), prod(scales))

@@ -19,10 +19,8 @@ The two systems are related by the fixed affine bijection
     white (x, y)  <->  cart (2x-1, 2y-2)
     black (x, y)  <->  cart (2x-2, 2y-1)
 
-All formulas in :mod:`aztecdimers.coupling` consume diagonal coordinates;
-the convention above is the canonical labelling, and the formula layer
-re-orients it through a calibrated dihedral transform (see
-``coupling.CALIBRATED_ORIENTATION``).
+All formulas in :mod:`aztecdimers.coupling` consume diagonal coordinates
+in the canonical labelling above, with no re-orientation.
 
 Rectangles come in two flavours.  A *black-edged* ``n x m`` rectangle with
 dents at ``1 <= x_1 < ... <= n+1`` has white vertices ``(i, j)`` for

@@ -98,6 +98,32 @@ def test_prob_rejects_malformed_documents(tmp_path, capsys, doc):
     assert err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"format": True, "n": 1, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]},
+        {"format": 1, "n": True, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]},
+        {"format": 1, "n": 1, "dominoes": [[["white", True, 1], ["black", 1, 1]]]},
+        {"format": 1, "n": 1, "dominoes": [[["white", 1, True], ["black", 1, 1]]]},
+        {"format": 1, "n": 1, "dominoes": [[["white", 1, 1], ["black", True, 1]]]},
+        {"format": 1, "n": 1, "dominoes": [[["white", 1, 1], ["black", 1, True]]]},
+    ],
+    ids=["format", "n", "white-x", "white-y", "black-x", "black-y"],
+)
+def test_prob_rejects_bool_typed_integers(tmp_path, capsys, doc):
+    # JSON true == 1 in Python; with 1 in place of the bool each document
+    # is the valid single-domino pattern of order 1.
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc).replace("true", "1"))
+    assert run(capsys, "prob", str(path))[:2] == (0, "1/2 (0.5)\n")
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "prob", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_prob_rejects_overlapping_pattern(tmp_path, capsys):
     doc = {
         "format": 1,
@@ -114,7 +140,7 @@ def test_prob_rejects_overlapping_pattern(tmp_path, capsys):
     assert "twice" in err
 
 
-def test_heatmap_contents_and_determinism(tmp_path, capsys, monkeypatch):
+def test_heatmap_contents_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     code, _, _ = run(capsys, "heatmap", "--n", "6", "--d0", "1", "--d1", "2", "--out", str(out1))
@@ -132,7 +158,6 @@ def test_heatmap_contents_and_determinism(tmp_path, capsys, monkeypatch):
         cells.append((int(w0), int(w1)))
     assert cells == sorted(cells)
 
-    monkeypatch.setenv("AZTEC_DIMERS_THREADS", "4")
     code, _, _ = run(capsys, "heatmap", "--n", "6", "--d0", "1", "--d1", "2", "--out", str(out2))
     assert code == 0
     assert out2.read_bytes() == text
@@ -161,6 +186,13 @@ def test_verify_quick_exits_zero(capsys):
     assert code == 0
     assert "all" in out and "passed" in out
     assert out.count("PASS") >= 5
+
+
+def test_verify_full_exits_zero(capsys):
+    code, out, _ = run(capsys, "verify", "--level", "full")
+    assert code == 0
+    assert out.count("PASS") == 7
+    assert "all 7 checks passed" in out
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

@@ -5,14 +5,9 @@ from itertools import combinations
 
 import pytest
 
-from aztecdimers import coupling as coupling_mod
 from aztecdimers.combinatorics import first_column_hole_count
 from aztecdimers.coupling import (
-    CALIBRATED_ORIENTATION,
-    ORIENTATIONS,
-    CalibrationError,
     DyadicRational,
-    calibrate_orientation,
     coupling,
     coupling_signed,
     pattern_probability,
@@ -35,6 +30,10 @@ def test_dyadic_normalization():
     assert DyadicRational(0, 7) == DyadicRational(0, 0)
     assert DyadicRational(-4, 3) == DyadicRational(-1, 1)
     assert DyadicRational(3, 0).to_fraction() == 3
+    assert DyadicRational(3 << 500, 600) == DyadicRational(3, 100)
+    assert DyadicRational(1 << 700, 600) == DyadicRational(1 << 100, 0)
+    assert DyadicRational(-(5 << 64), 64) == DyadicRational(-5, 0)
+    assert DyadicRational(7 << 3, 1000) == DyadicRational(7, 997)
 
 
 def test_dyadic_rejects_negative_scale():
@@ -65,7 +64,7 @@ def test_master_equivalence(n):
         assert abs(coupling(n, v, w).to_fraction()) == abs(entry)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_signed_equivalence_all_offsets(n):
     for (v, w), entry in inverse_coupling_matrix(n).items():
         value = coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y)
@@ -111,7 +110,8 @@ def test_coupling_range_errors():
 @pytest.mark.parametrize("n", [2, 3])
 def test_half_turn_identity(n):
     # Rotating the board half a turn sends (w0,d0,w1,d1) to
-    # (n+1-w0, 1-d0, n+1-w1, 1-d1) and scales the entry by (-1)^{d0+d1+1}.
+    # (n+1-w0, 1-d0, n+1-w1, 1-d1) and scales the entry by (-1)^{d0+d1+1};
+    # the closed form evaluates both sides directly.
     for (v, w), _ in inverse_coupling_matrix(n).items():
         w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
         lhs = coupling_signed(n, w0, d0, w1, d1)
@@ -211,44 +211,18 @@ def test_disjoint_blocks_factorize():
 
 
 # ---------------------------------------------------------------------------
-# Orientation calibration
+# Board symmetry
 # ---------------------------------------------------------------------------
 
 
-def test_calibration_returns_frozen_orientation():
-    assert calibrate_orientation(3) is CALIBRATED_ORIENTATION
-    assert CALIBRATED_ORIENTATION.name == "identity"
-
-
-def test_calibration_stable_at_order_four():
-    assert calibrate_orientation(4) is CALIBRATED_ORIENTATION
-
-
 def test_transpose_orientation_defines_the_same_values():
-    # The board's transpose symmetry survives calibration too: it yields
-    # the same signed entries everywhere (and so the same probabilities).
-    transpose = ORIENTATIONS[4]
-    n = 3
-    board = build_diamond(n)
-    for v in board.white_vertices:
-        for w in board.black_vertices:
-            assert coupling_mod._signed_value_oriented(
-                n, transpose, v, w
-            ) == coupling_mod._signed_value_oriented(n, CALIBRATED_ORIENTATION, v, w)
-            assert abs(coupling(n, v, w, transpose).to_fraction()) == abs(
-                coupling(n, v, w).to_fraction()
-            )
-
-
-def test_mistranscribed_formula_fails_calibration(monkeypatch):
-    real = coupling_mod.krawtchouk
-    monkeypatch.setattr(
-        coupling_mod, "krawtchouk", lambda a, b, c: real(a, b, b - c if 0 <= c <= b else c)
-    )
-    with pytest.raises(CalibrationError):
-        calibrate_orientation(3)
-
-
-def test_calibration_refuses_large_orders():
-    with pytest.raises(ValueError):
-        calibrate_orientation(6)
+    # Transposing the board maps white (x, y) to black (y, x) and black
+    # (x', y') to white (y', x'), i.e. swaps (w0, d0) with (w1, d1); the
+    # signed entries, and so the probabilities, are unchanged.
+    for n in range(1, 5):
+        board = build_diamond(n)
+        for v in board.white_vertices:
+            for w in board.black_vertices:
+                w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
+                assert coupling_signed(n, w0, d0, w1, d1) == coupling_signed(n, w1, d1, w0, d0)
+                assert abs(coupling(n, v, w)) == abs(coupling(n, white(w.y, w.x), black(v.y, v.x)))

@@ -11,7 +11,6 @@ from aztecdimers.exactlinalg import (
     SingularMatrixError,
     det,
     det_fractions,
-    inverse_entry,
     invert,
     minor,
 )
@@ -43,12 +42,22 @@ def _random_matrix(rng, k, lo=-9, hi=9):
     return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
 
 
+def _matmul(a, b):
+    cols = list(zip(*b.entries))
+    return IntMatrix.from_rows([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+
+
+def _cofactor_entry(m, i, j):
+    # Entry (i, j) of m^{-1}: the signed cofactor of (j, i) over det m.
+    return Fraction((-1) ** ((i + j) % 2) * det(minor(m, [j], [i])), det(m))
+
+
 def test_det_multiplicative():
     rng = random.Random(7)
     for _ in range(25):
         k = rng.randint(1, 5)
         a, b = _random_matrix(rng, k), _random_matrix(rng, k)
-        assert det(a @ b) == det(a) * det(b)
+        assert det(_matmul(a, b)) == det(a) * det(b)
 
 
 def test_det_matches_laplace_expansion():
@@ -82,15 +91,21 @@ def test_minor_errors():
 
 
 def test_inverse_entry_identity_and_diagonal():
-    assert inverse_entry(IntMatrix.identity(4), 2, 2) == 1
+    assert _cofactor_entry(IntMatrix.identity(4), 2, 2) == 1
+    assert invert(IntMatrix.identity(4))[2][2] == 1
     m = IntMatrix.from_rows([[2, 0], [0, 4]])
-    assert inverse_entry(m, 1, 1) == Fraction(1, 4)
-    assert inverse_entry(m, 0, 1) == 0
+    assert _cofactor_entry(m, 1, 1) == Fraction(1, 4)
+    assert _cofactor_entry(m, 0, 1) == 0
+    assert invert(m) == ((Fraction(1, 2), 0), (0, Fraction(1, 4)))
 
 
 def test_inverse_entry_singular():
+    m = IntMatrix.from_rows([[1, 1], [1, 1]])
+    assert det(m) == 0
+    with pytest.raises(ZeroDivisionError):
+        _cofactor_entry(m, 0, 0)
     with pytest.raises(SingularMatrixError):
-        inverse_entry(IntMatrix.from_rows([[1, 1], [1, 1]]), 0, 0)
+        invert(m)
 
 
 def test_random_inverse_roundtrip():
@@ -118,7 +133,7 @@ def test_inverse_entry_agrees_with_gauss_jordan():
         inv = invert(m)
         for i in range(5):
             for j in range(5):
-                assert inverse_entry(m, i, j) == inv[i][j]
+                assert _cofactor_entry(m, i, j) == inv[i][j]
         done += 1
 
 
@@ -133,3 +148,29 @@ def test_det_fractions_matches_integer_det():
         k = rng.randint(0, 4)
         m = _random_matrix(rng, k)
         assert det_fractions([[Fraction(v) for v in row] for row in m.entries]) == det(m)
+
+
+def test_invert_needs_pivot_swaps_and_square_input():
+    m = IntMatrix.from_rows([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
+    assert invert(m) == ((0, 0, Fraction(1, 3)), (1, 0, 0), (0, Fraction(1, 2), 0))
+    assert invert(IntMatrix(())) == ()
+    with pytest.raises(ShapeError):
+        invert(IntMatrix.from_rows([[1, 2]]))
+
+
+def test_det_fractions_rational_rows():
+    # Dividing row i of an integer matrix by s_i divides its determinant by
+    # the product of the s_i.
+    rng = random.Random(17)
+    for _ in range(20):
+        k = rng.randint(1, 5)
+        m = _random_matrix(rng, k)
+        scales = [rng.randint(1, 12) for _ in range(k)]
+        rows = [[Fraction(v, s) for v in row] for row, s in zip(m.entries, scales)]
+        want = Fraction(det(m))
+        for s in scales:
+            want /= s
+        assert det_fractions(rows) == want
+    assert det_fractions([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]) == Fraction(1, 60)
+    with pytest.raises(ShapeError):
+        det_fractions([[Fraction(1)], [Fraction(2)]])

@@ -22,16 +22,27 @@ def test_unknown_level_rejected():
         verify.run_checks("paranoid")
 
 
-def test_seeded_mutation_is_caught(monkeypatch):
-    real = coupling_mod.krawtchouk
-
+def _odd_coefficients_negated(real):
     def mutated(a, b, c):
         value = real(a, b, c)
         return -value if a % 2 else value
 
-    monkeypatch.setattr(coupling_mod, "krawtchouk", mutated)
-    results = verify.run_checks("quick")
-    assert any(not r.ok for r in results)
+    return mutated
+
+
+def _mistranscribed_c(real):
+    # Reads Kr(a, b, c) as Kr(a, b, b - c): the (1-x) and (1+x) exponents swapped.
+    return lambda a, b, c: real(a, b, b - c if 0 <= c <= b else c)
+
+
+def test_seeded_mutation_is_caught():
+    real = coupling_mod.krawtchouk
+    for mutation in (_odd_coefficients_negated, _mistranscribed_c):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coupling_mod, "krawtchouk", mutation(real))
+            results = verify.run_checks("quick")
+        failed = [r.name for r in results if not r.ok]
+        assert "coupling-vs-oracle" in failed, mutation.__name__
 
 
 def test_package_attributes_are_its_submodules():
