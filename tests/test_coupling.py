@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from aztecdimers import coupling as coupling_mod
 from aztecdimers.combinatorics import first_column_hole_count
 from aztecdimers.coupling import (
     DyadicRational,
@@ -226,3 +227,18 @@ def test_transpose_orientation_defines_the_same_values():
                 w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
                 assert coupling_signed(n, w0, d0, w1, d1) == coupling_signed(n, w1, d1, w0, d0)
                 assert abs(coupling(n, v, w)) == abs(coupling(n, white(w.y, w.x), black(v.y, v.x)))
+
+
+def test_mistranscribed_formula_fails_calibration(monkeypatch):
+    # Reading Kr(a, b, c) as Kr(a, b, b - c) must leave some signed entry at
+    # n = 3 off the inverse-Kasteleyn oracle, so the oracle comparison sees it.
+    real = coupling_mod.krawtchouk
+    monkeypatch.setattr(
+        coupling_mod, "krawtchouk", lambda a, b, c: real(a, b, b - c if 0 <= c <= b else c)
+    )
+    mismatches = [
+        (v, w)
+        for (v, w), entry in inverse_coupling_matrix(3).items()
+        if coupling_signed(3, v.x, w.x - v.x, w.y, v.y - w.y).to_fraction() != entry
+    ]
+    assert mismatches
