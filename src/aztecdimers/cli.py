@@ -3,8 +3,11 @@
 Commands
 --------
 ``count --n N``
-    Exact number of tilings of the order-``N`` diamond, annotated as a
-    power of two when it is one.
+    Exact number of tilings of the order-``N`` diamond, ``2^{N(N+1)/2}`` by
+    the Aztec diamond theorem, annotated as that power of two; ``verify``
+    holds the closed form against the Kasteleyn oracle.  When the decimal
+    form would pass Python's int-to-str limit (``sys.get_int_max_str_digits()``,
+    read as 4300 when it is 0), the command exits 2.
 
 ``coupling --n N --white X Y --black X Y``
     One coupling value as an exact dyadic rational plus a decimal
@@ -44,14 +47,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import Context, Decimal, ROUND_HALF_EVEN
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
 from .coupling import coupling, coupling_signed, pattern_probability
-from .kasteleyn import count_matchings_det
-from .lattice import BoardError, Color, Pattern, PatternError, Vertex, build_diamond
+from .lattice import BoardError, Color, Diamond, Pattern, PatternError, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 200
 
@@ -64,11 +67,12 @@ def _approx(numerator: int, denominator: int) -> str:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    count = count_matchings_det(build_diamond(args.n))
-    if count > 0 and count & (count - 1) == 0:
-        print(f"{count} (= 2^{count.bit_length() - 1})")
-    else:
-        print(count)
+    e = args.n * (args.n + 1) // 2
+    limit = sys.get_int_max_str_digits() or 4300
+    if math.floor(e * math.log10(2)) + 1 > limit:  # the number of digits of 2^e
+        print(f"error: 2^{e} has more than {limit} digits, the int-to-str limit", file=sys.stderr)
+        return 2
+    print(f"{2 ** e} (= 2^{e})")
     return 0
 
 
@@ -136,8 +140,11 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _heatmap_rows(n: int, d0: int, d1: int) -> list[tuple[int, int]]:
-    w0s = range(max(1, 1 - d0), min(n, n + 1 - d0) + 1)
-    w1s = range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
+    """Cells ``(w0, w1)`` whose white and black vertex are both on the diamond.  Each color
+    class is an x-range times a y-range, both holding 1, so ``w0`` and ``w1`` are tested apart."""
+    diamond, cols = Diamond(n), range(1, n + 1)
+    w0s = [w0 for w0 in cols if white(w0, 1) in diamond and black(w0 + d0, 1) in diamond]
+    w1s = [w1 for w1 in cols if white(1, w1 + d1) in diamond and black(1, w1) in diamond]
     return [(w0, w1) for w0 in w0s for w1 in w1s]
 
 
@@ -148,17 +155,13 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         print(f"error: offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond",
               file=sys.stderr)
         return 2
-
-    def evaluate(cell: tuple[int, int]) -> str:
-        w0, w1 = cell
+    lines = ["w0,w1,numerator,scale,approx"]
+    for w0, w1 in cells:
         value = coupling_signed(n, w0, d0, w1, d1)
         approx = _approx(value.numerator, 2 ** value.scale)
-        return f"{w0},{w1},{value.numerator},{value.scale},{approx}"
-
-    lines = [evaluate(cell) for cell in cells]
-    text = "w0,w1,numerator,scale,approx\n" + "\n".join(lines) + "\n"
+        lines.append(f"{w0},{w1},{value.numerator},{value.scale},{approx}")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(cells)} entries to {args.out}")
     return 0
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .combinatorics import krawtchouk
 from .exactlinalg import IntMatrix, det
-from .lattice import Board, BoardError, Color, Pattern, Vertex, build_diamond, validate_pattern
+from .lattice import Color, Pattern, Vertex, build_diamond, check_diamond_pair, validate_pattern
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,6 @@ class DyadicRational:
         return f"{self.numerator} / 2^{self.scale}"
 
 
-def _check_white(n: int, v: Vertex) -> None:
-    if v.color is not Color.WHITE or not (1 <= v.x <= n and 1 <= v.y <= n + 1):
-        raise BoardError(f"{v!r} is not a white vertex of the order-{n} diamond")
-
-
-def _check_black(n: int, w: Vertex) -> None:
-    if w.color is not Color.BLACK or not (1 <= w.x <= n + 1 and 1 <= w.y <= n):
-        raise BoardError(f"{w!r} is not a black vertex of the order-{n} diamond")
-
-
 def _branch_sum(n: int, x: int, y: int, x2: int, y2: int) -> int:
     """The Krawtchouk sum of the coupling formula, sign included."""
     shift = x2 - x
@@ -102,10 +92,7 @@ def _branch_sum(n: int, x: int, y: int, x2: int, y2: int) -> int:
 
 def _entry(n: int, v: Vertex, w: Vertex, sign: int) -> DyadicRational:
     """``sign * 2^{-n}`` times the branch sum at white ``v`` and black ``w``."""
-    if n < 1:
-        raise BoardError(f"diamond order must be positive, got {n}")
-    _check_white(n, v)
-    _check_black(n, w)
+    check_diamond_pair(n, v, w)
     return DyadicRational(sign * _branch_sum(n, v.x, v.y, w.x, w.y), n)
 
 
@@ -131,11 +118,11 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRationa
 def pattern_probability(n: int, pattern: Pattern) -> Fraction:
     """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``.
 
-    Exact: values are scaled to a common power of two and the determinant
-    is taken over integers.
+    The pattern is validated by the diamond's membership test, at a cost
+    that does not grow with ``n``.  Exact: values are scaled to a common
+    power of two and the determinant is taken over integers.
     """
-    board = _diamond(n)
-    whites, blacks = validate_pattern(board, pattern)
+    whites, blacks = validate_pattern(build_diamond(n), pattern)
     k = len(whites)
     entries = []
     for v in whites:
@@ -147,11 +134,3 @@ def pattern_probability(n: int, pattern: Pattern) -> Fraction:
     d = det(IntMatrix(tuple(entries)))
     return Fraction(abs(d), 2 ** (n * k))
 
-
-_diamond_cache: dict[int, Board] = {}
-
-
-def _diamond(n: int) -> Board:
-    if n not in _diamond_cache:
-        _diamond_cache[n] = build_diamond(n)
-    return _diamond_cache[n]

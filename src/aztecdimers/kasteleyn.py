@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from . import exactlinalg
 from .exactlinalg import IntMatrix, ShapeError
-from .lattice import Board, Color, Pattern, Vertex, build_diamond, validate_pattern
+from .lattice import Board, Color, Pattern, Vertex, build_diamond, check_diamond_pair, validate_pattern
 
 
 class SignConvention(Enum):
@@ -100,62 +100,57 @@ def kasteleyn_matrix(board: Board, convention: SignConvention = DEFAULT_CONVENTI
 
 
 def count_matchings_det(board: Board, convention: SignConvention = DEFAULT_CONVENTION) -> int:
-    """Number of perfect matchings, as ``|det K|``."""
-    whites = board.white_vertices
-    blacks = board.black_vertices
-    if len(whites) != len(blacks):
+    """Number of perfect matchings, as ``|det K|``; 0 on an unbalanced board."""
+    if len(board.white_vertices) != len(board.black_vertices):
         return 0
     return abs(exactlinalg.det(kasteleyn_matrix(board, convention)))
 
 
 @lru_cache(maxsize=None)
-def _diamond_system(n: int, convention: SignConvention):
+def _diamond_system(n: int):
     board = build_diamond(n)
-    k = kasteleyn_matrix(board, convention)
+    k = kasteleyn_matrix(board)
     d = exactlinalg.det(k)
     index_w = {v: i for i, v in enumerate(board.white_vertices)}
     index_b = {v: j for j, v in enumerate(board.black_vertices)}
     return board, k, d, index_w, index_b
 
 
-def pattern_probability_oracle(
-    n: int, pattern: Pattern, convention: SignConvention = DEFAULT_CONVENTION
-) -> Fraction:
+def _cofactor(n: int, v: Vertex, w: Vertex) -> tuple[int, int]:
+    """The signed cofactor of ``K`` at white ``v`` and black ``w``, and ``det K``."""
+    check_diamond_pair(n, v, w)
+    _, k, d, index_w, index_b = _diamond_system(n)
+    i, j = index_w[v], index_b[w]
+    cof = (-1) ** ((i + j) % 2) * exactlinalg.det(exactlinalg.minor(k, [i], [j]))
+    return cof, d
+
+
+def pattern_probability_oracle(n: int, pattern: Pattern) -> Fraction:
     """Probability of a pattern, as a ratio of Kasteleyn determinants.
 
     The numerator is the minor of ``K`` with the pattern's white rows and
     black columns deleted; the denominator is ``det K`` itself.
     """
-    board, k, d, index_w, index_b = _diamond_system(n, convention)
+    board, k, d, index_w, index_b = _diamond_system(n)
     whites, blacks = validate_pattern(board, pattern)
     sub = exactlinalg.minor(k, [index_w[v] for v in whites], [index_b[v] for v in blacks])
     return Fraction(abs(exactlinalg.det(sub)), abs(d))
 
 
-def inverse_coupling_oracle(
-    n: int, v: Vertex, w: Vertex, convention: SignConvention = DEFAULT_CONVENTION
-) -> Fraction:
+def inverse_coupling_oracle(n: int, v: Vertex, w: Vertex) -> Fraction:
     """The exact ``(v, w)`` entry of ``(K^{-1})^T``: cofactor over determinant."""
-    board, k, d, index_w, index_b = _diamond_system(n, convention)
-    if v.color is not Color.WHITE or v not in board:
-        raise ValueError(f"{v!r} is not a white vertex of the order-{n} diamond")
-    if w.color is not Color.BLACK or w not in board:
-        raise ValueError(f"{w!r} is not a black vertex of the order-{n} diamond")
-    i, j = index_w[v], index_b[w]
-    cof = (-1) ** ((i + j) % 2) * exactlinalg.det(exactlinalg.minor(k, [i], [j]))
+    cof, d = _cofactor(n, v, w)
     return Fraction(cof, d)
 
 
 @lru_cache(maxsize=8)
-def inverse_coupling_matrix(
-    n: int, convention: SignConvention = DEFAULT_CONVENTION
-) -> dict[tuple[Vertex, Vertex], Fraction]:
+def inverse_coupling_matrix(n: int) -> dict[tuple[Vertex, Vertex], Fraction]:
     """All entries of ``(K^{-1})^T`` at once, via one Gauss-Jordan inversion.
 
     Equal entry-by-entry to :func:`inverse_coupling_oracle`; cached because
     exhaustive sweeps ask for every pair.
     """
-    board, k, _, _, _ = _diamond_system(n, convention)
+    board, k, _, _, _ = _diamond_system(n)
     inv = exactlinalg.invert(k)
     return {
         (v, w): inv[j][i]
@@ -164,17 +159,14 @@ def inverse_coupling_matrix(
     }
 
 
-def signed_hole_cofactor(
-    n: int, v: Vertex, w: Vertex, convention: SignConvention = DEFAULT_CONVENTION
-) -> int:
+def signed_hole_cofactor(n: int, v: Vertex, w: Vertex) -> int:
     """Ordering-independent signed cofactor for the hole pair ``(v, w)``.
 
     This is ``(K^{-1})^T[v, w] * |det K|``: the determinant of ``K`` with
     ``v``'s row and ``w``'s column replaced by unit vectors, normalized by
     the sign of ``det K`` so that the value does not depend on the chosen
-    vertex ordering.
+    vertex ordering.  Raises :class:`ValueError` unless ``v`` is a white and
+    ``w`` a black vertex of the order-``n`` diamond.
     """
-    board, k, d, index_w, index_b = _diamond_system(n, convention)
-    i, j = index_w[v], index_b[w]
-    cof = (-1) ** ((i + j) % 2) * exactlinalg.det(exactlinalg.minor(k, [i], [j]))
+    cof, d = _cofactor(n, v, w)
     return cof if d > 0 else -cof

@@ -20,18 +20,21 @@ The two systems are related by the fixed affine bijection
     black (x, y)  <->  cart (2x-2, 2y-1)
 
 All formulas in :mod:`aztecdimers.coupling` consume diagonal coordinates
-in the canonical labelling above, with no re-orientation.
+in the canonical labelling above, with no re-orientation.  The bijection
+stays the link to the tilted drawing; boards themselves never use it.
 
 Rectangles come in two flavours.  A *black-edged* ``n x m`` rectangle with
 dents at ``1 <= x_1 < ... <= n+1`` has white vertices ``(i, j)`` for
 ``i <= n``, ``j <= m``, black vertices ``(i, j)`` for ``i <= n+1``,
 ``j <= m-1``, and black top-row vertices ``(i, m)`` for every non-dent
 ``i``.  A *white-edged* ``n x m`` rectangle with teeth at
-``1 <= y_1 < ... <= n`` has the full white and black grids up to row ``m``
-plus white "teeth" ``(y_k, m+1)``.
+``1 <= t_1 < ... <= n`` has the full white and black grids up to row ``m``
+plus white "teeth" ``(t_k, m+1)``.
 
-Boards are immutable; removing vertices returns a new board with the holes
-recorded, and adjacency queries skip holed vertices.
+A board's kind (:class:`Diamond`, :class:`BlackRect`, :class:`WhiteRect`)
+decides which vertices it has, by a few range comparisons in ``v in kind``,
+so building a board costs O(1).  Boards are immutable; removing vertices
+returns a new board with the holes recorded.
 """
 
 from __future__ import annotations
@@ -95,18 +98,33 @@ def black(x: int, y: int) -> Vertex:
     return Vertex(Color.BLACK, x, y)
 
 
-def row_major(v: Vertex) -> tuple[int, int]:
-    """Sort key fixing the row/column order used for matrix indexing."""
-    return (v.y, v.x)
-
-
 # Offsets from a white vertex to its four potential black neighbors.
 _WHITE_TO_BLACK = ((0, 0), (1, 0), (0, -1), (1, -1))
+
+
+def _in_diamond(n: int, v: Vertex) -> bool:
+    """Whether ``v`` is a vertex of the order-``n`` diamond."""
+    if v.color is Color.WHITE:
+        return 1 <= v.x <= n and 1 <= v.y <= n + 1
+    return 1 <= v.x <= n + 1 and 1 <= v.y <= n
+
+
+def check_diamond_pair(n: int, v: Vertex, w: Vertex) -> None:
+    """Raise ``BoardError`` unless white ``v`` and black ``w`` are on the order-``n`` diamond."""
+    if n < 1:
+        raise BoardError(f"diamond order must be positive, got {n}")
+    if v.color is not Color.WHITE or not _in_diamond(n, v):
+        raise BoardError(f"{v!r} is not a white vertex of the order-{n} diamond")
+    if w.color is not Color.BLACK or not _in_diamond(n, w):
+        raise BoardError(f"{w!r} is not a black vertex of the order-{n} diamond")
 
 
 @dataclass(frozen=True)
 class Diamond:
     n: int
+
+    def __contains__(self, v: Vertex) -> bool:
+        return _in_diamond(self.n, v)
 
 
 @dataclass(frozen=True)
@@ -115,6 +133,12 @@ class BlackRect:
     m: int
     dents: tuple[int, ...]
 
+    def __contains__(self, v: Vertex) -> bool:
+        if v.color is Color.WHITE:
+            return 1 <= v.x <= self.n and 1 <= v.y <= self.m
+        return (1 <= v.x <= self.n + 1 and 1 <= v.y <= self.m
+                and (v.y < self.m or v.x not in self.dents))
+
 
 @dataclass(frozen=True)
 class WhiteRect:
@@ -122,22 +146,41 @@ class WhiteRect:
     m: int
     teeth: tuple[int, ...]
 
+    def __contains__(self, v: Vertex) -> bool:
+        if v.color is Color.WHITE:
+            return 1 <= v.x <= self.n and (1 <= v.y <= self.m
+                                           or (v.y == self.m + 1 and v.x in self.teeth))
+        return 1 <= v.x <= self.n + 1 and 1 <= v.y <= self.m
+
 
 BoardKind = Union[Diamond, BlackRect, WhiteRect]
 
 
 @dataclass(frozen=True)
 class Board:
-    """An immutable board: full vertex sets plus a record of holes."""
+    """An immutable board: ``v in board`` means ``v in board.kind and v not
+    in board.holes``.  The vertex tuples are generated from the kind's test
+    in row-major order (by ``y``, then ``x``), the row and column order of
+    every matrix built from the board."""
 
     kind: BoardKind
-    whites: tuple[Vertex, ...]
-    blacks: tuple[Vertex, ...]
     holes: frozenset[Vertex] = frozenset()
 
+    def _generate(self, color: Color) -> tuple[Vertex, ...]:
+        # Every kind fits in the box 1 <= x <= n+1, 1 <= y <= (n or m)+1.
+        kind = self.kind
+        rows = range(1, (kind.n if isinstance(kind, Diamond) else kind.m) + 2)
+        cands = (Vertex(color, x, y) for y in rows for x in range(1, kind.n + 2))
+        return tuple(v for v in cands if v in kind)
+
     @cached_property
-    def _present(self) -> frozenset[Vertex]:
-        return frozenset(self.whites + self.blacks) - self.holes
+    def whites(self) -> tuple[Vertex, ...]:
+        """White vertices of the kind, holes included, in row-major order."""
+        return self._generate(Color.WHITE)
+
+    @cached_property
+    def blacks(self) -> tuple[Vertex, ...]:
+        return self._generate(Color.BLACK)
 
     @property
     def white_vertices(self) -> tuple[Vertex, ...]:
@@ -149,24 +192,21 @@ class Board:
         return tuple(v for v in self.blacks if v not in self.holes)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self._present
+        return v in self.kind and v not in self.holes
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """Adjacent opposite-color vertices, holes excluded."""
-        if v not in self._present:
+        if v not in self:
             raise BoardError(f"{v!r} is not on the board")
         if v.color is Color.WHITE:
             cands = (black(v.x + dx, v.y + dy) for dx, dy in _WHITE_TO_BLACK)
         else:
             cands = (white(v.x - dx, v.y - dy) for dx, dy in _WHITE_TO_BLACK)
-        return tuple(u for u in cands if u in self._present)
+        return tuple(u for u in cands if u in self)
 
     def is_edge(self, w: Vertex, b: Vertex) -> bool:
-        if w.color is not Color.WHITE or b.color is not Color.BLACK:
-            return False
-        if w not in self._present or b not in self._present:
-            return False
-        return (b.x - w.x, b.y - w.y) in _WHITE_TO_BLACK
+        return (w.color is Color.WHITE and b.color is Color.BLACK and w in self and b in self
+                and (b.x - w.x, b.y - w.y) in _WHITE_TO_BLACK)
 
     def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
         """All edges as (white, black) pairs, row-major in the white vertex."""
@@ -175,18 +215,14 @@ class Board:
                 yield (w, b)
 
     def vertex_count(self) -> int:
-        return len(self._present)
+        return len(self.white_vertices) + len(self.black_vertices)
 
 
 def build_diamond(n: int) -> Board:
-    """Aztec diamond of order ``n``, built from its Cartesian vertex ranges."""
+    """Aztec diamond of order ``n``; its vertices are generated on demand."""
     if n < 1:
         raise BoardError(f"diamond order must be positive, got {n}")
-    first = [Vertex.from_cart(2 * r + 1, 2 * s) for r in range(n) for s in range(n + 1)]
-    second = [Vertex.from_cart(2 * r, 2 * s + 1) for r in range(n + 1) for s in range(n)]
-    whites = sorted((v for v in first + second if v.color is Color.WHITE), key=row_major)
-    blacks = sorted((v for v in first + second if v.color is Color.BLACK), key=row_major)
-    return Board(Diamond(n), tuple(whites), tuple(blacks))
+    return Board(Diamond(n))
 
 
 def _check_notches(notches: Sequence[int], m: int, hi: int, what: str) -> tuple[int, ...]:
@@ -210,29 +246,18 @@ def build_rectangle(kind, n: int, m: int, notches: Sequence[int]) -> Board:
     """
     if n < 1 or m < 1:
         raise BoardError(f"rectangle sides must be positive, got {n}x{m}")
-    whites = [white(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
     if kind is BlackRect:
-        dents = _check_notches(notches, m, n + 1, "dents")
-        blacks = [black(i, j) for j in range(1, m) for i in range(1, n + 2)]
-        blacks += [black(i, m) for i in range(1, n + 2) if i not in dents]
-        board_kind: BoardKind = BlackRect(n, m, dents)
-    elif kind is WhiteRect:
-        teeth = _check_notches(notches, m, n, "teeth")
-        blacks = [black(i, j) for j in range(1, m + 1) for i in range(1, n + 2)]
-        whites += [white(t, m + 1) for t in teeth]
-        board_kind = WhiteRect(n, m, teeth)
-    else:
-        raise BoardError(f"unknown rectangle kind: {kind!r}")
-    whites.sort(key=row_major)
-    blacks.sort(key=row_major)
-    return Board(board_kind, tuple(whites), tuple(blacks))
+        return Board(BlackRect(n, m, _check_notches(notches, m, n + 1, "dents")))
+    if kind is WhiteRect:
+        return Board(WhiteRect(n, m, _check_notches(notches, m, n, "teeth")))
+    raise BoardError(f"unknown rectangle kind: {kind!r}")
 
 
 def remove_vertices(board: Board, holes: Iterable[Vertex]) -> Board:
     """Return ``board`` with ``holes`` punched out."""
     new_holes = set(board.holes)
     for v in holes:
-        if v not in set(board.whites) | set(board.blacks):
+        if v not in board.kind:
             raise BoardError(f"{v!r} is not a vertex of the board")
         if v in new_holes:
             raise BoardError(f"{v!r} removed twice")

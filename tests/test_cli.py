@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -24,6 +25,27 @@ def test_count_order_six(capsys):
     code, out, _ = run(capsys, "count", "--n", "6")
     assert code == 0
     assert out.strip() == "2097152 (= 2^21)"
+
+
+@pytest.fixture
+def str_digits_limit():
+    """Set the interpreter's int-to-str digit limit for one test."""
+    old = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_count_stops_at_the_int_to_str_limit(capsys, str_digits_limit, limit):
+    # 2^14196 has 4274 digits and 2^14365 has 4325; a limit of 0 reads as 4300.
+    str_digits_limit(limit)
+    code, out, _ = run(capsys, "count", "--n", "168")
+    assert code == 0
+    assert out == f"{2 ** 14196} (= 2^14196)\n"
+    for n in ("169", str(10**9)):
+        code, out, err = run(capsys, "count", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_count_rejects_nonpositive_order(capsys):
@@ -206,3 +228,13 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_prob_off_board_domino_on_a_huge_diamond(tmp_path, capsys):
+    # The pattern is checked arithmetically; no order-10^9 board is built.
+    doc = {"format": 1, "n": 10**9, "dominoes": [[["white", 0, 1], ["black", 1, 1]]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "prob", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not a domino of the board" in err

@@ -169,10 +169,11 @@ def test_entry_denominators_divide_global_power_of_two(n):
 
 
 def test_oracle_rejects_foreign_vertices():
-    with pytest.raises(ValueError):
-        inverse_coupling_oracle(2, white(5, 5), black(1, 1))
-    with pytest.raises(ValueError):
-        inverse_coupling_oracle(2, white(1, 1), white(1, 2))
+    for oracle in (inverse_coupling_oracle, signed_hole_cofactor):
+        for v, w in [(white(5, 5), black(1, 1)), (white(1, 1), white(1, 2)),
+                     (black(1, 1), black(1, 1)), (white(1, 1), black(3, 3))]:
+            with pytest.raises(ValueError):
+                oracle(2, v, w)
 
 
 def test_signed_hole_cofactor_is_ordering_free():

@@ -8,6 +8,7 @@ from aztecdimers.lattice import (
     Board,
     BoardError,
     Color,
+    Diamond,
     Pattern,
     PatternError,
     Vertex,
@@ -56,14 +57,72 @@ def test_diamond_edges_are_the_quadrilateral_families(n):
     assert built == quads
 
 
+def _cartesian_diamond(n):
+    """Reference vertex lists of the order-``n`` diamond from its Cartesian
+    ranges, sorted by ``(y, x)``."""
+    cart = [(2 * r + 1, 2 * s) for r in range(n) for s in range(n + 1)]
+    cart += [(2 * r, 2 * s + 1) for r in range(n + 1) for s in range(n)]
+    vertices = sorted((Vertex.from_cart(*c) for c in cart), key=lambda v: (v.y, v.x))
+    return ([v for v in vertices if v.color is Color.WHITE],
+            [v for v in vertices if v.color is Color.BLACK])
+
+
 def test_diamond_diagonal_ranges():
-    board = build_diamond(3)
-    assert {(v.x, v.y) for v in board.whites} == {
-        (x, y) for x in range(1, 4) for y in range(1, 5)
-    }
-    assert {(v.x, v.y) for v in board.blacks} == {
-        (x, y) for x in range(1, 5) for y in range(1, 4)
-    }
+    for n in range(1, 9):
+        board = build_diamond(n)
+        assert {(v.x, v.y) for v in board.whites} == {
+            (x, y) for x in range(1, n + 1) for y in range(1, n + 2)
+        }
+        assert {(v.x, v.y) for v in board.blacks} == {
+            (x, y) for x in range(1, n + 2) for y in range(1, n + 1)
+        }
+        whites, blacks = _cartesian_diamond(n)
+        assert list(board.whites) == whites
+        assert list(board.blacks) == blacks
+
+
+def _reference_vertices(kind):
+    """The full vertex set of a board kind, listed from its definition."""
+    if isinstance(kind, Diamond):
+        whites, blacks = _cartesian_diamond(kind.n)
+        return set(whites + blacks)
+    n, m = kind.n, kind.m
+    vs = {white(i, j) for i in range(1, n + 1) for j in range(1, m + 1)}
+    vs |= {black(i, j) for i in range(1, n + 2) for j in range(1, m)}
+    if isinstance(kind, BlackRect):
+        return vs | {black(i, m) for i in range(1, n + 2) if i not in kind.dents}
+    return vs | {black(i, m) for i in range(1, n + 2)} | {white(t, m + 1) for t in kind.teeth}
+
+
+@st.composite
+def _boards(draw):
+    shape = draw(st.sampled_from(["diamond", "holed", "black", "white"]))
+    n = draw(st.integers(1, 6))
+    if shape in ("diamond", "holed"):
+        board = build_diamond(n)
+        if shape == "holed":
+            vertices = board.whites + board.blacks
+            board = remove_vertices(board, draw(st.lists(st.sampled_from(vertices), unique=True,
+                                                         min_size=1, max_size=4)))
+        return board
+    m = draw(st.integers(1, 4))
+    top = n + 1 if shape == "black" else n
+    notches = sorted(draw(st.sets(st.integers(1, top), max_size=min(m, top))))
+    return build_rectangle(BlackRect if shape == "black" else WhiteRect, n, m, notches)
+
+
+@given(board=_boards(), data=st.data())
+def test_membership_is_the_vertex_set(board, data):
+    present = _reference_vertices(board.kind) - board.holes
+    listed = board.white_vertices + board.black_vertices
+    assert set(listed) == present and len(listed) == len(present)
+    for vs in (board.white_vertices, board.black_vertices):
+        assert list(vs) == sorted(vs, key=lambda v: (v.y, v.x))
+    top = max(board.kind.n, getattr(board.kind, "m", 0)) + 3
+    coords = st.integers(-2, top)
+    for v in data.draw(st.lists(st.builds(Vertex, st.sampled_from(Color), coords, coords),
+                                min_size=1, max_size=40)):
+        assert (v in board) == (v in present) == (v in listed)
 
 
 def test_invalid_order_rejected():
@@ -189,3 +248,15 @@ def test_validate_skips_holed_edges():
     board = remove_vertices(build_diamond(2), [black(1, 1)])
     with pytest.raises(PatternError):
         validate_pattern(board, Pattern.of((white(1, 1), black(1, 1))))
+
+
+def test_validation_on_a_huge_diamond_is_arithmetic():
+    # Building the order-10^9 board costs O(1), so off-board dominoes fail at once.
+    board = build_diamond(10**9)
+    for w, b in [(white(0, 1), black(1, 1)), (white(10**9 + 1, 1), black(10**9 + 1, 1)),
+                 (white(1, 1), black(3, 1))]:
+        with pytest.raises(PatternError):
+            validate_pattern(board, Pattern.of((w, b)))
+    assert validate_pattern(board, Pattern.of((white(1, 1), black(1, 1)))) == (
+        [white(1, 1)], [black(1, 1)]
+    )
