@@ -22,7 +22,10 @@ Commands
     at fixed offsets, as CSV with header ``w0,w1,numerator,scale,approx``.
     The exact columns are never rounded; ``approx`` is a 12-significant-
     digit round-half-even decimal and is not authoritative.  Output rows
-    are sorted by ``w0`` then ``w1`` and byte-identical across runs.
+    are sorted by ``w0`` then ``w1`` and byte-identical across runs.  The
+    cells of one ``w1`` share a row of the coupling kernel, so they are
+    evaluated row by row and the sweep costs ``O(N^2)`` big-integer
+    operations; ``N`` above 400 needs ``--force``.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.
@@ -56,7 +59,7 @@ from . import verify as verify_mod
 from .coupling import coupling, coupling_signed, pattern_probability
 from .lattice import BoardError, Color, Diamond, Pattern, PatternError, Vertex, black, white
 
-HEATMAP_ORDER_LIMIT = 200
+HEATMAP_ORDER_LIMIT = 400
 
 _APPROX_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
@@ -139,30 +142,36 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heatmap_rows(n: int, d0: int, d1: int) -> list[tuple[int, int]]:
-    """Cells ``(w0, w1)`` whose white and black vertex are both on the diamond.  Each color
-    class is an x-range times a y-range, both holding 1, so ``w0`` and ``w1`` are tested apart."""
+def _heatmap_rows(n: int, d0: int, d1: int) -> tuple[list[int], list[int]]:
+    """The ``w0`` and ``w1`` values whose cells ``(w0, w1)`` put both the white and the black
+    vertex on the diamond.  Each color class is an x-range times a y-range, both holding 1, so
+    ``w0`` and ``w1`` are tested apart and every pair of the two lists is a cell."""
     diamond, cols = Diamond(n), range(1, n + 1)
     w0s = [w0 for w0 in cols if white(w0, 1) in diamond and black(w0 + d0, 1) in diamond]
     w1s = [w1 for w1 in cols if white(1, w1 + d1) in diamond and black(1, w1) in diamond]
-    return [(w0, w1) for w0 in w0s for w1 in w1s]
+    return w0s, w1s
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     n, d0, d1 = args.n, args.d0, args.d1
-    cells = _heatmap_rows(n, d0, d1)
-    if not cells:
+    w0s, w1s = _heatmap_rows(n, d0, d1)
+    if not (w0s and w1s):
         print(f"error: offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond",
               file=sys.stderr)
         return 2
-    lines = ["w0,w1,numerator,scale,approx"]
-    for w0, w1 in cells:
-        value = coupling_signed(n, w0, d0, w1, d1)
-        approx = _approx(value.numerator, 2 ** value.scale)
-        lines.append(f"{w0},{w1},{value.numerator},{value.scale},{approx}")
+    # A fixed w1 is one row of the coupling kernel, so w1 runs outermost and the
+    # row is built once; the lines are regrouped by w0 for the output order.
+    lines: dict[int, list[str]] = {w0: [] for w0 in w0s}
+    for w1 in w1s:
+        for w0 in w0s:
+            value = coupling_signed(n, w0, d0, w1, d1)
+            approx = _approx(value.numerator, 2 ** value.scale)
+            lines[w0].append(f"{w0},{w1},{value.numerator},{value.scale},{approx}\n")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(cells)} entries to {args.out}")
+        fh.write("w0,w1,numerator,scale,approx\n")
+        for w0 in w0s:
+            fh.writelines(lines[w0])
+    print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0
 
 

@@ -6,7 +6,9 @@ against :mod:`aztecdimers.enumerate` and :mod:`aztecdimers.kasteleyn` by the
 test suite; the formulas themselves are:
 
 * ``krawtchouk(a, b, c)``: the coefficient of ``x^a`` in
-  ``(1-x)^c (1+x)^{b-c}``, the kernel of every closed form here.
+  ``(1-x)^c (1+x)^{b-c}``, the kernel of every closed form here.  All of
+  order ``b`` come from one cached table, ``krawtchouk_table(b)``, built
+  row by row from ``(1+x) P_{c+1} = (1-x) P_c`` in ``O(b)`` per row.
 * Matching counts of fully dented/toothed Aztec rectangles as scaled
   Vandermonde products.
 * A truncated operator calculus in the forward difference ``delta``
@@ -97,11 +99,25 @@ def poly_forward_difference(p: Sequence) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def krawtchouk_row(b: int, c: int) -> tuple:
-    """All coefficients of ``(1-x)^c (1+x)^{b-c}``; requires ``0 <= c <= b``."""
-    if not 0 <= c <= b:
-        raise ValueError(f"need 0 <= c <= b, got b={b} c={c}")
-    return poly_mul(binomial_poly(c, -1), binomial_poly(b - c, +1)) or (1,)
+def krawtchouk_table(b: int) -> tuple[tuple[int, ...], ...]:
+    """Every Krawtchouk coefficient of order ``b``: ``table[c][a] = krawtchouk(a, b, c)``.
+
+    Row ``c = 0`` is ``comb(b, a)``.  Since ``(1+x) P_{c+1} = (1-x) P_c`` for
+    ``P_c = (1-x)^c (1+x)^{b-c}``, each further row costs ``O(b)``:
+    ``p_{c+1}[a] = p_c[a] - p_c[a-1] - p_{c+1}[a-1]``.  Every row has all
+    ``b + 1`` coefficients, as ``P_c`` has degree exactly ``b``.
+    """
+    if b < 0:
+        raise ValueError(f"need b >= 0, got b={b}")
+    rows = [tuple(comb(b, a) for a in range(b + 1))]
+    for _ in range(b):
+        row, prev, acc = [], 0, 0
+        for p in rows[-1]:
+            acc = p - prev - acc
+            prev = p
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def krawtchouk(a: int, b: int, c: int) -> int:
@@ -112,15 +128,14 @@ def krawtchouk(a: int, b: int, c: int) -> int:
     """
     if a < 0 or b < 0 or a > b or c < 0 or c > b:
         return 0
-    row = krawtchouk_row(b, c)
-    return row[a] if a < len(row) else 0
+    return krawtchouk_table(b)[c][a]
 
 
 def krawtchouk_convolution(a: int, b: int, c: int) -> int:
     """Binomial-convolution form of :func:`krawtchouk`, equal to it everywhere.
 
     Not used by the library: it is the independent reference that the
-    tests check the polynomial-product rows of :func:`krawtchouk` against.
+    tests check the recurrence rows of :func:`krawtchouk_table` against.
     """
     if a < 0 or b < 0 or a > b or c < 0 or c > b:
         return 0

@@ -15,6 +15,15 @@ given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
 so all arithmetic happens in :class:`DyadicRational`.
 
+Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only,
+over ``j`` below ``x`` or from ``x`` on.  So one list of running sums
+(:func:`_row_sums`) serves a whole row of ``x``, and the Krawtchouk
+coefficients are read from
+:func:`~aztecdimers.combinatorics.krawtchouk_table`.  Once the tables of
+orders ``n`` and ``n - 1`` are built, an entry costs ``O(n)``, and a sweep
+that keeps its row fixed while ``x`` varies costs ``O(1)`` per further
+entry.
+
 The signed inverse-Kasteleyn entry is exposed as :func:`coupling_signed`:
 ``(-1)^{d0+d1+w1}`` times ``c(v, w)`` for every hole offset.  Both
 functions evaluate the same formula in the canonical diagonal labelling of
@@ -26,8 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 
-from .combinatorics import krawtchouk
+from .combinatorics import krawtchouk_table
 from .exactlinalg import IntMatrix, det
 from .lattice import Color, Pattern, Vertex, build_diamond, check_diamond_pair, validate_pattern
 
@@ -76,24 +87,34 @@ class DyadicRational:
         return f"{self.numerator} / 2^{self.scale}"
 
 
-def _branch_sum(n: int, x: int, y: int, x2: int, y2: int) -> int:
-    """The Krawtchouk sum of the coupling formula, sign included."""
-    shift = x2 - x
-    if shift > 0:
-        return sum(
-            krawtchouk(j, n, y - 1) * krawtchouk(y2 - 1, n - 1, n - (j + shift))
-            for j in range(x)
-        )
-    return -sum(
-        krawtchouk(j, n, y - 1) * krawtchouk(y2 - 1, n - 1, n - (j + shift))
-        for j in range(x, n + 1)
+@lru_cache(maxsize=1)
+def _row_sums(n: int, y: int, y2: int, shift: int) -> tuple[int, ...]:
+    """The branch sums, sign included, of every white column ``x`` at once.
+
+    With ``y``, ``y2`` and ``shift = x' - x`` fixed, the formula's terms
+    ``t_j = Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on
+    ``x``, so one list of ``n + 1`` terms serves the whole row: entry ``x``
+    is ``sum_{j<x} t_j`` for ``shift > 0`` and ``-sum_{j>=x} t_j``
+    otherwise.  The one-row cache is what makes a sweep along ``x`` cost
+    ``O(n)`` per row instead of ``O(n)`` per entry.
+    """
+    white_row = krawtchouk_table(n)[y - 1]
+    black_table = krawtchouk_table(n - 1)
+    terms = (
+        white_row[j] * black_table[n - j - shift][y2 - 1] if 0 < j + shift <= n else 0
+        for j in range(n + 1)
     )
+    sums = list(accumulate(terms, initial=0))
+    if shift > 0:
+        return tuple(sums)
+    total = sums[-1]
+    return tuple(s - total for s in sums)
 
 
 def _entry(n: int, v: Vertex, w: Vertex, sign: int) -> DyadicRational:
     """``sign * 2^{-n}`` times the branch sum at white ``v`` and black ``w``."""
     check_diamond_pair(n, v, w)
-    return DyadicRational(sign * _branch_sum(n, v.x, v.y, w.x, w.y), n)
+    return DyadicRational(sign * _row_sums(n, v.y, w.y, w.x - v.x)[v.x], n)
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:

@@ -246,7 +246,7 @@ def test_criterion_12_heatmap_performance(tmp_path):
         big = tmp_path / "n100.csv"
         t0 = time.monotonic()
         assert main(["heatmap", "--n", "100", "--d0", "1", "--d1", "2", "--out", str(big)]) == 0
-        assert time.monotonic() - t0 < 180
+        assert time.monotonic() - t0 < 10
 
 
 def test_criterion_13_krawtchouk_properties():

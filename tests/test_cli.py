@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import load_pattern_file, main
 from aztecdimers.coupling import coupling_signed
 
@@ -185,9 +186,20 @@ def test_heatmap_contents_and_determinism(tmp_path, capsys):
     assert out2.read_bytes() == text
 
 
+def test_heatmap_builds_each_kernel_row_once(tmp_path, capsys):
+    # At d1 = 2 the cells are w0 in 1..40 and w1 in 1..39.  Each w1 is one
+    # row of the coupling kernel; the O(n^2) cost of the sweep rests on
+    # evaluating the cells row by row, so every row is built exactly once.
+    coupling_mod._row_sums.cache_clear()
+    code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "h.csv"))
+    assert code == 0
+    info = coupling_mod._row_sums.cache_info()
+    assert (info.misses, info.hits) == (39, 39 * 39)
+
+
 def test_heatmap_cost_guard(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["heatmap", "--n", "201", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "x.csv")])
+        main(["heatmap", "--n", "401", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
 
 

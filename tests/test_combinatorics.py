@@ -11,6 +11,7 @@ from aztecdimers.combinatorics import (
     DeltaOperator,
     TruncationError,
     annihilator_coeffs,
+    binomial_poly,
     delta_symbol_coefficient,
     dented_rectangle_matchings,
     first_column_hole_count,
@@ -20,9 +21,11 @@ from aztecdimers.combinatorics import (
     holed_rectangle_closed_form,
     krawtchouk,
     krawtchouk_convolution,
+    krawtchouk_table,
     laplace_block_identity,
     poly_eval,
     poly_forward_difference,
+    poly_mul,
     superfactorial,
     toothed_rectangle_matchings,
     vandermonde,
@@ -59,6 +62,17 @@ def test_krawtchouk_out_of_range_is_zero():
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_krawtchouk_matches_convolution_fast_path(a, b, c):
     assert krawtchouk(a, b, c) == krawtchouk_convolution(a, b, c)
+
+
+def test_krawtchouk_table_rows_are_the_polynomial_products():
+    for b in range(41):
+        table = krawtchouk_table(b)
+        assert len(table) == b + 1
+        for c, row in enumerate(table):
+            assert row == poly_mul(binomial_poly(c, -1), binomial_poly(b - c, +1))
+            assert row == tuple(krawtchouk_convolution(a, b, c) for a in range(b + 1))
+    with pytest.raises(ValueError):
+        krawtchouk_table(-1)
 
 
 def test_krawtchouk_reflection():

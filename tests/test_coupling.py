@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aztecdimers import coupling as coupling_mod
-from aztecdimers.combinatorics import first_column_hole_count
+from aztecdimers.combinatorics import first_column_hole_count, krawtchouk_convolution
 from aztecdimers.coupling import (
     DyadicRational,
     coupling,
@@ -70,6 +71,35 @@ def test_signed_equivalence_all_offsets(n):
     for (v, w), entry in inverse_coupling_matrix(n).items():
         value = coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y)
         assert value.to_fraction() == entry
+
+
+def _branch_sum_per_term(n, x, y, x2, y2):
+    """The coupling formula's branch sum, one term at a time, with the
+    binomial-convolution form of the Krawtchouk coefficients."""
+    shift = x2 - x
+    js = range(x) if shift > 0 else range(x, n + 1)
+    total = sum(
+        krawtchouk_convolution(j, n, y - 1) * krawtchouk_convolution(y2 - 1, n - 1, n - (j + shift))
+        for j in js
+    )
+    return total if shift > 0 else -total
+
+
+def test_kernel_matches_the_per_term_sum_on_every_pair():
+    for n in range(1, 9):
+        board = build_diamond(n)
+        for v in board.white_vertices:
+            for w in board.black_vertices:
+                want = DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
+                assert coupling(n, v, w) == want, (n, v, w)
+
+
+@given(st.data())
+def test_kernel_matches_the_per_term_sum_on_sampled_pairs(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    v = white(data.draw(st.integers(1, n)), data.draw(st.integers(1, n + 1)))
+    w = black(data.draw(st.integers(1, n + 1)), data.draw(st.integers(1, n)))
+    assert coupling(n, v, w) == DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
 
 
 def test_corner_domino_probability_matches_brute_force():
@@ -229,16 +259,20 @@ def test_transpose_orientation_defines_the_same_values():
                 assert abs(coupling(n, v, w)) == abs(coupling(n, white(w.y, w.x), black(v.y, v.x)))
 
 
-def test_mistranscribed_formula_fails_calibration(monkeypatch):
+def test_mistranscribed_formula_fails_calibration():
     # Reading Kr(a, b, c) as Kr(a, b, b - c) must leave some signed entry at
     # n = 3 off the inverse-Kasteleyn oracle, so the oracle comparison sees it.
-    real = coupling_mod.krawtchouk
-    monkeypatch.setattr(
-        coupling_mod, "krawtchouk", lambda a, b, c: real(a, b, b - c if 0 <= c <= b else c)
-    )
-    mismatches = [
-        (v, w)
-        for (v, w), entry in inverse_coupling_matrix(3).items()
-        if coupling_signed(3, v.x, w.x - v.x, w.y, v.y - w.y).to_fraction() != entry
-    ]
+    real = coupling_mod.krawtchouk_table
+    # The kernel caches its last row; clear it so no mutated row outlives the patch.
+    coupling_mod._row_sums.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coupling_mod, "krawtchouk_table", lambda b: real(b)[::-1])
+            mismatches = [
+                (v, w)
+                for (v, w), entry in inverse_coupling_matrix(3).items()
+                if coupling_signed(3, v.x, w.x - v.x, w.y, v.y - w.y).to_fraction() != entry
+            ]
+    finally:
+        coupling_mod._row_sums.cache_clear()
     assert mismatches

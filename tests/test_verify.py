@@ -23,24 +23,28 @@ def test_unknown_level_rejected():
 
 
 def _odd_coefficients_negated(real):
-    def mutated(a, b, c):
-        value = real(a, b, c)
-        return -value if a % 2 else value
+    def mutated(b):
+        return tuple(tuple(-v if a % 2 else v for a, v in enumerate(row)) for row in real(b))
 
     return mutated
 
 
 def _mistranscribed_c(real):
     # Reads Kr(a, b, c) as Kr(a, b, b - c): the (1-x) and (1+x) exponents swapped.
-    return lambda a, b, c: real(a, b, b - c if 0 <= c <= b else c)
+    return lambda b: real(b)[::-1]
 
 
 def test_seeded_mutation_is_caught():
-    real = coupling_mod.krawtchouk
+    real = coupling_mod.krawtchouk_table
     for mutation in (_odd_coefficients_negated, _mistranscribed_c):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coupling_mod, "krawtchouk", mutation(real))
-            results = verify.run_checks("quick")
+        # The kernel caches its last row; clear it so no mutated row outlives the patch.
+        coupling_mod._row_sums.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(coupling_mod, "krawtchouk_table", mutation(real))
+                results = verify.run_checks("quick")
+        finally:
+            coupling_mod._row_sums.cache_clear()
         failed = [r.name for r in results if not r.ok]
         assert "coupling-vs-oracle" in failed, mutation.__name__
 
