@@ -11,7 +11,7 @@ Commands
 
 ``coupling --n N --white X Y --black X Y``
     One coupling value as an exact dyadic rational plus a decimal
-    approximation.
+    approximation.  It costs ``O(N)`` big-integer operations.
 
 ``prob FILE``
     Probability of the pattern described by ``FILE`` (format below), as an
@@ -38,12 +38,16 @@ Pattern files are JSON, one object::
                   [["black", 2, 1], ["white", 1, 2]]]}
 
 ``format`` must be 1; ``format``, ``n`` and every coordinate must be JSON
-integers, so ``true`` and ``false`` are rejected.  Each domino lists its
+integers, so ``true`` and ``false`` are rejected.  ``dominoes`` must be a
+JSON list; ``[]`` is the empty pattern.  Each domino lists its
 two cells as ``[color, x, y]`` triples in diagonal coordinates, one white
 and one black in either order; the pair must be adjacent on the order-``n``
 diamond and no cell may repeat.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error: a bad
+argument or pattern file (malformed, too deeply nested, off the board), an
+unreadable input or unwritable output path, or an exact value past the
+int-to-str limit.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from typing import Optional, Sequence
 
 from . import verify as verify_mod
 from .coupling import coupling, coupling_signed, pattern_probability
-from .lattice import BoardError, Color, Diamond, Pattern, PatternError, Vertex, black, white
+from .lattice import Color, Diamond, Pattern, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 400
 
@@ -99,6 +103,8 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     fmt = doc.get("format")
@@ -107,8 +113,11 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
     n = doc.get("n")
     if not _is_int(n) or n < 1:
         raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
+    pairs = doc.get("dominoes")
+    if not isinstance(pairs, list):
+        raise ValueError(f"{path}: dominoes must be a JSON list, got {pairs!r}")
     dominoes = []
-    for k, pair in enumerate(doc.get("dominoes", [])):
+    for k, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{path}: domino {k} must list exactly two cells")
         cells = []
@@ -132,12 +141,8 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
-    try:
-        n, pattern = load_pattern_file(args.pattern_file)
-        p = pattern_probability(n, pattern)
-    except (ValueError, PatternError, BoardError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    n, pattern = load_pattern_file(args.pattern_file)
+    p = pattern_probability(n, pattern)
     print(f"{p.numerator}/{p.denominator} ({_approx(p.numerator, p.denominator)})")
     return 0
 
@@ -159,15 +164,16 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         print(f"error: offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond",
               file=sys.stderr)
         return 2
-    # A fixed w1 is one row of the coupling kernel, so w1 runs outermost and the
-    # row is built once; the lines are regrouped by w0 for the output order.
-    lines: dict[int, list[str]] = {w0: [] for w0 in w0s}
-    for w1 in w1s:
-        for w0 in w0s:
-            value = coupling_signed(n, w0, d0, w1, d1)
-            approx = _approx(value.numerator, 2 ** value.scale)
-            lines[w0].append(f"{w0},{w1},{value.numerator},{value.scale},{approx}\n")
+    # Opened first, so that a bad path fails before any cell is computed.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        # A fixed w1 is one row of the coupling kernel, so w1 runs outermost and the
+        # row is built once; the lines are regrouped by w0 for the output order.
+        lines: dict[int, list[str]] = {w0: [] for w0 in w0s}
+        for w1 in w1s:
+            for w0 in w0s:
+                value = coupling_signed(n, w0, d0, w1, d1)
+                approx = _approx(value.numerator, 2 ** value.scale)
+                lines[w0].append(f"{w0},{w1},{value.numerator},{value.scale},{approx}\n")
         fh.write("w0,w1,numerator,scale,approx\n")
         for w0 in w0s:
             fh.writelines(lines[w0])
@@ -239,7 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"n={args.n} exceeds the cost guard ({HEATMAP_ORDER_LIMIT}); pass --force")
     try:
         return args.run(args)
-    except (BoardError, PatternError) as exc:
+    except (OSError, ValueError) as exc:  # BoardError, PatternError, str() past the int-to-str limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,9 +6,10 @@ against :mod:`aztecdimers.enumerate` and :mod:`aztecdimers.kasteleyn` by the
 test suite; the formulas themselves are:
 
 * ``krawtchouk(a, b, c)``: the coefficient of ``x^a`` in
-  ``(1-x)^c (1+x)^{b-c}``, the kernel of every closed form here.  All of
-  order ``b`` come from one cached table, ``krawtchouk_table(b)``, built
-  row by row from ``(1+x) P_{c+1} = (1-x) P_c`` in ``O(b)`` per row.
+  ``(1-x)^c (1+x)^{b-c}``, the kernel of every closed form here.
+  ``krawtchouk_row(b, c)`` (all ``a``) and ``krawtchouk_column(a, b)``
+  (all ``c``) build one line of coefficients by a three-term recurrence in
+  ``O(b)`` big-integer operations; each keeps its last 16 lines cached.
 * Matching counts of fully dented/toothed Aztec rectangles as scaled
   Vandermonde products.
 * A truncated operator calculus in the forward difference ``delta``
@@ -98,26 +99,36 @@ def poly_forward_difference(p: Sequence) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def krawtchouk_table(b: int) -> tuple[tuple[int, ...], ...]:
-    """Every Krawtchouk coefficient of order ``b``: ``table[c][a] = krawtchouk(a, b, c)``.
+@lru_cache(maxsize=16)
+def krawtchouk_row(b: int, c: int) -> tuple[int, ...]:
+    """``krawtchouk(a, b, c)`` for ``a = 0..b``, in ``O(b)`` big-integer operations.
 
-    Row ``c = 0`` is ``comb(b, a)``.  Since ``(1+x) P_{c+1} = (1-x) P_c`` for
-    ``P_c = (1-x)^c (1+x)^{b-c}``, each further row costs ``O(b)``:
-    ``p_{c+1}[a] = p_c[a] - p_c[a-1] - p_{c+1}[a-1]``.  Every row has all
-    ``b + 1`` coefficients, as ``P_c`` has degree exactly ``b``.
+    From ``(1-x^2) P' = ((b-2c) - b x) P`` for ``P = (1-x)^c (1+x)^{b-c}``:
+    ``(a+1) p[a+1] = (b-2c) p[a] - (b-a+1) p[a-1]`` with ``p[0] = 1``; the
+    division is exact.
     """
-    if b < 0:
-        raise ValueError(f"need b >= 0, got b={b}")
-    rows = [tuple(comb(b, a) for a in range(b + 1))]
-    for _ in range(b):
-        row, prev, acc = [], 0, 0
-        for p in rows[-1]:
-            acc = p - prev - acc
-            prev = p
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
+    if not 0 <= c <= b:
+        raise ValueError(f"need 0 <= c <= b, got b={b}, c={c}")
+    p = [0, 1]  # p[-1] = 0, p[0] = 1
+    for a in range(b):
+        p.append(((b - 2 * c) * p[-1] - (b - a + 1) * p[-2]) // (a + 1))
+    return tuple(p[1:])
+
+
+@lru_cache(maxsize=16)
+def krawtchouk_column(a: int, b: int) -> tuple[int, ...]:
+    """``krawtchouk(a, b, c)`` for ``c = 0..b``, in ``O(b)`` big-integer operations.
+
+    Self-duality, ``C(b, c) Kr(a, b, c) = C(b, a) Kr(c, b, a)``, turns the
+    recurrence of :func:`krawtchouk_row` into ``(b-c) f[c+1] = (b-2a) f[c] -
+    c f[c-1]`` with ``f[0] = comb(b, a)``; the division is exact.
+    """
+    if not 0 <= a <= b:
+        raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+    f = [0, comb(b, a)]  # f[-1] = 0, f[0] = comb(b, a)
+    for c in range(b):
+        f.append(((b - 2 * a) * f[-1] - c * f[-2]) // (b - c))
+    return tuple(f[1:])
 
 
 def krawtchouk(a: int, b: int, c: int) -> int:
@@ -128,14 +139,15 @@ def krawtchouk(a: int, b: int, c: int) -> int:
     """
     if a < 0 or b < 0 or a > b or c < 0 or c > b:
         return 0
-    return krawtchouk_table(b)[c][a]
+    return krawtchouk_row(b, c)[a]
 
 
 def krawtchouk_convolution(a: int, b: int, c: int) -> int:
     """Binomial-convolution form of :func:`krawtchouk`, equal to it everywhere.
 
     Not used by the library: it is the independent reference that the
-    tests check the recurrence rows of :func:`krawtchouk_table` against.
+    tests check the recurrences of :func:`krawtchouk_row` and
+    :func:`krawtchouk_column` against.
     """
     if a < 0 or b < 0 or a > b or c < 0 or c > b:
         return 0

@@ -13,16 +13,16 @@ for ``x' <= x``, with ``Kr`` the Krawtchouk coefficient (out-of-range
 indices contribute 0).  The probability that a random tiling contains a
 given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
-so all arithmetic happens in :class:`DyadicRational`.
+so sums stay in integers and a value is returned as a :class:`DyadicRational`.
 
 Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only,
 over ``j`` below ``x`` or from ``x`` on.  So one list of running sums
-(:func:`_row_sums`) serves a whole row of ``x``, and the Krawtchouk
-coefficients are read from
-:func:`~aztecdimers.combinatorics.krawtchouk_table`.  Once the tables of
-orders ``n`` and ``n - 1`` are built, an entry costs ``O(n)``, and a sweep
-that keeps its row fixed while ``x`` varies costs ``O(1)`` per further
-entry.
+(:func:`_row_sums`) serves a whole row of ``x``.  Its terms read one white
+row ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built
+by :mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations.
+So an entry costs ``O(n)`` operations and ``O(n)`` live integers, and a
+sweep that keeps its row fixed while ``x`` varies costs ``O(1)`` per
+further entry.
 
 The signed inverse-Kasteleyn entry is exposed as :func:`coupling_signed`:
 ``(-1)^{d0+d1+w1}`` times ``c(v, w)`` for every hole offset.  Both
@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
-from .combinatorics import krawtchouk_table
+from .combinatorics import krawtchouk_column, krawtchouk_row
 from .exactlinalg import IntMatrix, det
 from .lattice import Color, Pattern, Vertex, build_diamond, check_diamond_pair, validate_pattern
 
@@ -62,27 +62,6 @@ class DyadicRational:
     def to_fraction(self) -> Fraction:
         return Fraction(self.numerator, 2**self.scale)
 
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        s = max(self.scale, other.scale)
-        return DyadicRational(
-            (self.numerator << (s - self.scale)) + (other.numerator << (s - other.scale)), s
-        )
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        return self + (-other)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational(self.numerator * other.numerator, self.scale + other.scale)
-
-    def __neg__(self) -> "DyadicRational":
-        return DyadicRational(-self.numerator, self.scale)
-
-    def __abs__(self) -> "DyadicRational":
-        return DyadicRational(abs(self.numerator), self.scale)
-
-    def __float__(self) -> float:
-        return self.numerator / 2**self.scale
-
     def __str__(self) -> str:
         return f"{self.numerator} / 2^{self.scale}"
 
@@ -98,10 +77,10 @@ def _row_sums(n: int, y: int, y2: int, shift: int) -> tuple[int, ...]:
     otherwise.  The one-row cache is what makes a sweep along ``x`` cost
     ``O(n)`` per row instead of ``O(n)`` per entry.
     """
-    white_row = krawtchouk_table(n)[y - 1]
-    black_table = krawtchouk_table(n - 1)
+    white_row = krawtchouk_row(n, y - 1)
+    black_column = krawtchouk_column(y2 - 1, n - 1)
     terms = (
-        white_row[j] * black_table[n - j - shift][y2 - 1] if 0 < j + shift <= n else 0
+        white_row[j] * black_column[n - j - shift] if 0 < j + shift <= n else 0
         for j in range(n + 1)
     )
     sums = list(accumulate(terms, initial=0))

@@ -49,6 +49,23 @@ def test_count_stops_at_the_int_to_str_limit(capsys, str_digits_limit, limit):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_coupling_and_prob_stop_at_the_int_to_str_limit(tmp_path, capsys, str_digits_limit):
+    # The numerator of this n = 2400 entry, and the reduced denominator of an
+    # 8-domino probability at n = 300, both have more than 640 digits.
+    str_digits_limit(640)
+    dominoes = [[["white", x, 150], ["black", x, 150]] for x in range(150, 166, 2)]
+    doc = {"format": 1, "n": 300, "dominoes": dominoes}
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ("coupling", "--n", "2400", "--white", "1200", "1200", "--black", "1201", "1200"),
+        ("prob", str(path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "640 digits" in err and "Traceback" not in err
+
+
 def test_count_rejects_nonpositive_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--n", "0"])
@@ -92,6 +109,25 @@ def test_prob_accepts_black_first_ordering(tmp_path):
     n, pattern = load_pattern_file(str(path))
     assert n == 2
     assert pattern.dominoes[0][0].color.value == "white"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"format": 1, "n": 3}',
+        '{"format": 1, "n": 3, "dominoes": {}}',
+        '{"format": 1, "n": 3, "dominoes": null}',
+        "[" * 100_000 + "]" * 100_000,
+        '{"format": 1, "n": 3, "dominoes": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["missing", "object", "null", "deep-array", "deep-dominoes"],
+)
+def test_prob_rejects_pattern_files_without_a_dominoes_list(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "prob", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_prob_parse_error_reports_line(tmp_path, capsys):
@@ -207,6 +243,15 @@ def test_heatmap_force_flag_accepted(tmp_path, capsys):
     out = tmp_path / "f.csv"
     code, _, _ = run(capsys, "heatmap", "--n", "4", "--d0", "1", "--d1", "1", "--out", str(out), "--force")
     assert code == 0
+
+
+def test_heatmap_unwritable_output_fails_before_the_sweep(tmp_path, capsys):
+    coupling_mod._row_sums.cache_clear()
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run(capsys, "heatmap", "--n", "6", "--d0", "1", "--d1", "2", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert coupling_mod._row_sums.cache_info().misses == 0  # no cell was computed
 
 
 def test_heatmap_impossible_offsets(tmp_path, capsys):

@@ -20,8 +20,9 @@ from aztecdimers.combinatorics import (
     hole_pair_prefactor,
     holed_rectangle_closed_form,
     krawtchouk,
+    krawtchouk_column,
     krawtchouk_convolution,
-    krawtchouk_table,
+    krawtchouk_row,
     laplace_block_identity,
     poly_eval,
     poly_forward_difference,
@@ -64,15 +65,22 @@ def test_krawtchouk_matches_convolution_fast_path(a, b, c):
     assert krawtchouk(a, b, c) == krawtchouk_convolution(a, b, c)
 
 
-def test_krawtchouk_table_rows_are_the_polynomial_products():
+def test_krawtchouk_rows_and_columns_are_the_polynomial_products():
     for b in range(41):
-        table = krawtchouk_table(b)
-        assert len(table) == b + 1
-        for c, row in enumerate(table):
-            assert row == poly_mul(binomial_poly(c, -1), binomial_poly(b - c, +1))
+        # rows[c][a] is the coefficient of x^a in (1-x)^c (1+x)^{b-c}; every row
+        # has all b + 1 coefficients, as the product has degree exactly b.
+        rows = [poly_mul(binomial_poly(c, -1), binomial_poly(b - c, +1)) for c in range(b + 1)]
+        for c, row in enumerate(rows):
+            assert krawtchouk_row(b, c) == row
             assert row == tuple(krawtchouk_convolution(a, b, c) for a in range(b + 1))
-    with pytest.raises(ValueError):
-        krawtchouk_table(-1)
+        for a in range(b + 1):
+            assert krawtchouk_column(a, b) == tuple(row[a] for row in rows)
+    for bad in ((-1, 0), (2, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            krawtchouk_row(*bad)
+    for bad in ((0, -1), (3, 2), (-1, 2)):
+        with pytest.raises(ValueError):
+            krawtchouk_column(*bad)
 
 
 def test_krawtchouk_reflection():

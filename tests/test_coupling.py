@@ -1,5 +1,6 @@
 """The coupling function against the matrix oracles."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -36,23 +37,12 @@ def test_dyadic_normalization():
     assert DyadicRational(1 << 700, 600) == DyadicRational(1 << 100, 0)
     assert DyadicRational(-(5 << 64), 64) == DyadicRational(-5, 0)
     assert DyadicRational(7 << 3, 1000) == DyadicRational(7, 997)
+    assert str(DyadicRational(3, 2)) == "3 / 2^2"
 
 
 def test_dyadic_rejects_negative_scale():
     with pytest.raises(ValueError):
         DyadicRational(1, -1)
-
-
-def test_dyadic_arithmetic():
-    a = DyadicRational(3, 2)  # 3/4
-    b = DyadicRational(1, 1)  # 1/2
-    assert (a + b).to_fraction() == Fraction(5, 4)
-    assert (a - b).to_fraction() == Fraction(1, 4)
-    assert (a * b).to_fraction() == Fraction(3, 8)
-    assert (-a).numerator == -3
-    assert abs(DyadicRational(-1, 3)) == DyadicRational(1, 3)
-    assert float(b) == 0.5
-    assert str(a) == "3 / 2^2"
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +92,20 @@ def test_kernel_matches_the_per_term_sum_on_sampled_pairs(data):
     assert coupling(n, v, w) == DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
 
 
+def test_a_lone_entry_keeps_only_a_row_and_a_column():
+    # One mid-board entry at n = 1200 needs one white row and one black column
+    # of n + 1 integers each, well under 8 MiB; whole Krawtchouk tables of
+    # orders n and n - 1 would hold about 300 MiB.
+    coupling_mod._row_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        coupling(1200, white(600, 600), black(601, 600))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+
+
 def test_corner_domino_probability_matches_brute_force():
     board = build_diamond(2)
     v = white(1, 1)
@@ -145,11 +149,9 @@ def test_half_turn_identity(n):
     # the closed form evaluates both sides directly.
     for (v, w), _ in inverse_coupling_matrix(n).items():
         w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
-        lhs = coupling_signed(n, w0, d0, w1, d1)
-        rhs = coupling_signed(n, n + 1 - w0, 1 - d0, n + 1 - w1, 1 - d1)
-        if (d0 + d1) % 2 == 0:
-            rhs = -rhs
-        assert lhs == rhs
+        lhs = coupling_signed(n, w0, d0, w1, d1).to_fraction()
+        rhs = coupling_signed(n, n + 1 - w0, 1 - d0, n + 1 - w1, 1 - d1).to_fraction()
+        assert lhs == (rhs if (d0 + d1) % 2 else -rhs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -256,18 +258,20 @@ def test_transpose_orientation_defines_the_same_values():
             for w in board.black_vertices:
                 w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
                 assert coupling_signed(n, w0, d0, w1, d1) == coupling_signed(n, w1, d1, w0, d0)
-                assert abs(coupling(n, v, w)) == abs(coupling(n, white(w.y, w.x), black(v.y, v.x)))
+                transposed = coupling(n, white(w.y, w.x), black(v.y, v.x))
+                assert abs(coupling(n, v, w).to_fraction()) == abs(transposed.to_fraction())
 
 
 def test_mistranscribed_formula_fails_calibration():
     # Reading Kr(a, b, c) as Kr(a, b, b - c) must leave some signed entry at
     # n = 3 off the inverse-Kasteleyn oracle, so the oracle comparison sees it.
-    real = coupling_mod.krawtchouk_table
+    row, column = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
     # The kernel caches its last row; clear it so no mutated row outlives the patch.
     coupling_mod._row_sums.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coupling_mod, "krawtchouk_table", lambda b: real(b)[::-1])
+            mp.setattr(coupling_mod, "krawtchouk_row", lambda b, c: row(b, b - c))
+            mp.setattr(coupling_mod, "krawtchouk_column", lambda a, b: column(a, b)[::-1])
             mismatches = [
                 (v, w)
                 for (v, w), entry in inverse_coupling_matrix(3).items()

@@ -22,26 +22,32 @@ def test_unknown_level_rejected():
         verify.run_checks("paranoid")
 
 
-def _odd_coefficients_negated(real):
-    def mutated(b):
-        return tuple(tuple(-v if a % 2 else v for a, v in enumerate(row)) for row in real(b))
-
-    return mutated
+# Each mutation maps the real (row, column) builders to mutated ones.
 
 
-def _mistranscribed_c(real):
+def _odd_coefficients_negated(row, column):
+    # Negates Kr(a, b, c) for every odd a: a row at its odd entries, a column whole.
+    return (
+        lambda b, c: tuple(-v if a % 2 else v for a, v in enumerate(row(b, c))),
+        lambda a, b: tuple(-v for v in column(a, b)) if a % 2 else column(a, b),
+    )
+
+
+def _mistranscribed_c(row, column):
     # Reads Kr(a, b, c) as Kr(a, b, b - c): the (1-x) and (1+x) exponents swapped.
-    return lambda b: real(b)[::-1]
+    return lambda b, c: row(b, b - c), lambda a, b: column(a, b)[::-1]
 
 
 def test_seeded_mutation_is_caught():
-    real = coupling_mod.krawtchouk_table
+    real = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
     for mutation in (_odd_coefficients_negated, _mistranscribed_c):
         # The kernel caches its last row; clear it so no mutated row outlives the patch.
         coupling_mod._row_sums.cache_clear()
         try:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(coupling_mod, "krawtchouk_table", mutation(real))
+                row, column = mutation(*real)
+                mp.setattr(coupling_mod, "krawtchouk_row", row)
+                mp.setattr(coupling_mod, "krawtchouk_column", column)
                 results = verify.run_checks("quick")
         finally:
             coupling_mod._row_sums.cache_clear()
