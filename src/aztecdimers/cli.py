@@ -23,9 +23,9 @@ Commands
     The exact columns are never rounded; ``approx`` is a 12-significant-
     digit round-half-even decimal and is not authoritative.  Output rows
     are sorted by ``w0`` then ``w1`` and byte-identical across runs.  The
-    cells of one ``w1`` share a row of the coupling kernel, so they are
-    evaluated row by row and the sweep costs ``O(N^2)`` big-integer
-    operations; ``N`` above 400 needs ``--force``.
+    cells of one ``w1`` are one call of the coupling kernel, so the sweep
+    makes ``N`` kernel calls and costs ``O(N^2)`` big-integer operations;
+    ``N`` above 400 needs ``--force``.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.
@@ -60,8 +60,9 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
-from .coupling import coupling, coupling_signed, pattern_probability
-from .lattice import Color, Diamond, Pattern, Vertex, black, white
+# The heatmap's one source of signed entries, which bench/test_smoke.py replaces.
+from .coupling import coupling, coupling_signed_row as coupling_signed, pattern_probability
+from .lattice import Color, Pattern, Vertex
 
 HEATMAP_ORDER_LIMIT = 400
 
@@ -105,6 +106,8 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
             raise ValueError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from exc
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     fmt = doc.get("format")
@@ -147,14 +150,12 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heatmap_rows(n: int, d0: int, d1: int) -> tuple[list[int], list[int]]:
-    """The ``w0`` and ``w1`` values whose cells ``(w0, w1)`` put both the white and the black
-    vertex on the diamond.  Each color class is an x-range times a y-range, both holding 1, so
-    ``w0`` and ``w1`` are tested apart and every pair of the two lists is a cell."""
-    diamond, cols = Diamond(n), range(1, n + 1)
-    w0s = [w0 for w0 in cols if white(w0, 1) in diamond and black(w0 + d0, 1) in diamond]
-    w1s = [w1 for w1 in cols if white(1, w1 + d1) in diamond and black(1, w1) in diamond]
-    return w0s, w1s
+def _heatmap_rows(n: int, d0: int, d1: int) -> tuple[range, range]:
+    """The ``w0`` and ``w1`` ranges of the cells that put the white ``(w0, w1+d1)`` and the black
+    ``(w0+d0, w1)`` on the diamond.  Whites fill ``x <= n``, ``y <= n+1`` and blacks ``x <= n+1``,
+    ``y <= n``, all from 1, so ``w0`` and ``w1`` are bounded apart and every pair is a cell."""
+    w0s = range(max(1, 1 - d0), min(n, n + 1 - d0) + 1)
+    return w0s, range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
@@ -167,11 +168,10 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     # Opened first, so that a bad path fails before any cell is computed.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         # A fixed w1 is one row of the coupling kernel, so w1 runs outermost and the
-        # row is built once; the lines are regrouped by w0 for the output order.
+        # row is one kernel call; the lines are regrouped by w0 for the output order.
         lines: dict[int, list[str]] = {w0: [] for w0 in w0s}
         for w1 in w1s:
-            for w0 in w0s:
-                value = coupling_signed(n, w0, d0, w1, d1)
+            for w0, value in zip(w0s, coupling_signed(n, w0s, d0, w1, d1)):
                 approx = _approx(value.numerator, 2 ** value.scale)
                 lines[w0].append(f"{w0},{w1},{value.numerator},{value.scale},{approx}\n")
         fh.write("w0,w1,numerator,scale,approx\n")

@@ -16,17 +16,16 @@ given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 so sums stay in integers and a value is returned as a :class:`DyadicRational`.
 
 Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only,
-over ``j`` below ``x`` or from ``x`` on.  So one list of running sums
-(:func:`_row_sums`) serves a whole row of ``x``.  Its terms read one white
-row ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built
-by :mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations.
-So an entry costs ``O(n)`` operations and ``O(n)`` live integers, and a
-sweep that keeps its row fixed while ``x`` varies costs ``O(1)`` per
-further entry.
+over ``j`` below ``x`` or from ``x`` on.  So one range kernel with no cache
+(:func:`_branch_sums`) serves any run of consecutive ``x`` in one pass over
+its branch's terms, which read one white row ``Kr(., n, y-1)`` and one black
+column ``Kr(y'-1, n-1, .)``, each built by :mod:`~aztecdimers.combinatorics`
+in ``O(n)`` big-integer operations.  A lone entry is a run of one ``x`` and
+sums only its own ``x`` or ``n+1-x`` terms; a heatmap row is one call.
 
-The signed inverse-Kasteleyn entry is exposed as :func:`coupling_signed`:
-``(-1)^{d0+d1+w1}`` times ``c(v, w)`` for every hole offset.  Both
-functions evaluate the same formula in the canonical diagonal labelling of
+The signed inverse-Kasteleyn entry is :func:`coupling_signed`, ``(-1)^{d0+d1+w1}``
+times ``c(v, w)`` for every hole offset, and a row of them :func:`coupling_signed_row`.
+All evaluate the same formula in the canonical diagonal labelling of
 :mod:`aztecdimers.lattice`, which the ``verify`` suite and the tests hold
 against the exact inverse-Kasteleyn oracle.
 """
@@ -35,12 +34,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 
 from .combinatorics import krawtchouk_column, krawtchouk_row
 from .exactlinalg import IntMatrix, det
-from .lattice import Color, Pattern, Vertex, build_diamond, check_diamond_pair, validate_pattern
+from .lattice import Pattern, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
 
 
 @dataclass(frozen=True)
@@ -66,34 +65,23 @@ class DyadicRational:
         return f"{self.numerator} / 2^{self.scale}"
 
 
-@lru_cache(maxsize=1)
-def _row_sums(n: int, y: int, y2: int, shift: int) -> tuple[int, ...]:
-    """The branch sums, sign included, of every white column ``x`` at once.
+def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
+    """The branch sums, sign included, at each white column ``x`` of ``xs``.
 
-    With ``y``, ``y2`` and ``shift = x' - x`` fixed, the formula's terms
-    ``t_j = Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on
-    ``x``, so one list of ``n + 1`` terms serves the whole row: entry ``x``
-    is ``sum_{j<x} t_j`` for ``shift > 0`` and ``-sum_{j>=x} t_j``
-    otherwise.  The one-row cache is what makes a sweep along ``x`` cost
-    ``O(n)`` per row instead of ``O(n)`` per entry.
+    With ``y``, ``y2`` and ``shift = x' - x`` fixed, the terms
+    ``t_j = Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on ``x``:
+    entry ``x`` is ``sum_{j<x} t_j`` for ``shift > 0``, accumulated up to the
+    last ``x``, and ``-sum_{j>=x} t_j`` otherwise, accumulated from ``j = n``
+    down to the first.  ``xs`` is a nonempty step-1 range of pairs on the
+    diamond, so every such term exists.
     """
-    white_row = krawtchouk_row(n, y - 1)
-    black_column = krawtchouk_column(y2 - 1, n - 1)
-    terms = (
-        white_row[j] * black_column[n - j - shift] if 0 < j + shift <= n else 0
-        for j in range(n + 1)
-    )
-    sums = list(accumulate(terms, initial=0))
+    row, column = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
+    first, last = xs[0], xs[-1]
     if shift > 0:
-        return tuple(sums)
-    total = sums[-1]
-    return tuple(s - total for s in sums)
-
-
-def _entry(n: int, v: Vertex, w: Vertex, sign: int) -> DyadicRational:
-    """``sign * 2^{-n}`` times the branch sum at white ``v`` and black ``w``."""
-    check_diamond_pair(n, v, w)
-    return DyadicRational(sign * _row_sums(n, v.y, w.y, w.x - v.x)[v.x], n)
+        terms = map(mul, row[:last], column[n + 1 - shift - last:n + 1 - shift][::-1])
+        return list(accumulate(terms, initial=0))[first:]
+    terms = map(mul, row[first:][::-1], column[-shift:n + 1 - shift - first])
+    return [-s for s in list(accumulate(terms, initial=0))[n + 1 - last:][::-1]]
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
@@ -103,7 +91,18 @@ def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     determinants; for the signed inverse-Kasteleyn entry use
     :func:`coupling_signed`.
     """
-    return _entry(n, v, w, 1)
+    check_diamond_pair(n, v, w)
+    return DyadicRational(_branch_sums(n, v.y, w.y, w.x - v.x, range(v.x, v.x + 1))[0], n)
+
+
+def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[DyadicRational]:
+    """:func:`coupling_signed` at each ``w0`` of a nonempty step-1 range, in one
+    kernel call.  Each color class of the diamond is an x-range times a y-range,
+    so the row lies on the diamond when both of its ends do."""
+    for w0 in {w0s[0], w0s[-1]}:
+        check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
+    sign = -1 if (d0 + d1 + w1) % 2 else 1
+    return [DyadicRational(sign * s, n) for s in _branch_sums(n, w1 + d1, w1, d0, w0s)]
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:
@@ -111,8 +110,7 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRationa
     and white vertex ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their
     coupling value, for offsets of either sign.
     """
-    sign = -1 if (d0 + d1 + w1) % 2 else 1
-    return _entry(n, Vertex(Color.WHITE, w0, w1 + d1), Vertex(Color.BLACK, w0 + d0, w1), sign)
+    return coupling_signed_row(n, range(w0, w0 + 1), d0, w1, d1)[0]
 
 
 def pattern_probability(n: int, pattern: Pattern) -> Fraction:

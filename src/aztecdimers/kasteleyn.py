@@ -99,6 +99,13 @@ def kasteleyn_matrix(board: Board, convention: SignConvention = DEFAULT_CONVENTI
     return IntMatrix(tuple(rows))
 
 
+def edge_sign(v: Vertex, b: Vertex) -> int:
+    """The entry ``K(v, b)`` of a diamond's Kasteleyn matrix under :data:`DEFAULT_CONVENTION`,
+    for white ``v`` and an adjacent black ``b``, at every order: -1 on the step
+    ``b = v + (1, -1)`` and +1 on the other three."""
+    return -1 if (b.x - v.x, b.y - v.y) == (1, -1) else 1
+
+
 def count_matchings_det(board: Board, convention: SignConvention = DEFAULT_CONVENTION) -> int:
     """Number of perfect matchings, as ``|det K|``; 0 on an unbalanced board."""
     if len(board.white_vertices) != len(board.black_vertices):

@@ -3,6 +3,8 @@
 Backs the ``verify`` CLI command.  ``quick`` keeps boards to order 3 and
 runs in a few seconds; ``full`` pushes each check to the largest size the
 oracles handle comfortably (order 5 for the exhaustive coupling sweep).
+``local-inverse`` needs no oracle matrix: it checks ``K C^T = I`` one sparse
+row of ``K`` at a time, exhaustively to order 8 (``quick``) or 12 (``full``).
 Each check returns a :class:`CheckResult`; any failure makes the command
 exit nonzero.
 """
@@ -86,6 +88,28 @@ def _coupling_vs_oracle(full: bool) -> CheckResult:
     return CheckResult("coupling-vs-oracle", True, f"{pairs} pairs up to order {top}")
 
 
+def _local_inverse(full: bool) -> CheckResult:
+    # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
+    # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n.
+    top = 12 if full else 8
+    cases = 0
+    for n in range(1, top + 1):
+        board = build_diamond(n)
+        blacks = board.black_vertices
+        index = {b: j for j, b in enumerate(blacks)}
+        k_rows = [(v, [(kasteleyn.edge_sign(v, b), index[b]) for b in board.neighbors(v)])
+                  for v in board.white_vertices]
+        for v2 in board.white_vertices:
+            signed = (coupling.coupling_signed(n, v2.x, b.x - v2.x, b.y, v2.y - b.y) for b in blacks)
+            scaled = [c.numerator << (n - c.scale) for c in signed]
+            for v, k_row in k_rows:
+                total = sum(sign * scaled[j] for sign, j in k_row)
+                if total != (2**n if v == v2 else 0):
+                    return CheckResult("local-inverse", False, f"n={n} {v!r},{v2!r}: {total} / 2^{n}")
+                cases += 1
+    return CheckResult("local-inverse", True, f"{cases} identities up to order {top}")
+
+
 def _normalization(full: bool) -> CheckResult:
     top = 10 if full else 6
     for n in range(1, top + 1):
@@ -142,6 +166,7 @@ _CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
     _convention_equivalence,
     _rectangle_closed_forms,
     _coupling_vs_oracle,
+    _local_inverse,
     _normalization,
     _sign_relation,
 )

@@ -1,9 +1,15 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
+import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import load_pattern_file, main
@@ -183,6 +189,66 @@ def test_prob_rejects_bool_typed_integers(tmp_path, capsys, doc):
     assert "Traceback" not in err
 
 
+def test_prob_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": 1, "n": 1, "dominoes": [], "note": "\xff"}')
+    code, out, err = run(capsys, "prob", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: not UTF-8") and "Traceback" not in err
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers(-3, 45) | st.floats() | st.text(max_size=6)
+# st.recursive alone draws containers far more often than leaves.
+_JSON_VALUES = _JSON_LEAVES | st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _pattern_documents(draw):
+    """A pattern file of order at most 40 near the valid ones: dominoes of adjacent cells, some
+    off the board or repeated, then maybe one field, domino, cell or cell entry replaced by any
+    JSON value."""
+    n = draw(st.integers(1, 40))
+    dominoes = []
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(st.integers(0, n + 1)), draw(st.integers(0, n + 2))
+        dx, dy = draw(st.sampled_from(((0, 0), (1, 0), (0, -1), (1, -1))))
+        cells = [["white", x, y], ["black", x + dx, y + dy]]
+        dominoes.append(cells[::-1] if draw(st.booleans()) else cells)
+    doc = {"format": 1, "n": n, "dominoes": dominoes}
+    where = draw(st.sampled_from(("none", "format", "n", "dominoes", "domino", "cell", "entry")))
+    if where in doc:
+        doc[where] = draw(_JSON_VALUES)
+    elif where == "domino" and dominoes:
+        dominoes[0] = draw(_JSON_VALUES)
+    elif where == "cell" and dominoes:
+        dominoes[0][draw(st.integers(0, 1))] = draw(_JSON_VALUES)
+    elif where == "entry" and dominoes:
+        dominoes[0][draw(st.integers(0, 1))][draw(st.integers(0, 2))] = draw(_JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=st.binary(max_size=80) | _pattern_documents())
+def test_prob_fuzzed_pattern_files_exit_cleanly(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["prob", path])  # an uncaught exception fails the test
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+    else:
+        assert err.getvalue() == "" and "/" in out.getvalue()
+
+
 def test_prob_rejects_overlapping_pattern(tmp_path, capsys):
     doc = {
         "format": 1,
@@ -222,15 +288,26 @@ def test_heatmap_contents_and_determinism(tmp_path, capsys):
     assert out2.read_bytes() == text
 
 
-def test_heatmap_builds_each_kernel_row_once(tmp_path, capsys):
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The ``xs`` range of every call of the coupling kernel during one test."""
+    calls, kernel = [], coupling_mod._branch_sums
+
+    def spy(n, y, y2, shift, xs):
+        calls.append(xs)
+        return kernel(n, y, y2, shift, xs)
+
+    monkeypatch.setattr(coupling_mod, "_branch_sums", spy)
+    return calls
+
+
+def test_heatmap_builds_each_kernel_row_once(tmp_path, capsys, kernel_calls):
     # At d1 = 2 the cells are w0 in 1..40 and w1 in 1..39.  Each w1 is one
     # row of the coupling kernel; the O(n^2) cost of the sweep rests on
-    # evaluating the cells row by row, so every row is built exactly once.
-    coupling_mod._row_sums.cache_clear()
+    # evaluating each row in one kernel call over every w0.
     code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "h.csv"))
     assert code == 0
-    info = coupling_mod._row_sums.cache_info()
-    assert (info.misses, info.hits) == (39, 39 * 39)
+    assert kernel_calls == [range(1, 41)] * 39
 
 
 def test_heatmap_cost_guard(tmp_path, capsys):
@@ -245,13 +322,64 @@ def test_heatmap_force_flag_accepted(tmp_path, capsys):
     assert code == 0
 
 
-def test_heatmap_unwritable_output_fails_before_the_sweep(tmp_path, capsys):
-    coupling_mod._row_sums.cache_clear()
+def test_heatmap_unwritable_output_fails_before_the_sweep(tmp_path, capsys, kernel_calls):
     out = tmp_path / "missing" / "x.csv"
     code, stdout, err = run(capsys, "heatmap", "--n", "6", "--d0", "1", "--d1", "2", "--out", str(out))
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and "Traceback" not in err
-    assert coupling_mod._row_sums.cache_info().misses == 0  # no cell was computed
+    assert kernel_calls == []  # no cell was computed
+
+
+# sha256 of the heatmap CSV bytes, recorded before the coupling kernel took
+# whole rows at once: a faster kernel counts only if these stay the same.
+HEATMAP_SHA256 = {
+    (1, 1, 1): "5b08f3014f2f9d5bd6ffdbd014d878fca94f08b557b29ed419a95ff249cc1e01",
+    (1, 0, 0): "5f4495f666050bc14541aaa827ea7a73bffe4a86895e9023568521d0bcf29e49",
+    (2, 1, 1): "ba21d238530070afd105b926e874ba8d82be6ae11d0dd9c8ded1f945063dd223",
+    (2, 0, 0): "2bd832e615ce91d1d04982647bea6faa61e8334a6de2ac08a872fbd2afe60e66",
+    (2, -1, -1): "f74c1e6c1477e989ecac7016410e28929b7fea97ed539c61fd7d5d7852aa56e8",
+    (2, 1, -1): "d129d0e97079daad0c6ecc5d11625d823a029fe5ded0fba74ec32e49685bed57",
+    (2, -1, 2): "8058cae183cb243040dc429a4c114706f6334c5de0c3bdcd3b0c911e18957ecc",
+    (3, 1, 1): "f4c9c70f5f0760d3c77097ad622e46b8b8568d8a0d309652a47840cabaf86fb3",
+    (3, 0, 0): "d2ce7ff296bc511367a2b15c62328879028cdef633486a64b57172bf6d8689a1",
+    (3, -1, -1): "dc826d840b1409f5bdc558a4274da46b910bdedf9a12fc07302f44354b422612",
+    (3, 1, -1): "a3086579386e344bc5d1d5f75c8967b93c8d4ce6edc837cd7dc279c89ea06be3",
+    (3, -1, 2): "9e463ac57879cf57fd43b68247c0a91f2939b16654ecd23d1ac93ec49165cb4d",
+    (4, 1, 1): "97c4e380672f7c7917174aa992fbebe3af0d1c39adee9b79d8b322be52e5bf86",
+    (4, 0, 0): "8059488532b479cd5e48b28e7c809895031b9166e32206c807c26dcc0a5736c8",
+    (4, -1, -1): "f4abad6d6c933228e0bd438ab8e2032ce865f377ee845483320bf7f4c7daefd1",
+    (4, 1, -1): "a42a0583e9d32bc1b2e8aa4c92fffef5f1ccc8a11bd018c9e8348ae0edd73400",
+    (4, -1, 2): "2aae9c41b71494263671e7e0df56001fe27fde96d08943d9cb7982b3ff559445",
+    (4, 2, -3): "838950e1fe4a911227a03a6ae980c66e5424f0da8a7d8ad5db6dde370e524a4c",
+    (5, 1, 1): "8f0c5ebdfb08292fd663f6475d9e70e6e6e4a41513762df94394797a0298ec68",
+    (5, 0, 0): "2da992e996a995fddbfc2d2fe16097916eb433f6fe751d1d3e81280ecd10ddcd",
+    (5, -1, -1): "3b46d57c8f6315630416a4e0589e400ba00f91c13cdda7ab53c6050eb50ee34d",
+    (5, 1, -1): "9cfc25161ed8d761d3bc9b158bb90e1cdba65eaa6bf6083ff700771a0467e149",
+    (5, -1, 2): "80166897a3a6208685802bab293c51b5b6c563cf6899cf3b67f357a14908bb93",
+    (5, 2, -3): "e78cccbd9274011fe47ed3b8629def92f2047e05108370a4cf5b4845c7fa0989",
+    (6, 1, 1): "714de5f2c35cb9f63a1d499d6293a2aba9f1a35e47012ae6ea0d448e681ba4f6",
+    (6, 0, 0): "3ed6e1bc1bb112313fada560058bee9578a57bdc08c3f938308f94cc62787562",
+    (6, -1, -1): "b81f3b6513269640ae432f093faf7fc634200853c038d993d5cf4011abdc23cf",
+    (6, 1, -1): "dab33678c46a1bb678bfa30144fb853d3b058d5b2c0e92bd55619e426156e4a0",
+    (6, -1, 2): "697611cc1ea1e3d835b86dc49363933d8a649a3312d179e1d3eeed94b4fa1b48",
+    (6, 2, -3): "42b0e60fc05f70c483a8b28437eed86bdfb3bd0197de5f0bd3adb6a542e6d8d7",
+    (40, 1, 1): "d0ddf99ff6da1cb0d5a91e6db47aad51d7cc1b4054d3827b3b529370b674d3f3",
+    (40, 0, 0): "310e016a7af2c94e1f585f6ee4c46f03a2b2898e420cbbfcee3b8305d1ffa560",
+    (40, -1, -1): "7fd4087b4ca4aa4940de03b9734784f23ef77df1d469e38f907f660aecf3d3dc",
+    (40, 1, -1): "7fe64db03a326230e50e3316a1b27d1d641d20401b6d7da52e8edeadc7e09867",
+    (40, -1, 2): "3d23ece70c398aead23be2901cc736611494ef2bc51e5d27f3ec25894f9749c9",
+    (40, 2, -3): "d23a5e9c7753c8ae149866162d051f4408fc1aaa3a836f03a13bf07a3cc9fdaa",
+    (200, 1, 2): "e2e3d6b604e04627b579db0d8a7da6f6e7a542f5ef5f344efb14082d66f2ebae",
+}
+
+
+@pytest.mark.parametrize("n,d0,d1", sorted(HEATMAP_SHA256))
+def test_heatmap_output_bytes_are_pinned(tmp_path, capsys, n, d0, d1):
+    out = tmp_path / "h.csv"
+    code, stdout, err = run(capsys, "heatmap", "--n", str(n), "--d0", str(d0), "--d1", str(d1), "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout == f"wrote {out.read_text().count(chr(10)) - 1} entries to {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HEATMAP_SHA256[n, d0, d1]
 
 
 def test_heatmap_impossible_offsets(tmp_path, capsys):
@@ -270,8 +398,8 @@ def test_verify_quick_exits_zero(capsys):
 def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
-    assert out.count("PASS") == 7
-    assert "all 7 checks passed" in out
+    assert out.count("PASS") == 8
+    assert "all 8 checks passed" in out
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

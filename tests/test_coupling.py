@@ -13,6 +13,7 @@ from aztecdimers.coupling import (
     DyadicRational,
     coupling,
     coupling_signed,
+    coupling_signed_row,
     pattern_probability,
 )
 from aztecdimers.enumerate import enumerate_matchings
@@ -92,11 +93,57 @@ def test_kernel_matches_the_per_term_sum_on_sampled_pairs(data):
     assert coupling(n, v, w) == DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
 
 
+def _on_board(n, shift):
+    """The white columns ``x`` whose black partner ``x + shift`` is on the order-``n`` diamond."""
+    return range(max(1, 1 - shift), min(n, n + 1 - shift) + 1)
+
+
+def test_range_kernel_matches_the_per_term_sum_on_every_range():
+    # Every (y, y2, shift), the extreme shifts 1 - n and n included, and every
+    # contiguous range of x, the single columns included.
+    for n in range(1, 9):
+        for shift in range(1 - n, n + 1):
+            cols = _on_board(n, shift)
+            for y in range(1, n + 2):
+                for y2 in range(1, n + 1):
+                    want = [_branch_sum_per_term(n, x, y, x + shift, y2) for x in cols]
+                    for lo, hi in combinations(range(len(cols) + 1), 2):
+                        got = coupling_mod._branch_sums(n, y, y2, shift, cols[lo:hi])
+                        assert got == want[lo:hi], (n, y, y2, shift, cols[lo:hi])
+
+
+@given(st.data())
+def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    shift = data.draw(st.integers(1 - n, n), label="shift")
+    y, y2 = data.draw(st.integers(1, n + 1), label="y"), data.draw(st.integers(1, n), label="y2")
+    cols = _on_board(n, shift)
+    lo = data.draw(st.integers(0, len(cols) - 1), label="lo")
+    xs = cols[lo:data.draw(st.integers(lo + 1, len(cols)), label="hi")]
+    want = [_branch_sum_per_term(n, x, y, x + shift, y2) for x in xs]
+    assert coupling_mod._branch_sums(n, y, y2, shift, xs) == want
+
+
+def test_signed_row_equals_its_cells():
+    for n in range(1, 13):
+        for d0 in range(-4, 5):
+            w0s = _on_board(n, d0)
+            for d1 in range(-4, 5):
+                for w1 in _on_board(n, d1) if w0s else ():
+                    cells = [coupling_signed(n, w0, d0, w1, d1) for w0 in w0s]
+                    assert coupling_signed_row(n, w0s, d0, w1, d1) == cells, (n, d0, w1, d1)
+
+
+@pytest.mark.parametrize("w0s", [range(0, 3), range(1, 5), range(4, 5)])
+def test_signed_row_rejects_an_end_off_the_board(w0s):
+    with pytest.raises(BoardError):
+        coupling_signed_row(3, w0s, 0, 1, 0)
+
+
 def test_a_lone_entry_keeps_only_a_row_and_a_column():
     # One mid-board entry at n = 1200 needs one white row and one black column
     # of n + 1 integers each, well under 8 MiB; whole Krawtchouk tables of
     # orders n and n - 1 would hold about 300 MiB.
-    coupling_mod._row_sums.cache_clear()
     tracemalloc.start()
     try:
         coupling(1200, white(600, 600), black(601, 600))
@@ -266,17 +313,12 @@ def test_mistranscribed_formula_fails_calibration():
     # Reading Kr(a, b, c) as Kr(a, b, b - c) must leave some signed entry at
     # n = 3 off the inverse-Kasteleyn oracle, so the oracle comparison sees it.
     row, column = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
-    # The kernel caches its last row; clear it so no mutated row outlives the patch.
-    coupling_mod._row_sums.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coupling_mod, "krawtchouk_row", lambda b, c: row(b, b - c))
-            mp.setattr(coupling_mod, "krawtchouk_column", lambda a, b: column(a, b)[::-1])
-            mismatches = [
-                (v, w)
-                for (v, w), entry in inverse_coupling_matrix(3).items()
-                if coupling_signed(3, v.x, w.x - v.x, w.y, v.y - w.y).to_fraction() != entry
-            ]
-    finally:
-        coupling_mod._row_sums.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coupling_mod, "krawtchouk_row", lambda b, c: row(b, b - c))
+        mp.setattr(coupling_mod, "krawtchouk_column", lambda a, b: column(a, b)[::-1])
+        mismatches = [
+            (v, w)
+            for (v, w), entry in inverse_coupling_matrix(3).items()
+            if coupling_signed(3, v.x, w.x - v.x, w.y, v.y - w.y).to_fraction() != entry
+        ]
     assert mismatches

@@ -10,6 +10,7 @@ from aztecdimers.exactlinalg import ShapeError, det, minor
 from aztecdimers.kasteleyn import (
     SignConvention,
     count_matchings_det,
+    edge_sign,
     inverse_coupling_matrix,
     inverse_coupling_oracle,
     kasteleyn_matrix,
@@ -183,3 +184,13 @@ def test_signed_hole_cofactor_is_ordering_free():
     count = count_matchings_det(build_diamond(n))
     for (v, w), entry in inv.items():
         assert signed_hole_cofactor(n, v, w) == entry * count
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_edge_sign_is_the_kasteleyn_entry(n):
+    board = build_diamond(n)
+    k = kasteleyn_matrix(board).entries
+    col = {b: j for j, b in enumerate(board.black_vertices)}
+    for i, v in enumerate(board.white_vertices):
+        neighbors = {col[b]: edge_sign(v, b) for b in board.neighbors(v)}
+        assert k[i] == tuple(neighbors.get(j, 0) for j in range(len(col))), v
