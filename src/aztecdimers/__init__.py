@@ -1,63 +1,11 @@
 """Exact local statistics of uniformly random domino tilings of the Aztec diamond.
 
-Two independent computation routes live side by side: a closed-form layer
-built on Krawtchouk polynomial sums (:mod:`aztecdimers.coupling`,
-:mod:`aztecdimers.combinatorics`) and a slow oracle layer built on exact
-determinants and brute-force enumeration (:mod:`aztecdimers.kasteleyn`,
-:mod:`aztecdimers.enumerate`).  The test suite and the ``verify`` CLI
-command hold the two against each other everywhere they overlap.
+The product is the coupling function and its pattern probabilities
+(:mod:`aztecdimers.coupling`, over the Krawtchouk kernel of
+:mod:`aztecdimers.combinatorics`); the oracles that certify it are exact
+Kasteleyn determinants and brute-force enumeration
+(:mod:`aztecdimers.kasteleyn`, :mod:`aztecdimers.enumerate`).  The paper's
+derivation chain between the two lives in the tests, ``tests/derivation.py``.
 """
 
-from .coupling import DyadicRational, coupling_signed, pattern_probability
-from .kasteleyn import (
-    SignConvention,
-    count_matchings_det,
-    inverse_coupling_oracle,
-    kasteleyn_matrix,
-    pattern_probability_oracle,
-)
-from .lattice import (
-    BlackRect,
-    Board,
-    BoardError,
-    Color,
-    Diamond,
-    Pattern,
-    PatternError,
-    Vertex,
-    WhiteRect,
-    black,
-    build_diamond,
-    build_rectangle,
-    remove_vertices,
-    validate_pattern,
-    white,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BlackRect",
-    "Board",
-    "BoardError",
-    "Color",
-    "Diamond",
-    "DyadicRational",
-    "Pattern",
-    "PatternError",
-    "SignConvention",
-    "Vertex",
-    "WhiteRect",
-    "black",
-    "build_diamond",
-    "build_rectangle",
-    "count_matchings_det",
-    "coupling_signed",
-    "inverse_coupling_oracle",
-    "kasteleyn_matrix",
-    "pattern_probability",
-    "pattern_probability_oracle",
-    "remove_vertices",
-    "validate_pattern",
-    "white",
-]

@@ -23,9 +23,10 @@ Commands
     The exact columns are never rounded; ``approx`` is a 12-significant-
     digit round-half-even decimal and is not authoritative.  Output rows
     are sorted by ``w0`` then ``w1`` and byte-identical across runs.  The
-    cells of one ``w1`` are one call of the coupling kernel, so the sweep
-    makes ``N`` kernel calls and costs ``O(N^2)`` big-integer operations;
-    ``N`` above 400 needs ``--force``.
+    cells of one ``w0`` are one call of the coupling kernel, written as
+    soon as it returns, so the sweep makes ``N`` kernel calls, costs
+    ``O(N^2)`` big-integer operations and holds one row of output at a
+    time; ``N`` above 400 needs ``--force``.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.
@@ -77,7 +78,7 @@ def _approx(numerator: int, denominator: int) -> str:
 def _cmd_count(args: argparse.Namespace) -> int:
     e = args.n * (args.n + 1) // 2
     limit = sys.get_int_max_str_digits() or 4300
-    if math.floor(e * math.log10(2)) + 1 > limit:  # the number of digits of 2^e
+    if e > 4 * limit or math.floor(e * math.log10(2)) + 1 > limit:  # 2^e has over e/4 digits
         print(f"error: 2^{e} has more than {limit} digits, the int-to-str limit", file=sys.stderr)
         return 2
     print(f"{2 ** e} (= 2^{e})")
@@ -108,6 +109,8 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
             raise ValueError(f"{path}: JSON nested too deeply") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        except ValueError as exc:  # an integer past the int-to-str limit
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     fmt = doc.get("format")
@@ -167,16 +170,14 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         return 2
     # Opened first, so that a bad path fails before any cell is computed.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        # A fixed w1 is one row of the coupling kernel, so w1 runs outermost and the
-        # row is one kernel call; the lines are regrouped by w0 for the output order.
-        lines: dict[int, list[str]] = {w0: [] for w0 in w0s}
-        for w1 in w1s:
-            for w0, value in zip(w0s, coupling_signed(n, w0s, d0, w1, d1)):
-                approx = _approx(value.numerator, 2 ** value.scale)
-                lines[w0].append(f"{w0},{w1},{value.numerator},{value.scale},{approx}\n")
         fh.write("w0,w1,numerator,scale,approx\n")
+        # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b),
+        # so entry (w0, d0, w1, d1) equals entry (w1, d1, w0, d0): the cells of one w0 are a kernel row.
         for w0 in w0s:
-            fh.writelines(lines[w0])
+            fh.writelines(
+                f"{w0},{w1},{v.numerator},{v.scale},{_approx(v.numerator, 2 ** v.scale)}\n"
+                for w1, v in zip(w1s, coupling_signed(n, w1s, d1, w0, d0))
+            )
     print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0
 

@@ -147,26 +147,3 @@ def weighted_count(n: int, spec: HoleSpec, *, allow_large: bool = False) -> int:
     enumerate_matchings(board, visit, allow_large=allow_large)
     return total
 
-
-def weighted_count_rect(board: Board, hole: Vertex, *, allow_large: bool = False) -> int:
-    """Signed matching count of a rectangle with one black hole.
-
-    A matching weighs ``(-1)`` to the number of its edges descending into
-    the hole row from above with black endpoint strictly left of the hole.
-    """
-    if hole.color is not Color.BLACK:
-        raise ValueError(f"hole must be black, got {hole!r}")
-    holed = remove_vertices(board, [hole])
-    total = 0
-
-    def visit(matching: tuple[Edge, ...]) -> None:
-        nonlocal total
-        w = sum(
-            1
-            for wv, bv in matching
-            if wv.y == hole.y + 1 and bv.y == hole.y and bv.x < hole.x
-        )
-        total += -1 if w % 2 else 1
-
-    enumerate_matchings(holed, visit, allow_large=allow_large)
-    return total

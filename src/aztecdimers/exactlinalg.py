@@ -1,10 +1,10 @@
 """Exact linear algebra over arbitrary-precision integers and rationals.
 
 Python's ``int`` and :class:`fractions.Fraction` supply the scalar types;
-this module adds the dense matrix operations the counting layer needs:
-determinants of integer and rational matrices, minors, and whole inverses.
-All three eliminations run through one fraction-free (Bareiss) core over
-integer rows, so intermediate values stay integers with no gcd work.
+this module adds the dense matrix operations that pattern probabilities and
+the oracles need: integer determinants, minors and whole inverses.  Both
+eliminations, determinant and inverse, run through one fraction-free
+(Bareiss) core over integer rows, so intermediate values stay integers.
 
 Matrices at play are small (a desk-scale Kasteleyn matrix is at most a few
 dozen rows), so everything is dense and single-threaded.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
 from typing import Sequence
 
 
@@ -134,17 +133,3 @@ def invert(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
         raise SingularMatrixError("matrix is singular")
     return tuple(tuple(Fraction(v, row[i]) for v in row[k:]) for i, row in enumerate(a))
 
-
-def det_fractions(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a small rational matrix.
-
-    Each row is scaled by the lcm of its denominators to integers; the
-    integer determinant over the product of those scales is the answer.
-    """
-    k = len(rows)
-    if any(len(row) != k for row in rows):
-        raise ShapeError("determinant of a non-square matrix")
-    rows = [[Fraction(v) for v in row] for row in rows]
-    scales = [lcm(*(v.denominator for v in row)) for row in rows]
-    ints = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
-    return Fraction(_bareiss(ints, jordan=False), prod(scales))

@@ -9,23 +9,9 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from aztecdimers.combinatorics import (
-    annihilator_coeffs,
-    dented_rectangle_matchings,
-    first_column_hole_count,
-    hole_pair_determinant,
-    hole_pair_determinant_telescoped,
-    holed_rectangle_closed_form,
-    krawtchouk,
-    toothed_rectangle_matchings,
-)
+from aztecdimers.combinatorics import dented_rectangle_matchings, toothed_rectangle_matchings
 from aztecdimers.coupling import coupling, pattern_probability
-from aztecdimers.enumerate import (
-    HoleSpec,
-    enumerate_matchings,
-    weighted_count,
-    weighted_count_rect,
-)
+from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count
 from aztecdimers.kasteleyn import (
     SignConvention,
     count_matchings_det,
@@ -40,6 +26,15 @@ from aztecdimers.lattice import (
     black,
     build_diamond,
     build_rectangle,
+)
+from derivation import (
+    annihilator_coeffs,
+    first_column_hole_count,
+    hole_pair_determinant,
+    hole_pair_determinant_telescoped,
+    holed_rectangle_closed_form,
+    krawtchouk,
+    weighted_count_rect,
 )
 
 

@@ -49,7 +49,7 @@ def test_count_stops_at_the_int_to_str_limit(capsys, str_digits_limit, limit):
     code, out, _ = run(capsys, "count", "--n", "168")
     assert code == 0
     assert out == f"{2 ** 14196} (= 2^14196)\n"
-    for n in ("169", str(10**9)):
+    for n in ("169", str(10**9), str(10**200)):
         code, out, err = run(capsys, "count", "--n", n)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
@@ -197,6 +197,14 @@ def test_prob_names_a_file_that_is_not_utf8(tmp_path, capsys):
     assert err.startswith(f"error: {path}: not UTF-8") and "Traceback" not in err
 
 
+def test_prob_names_a_file_with_an_integer_past_the_str_limit(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"format": 1, "n": ' + "9" * 5000 + ', "dominoes": []}')
+    code, out, err = run(capsys, "prob", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 _JSON_LEAVES = st.none() | st.booleans() | st.integers(-3, 45) | st.floats() | st.text(max_size=6)
 # st.recursive alone draws containers far more often than leaves.
 _JSON_VALUES = _JSON_LEAVES | st.recursive(
@@ -247,6 +255,39 @@ def test_prob_fuzzed_pattern_files_exit_cleanly(content):
         assert err.getvalue().startswith("error: ") and out.getvalue() == ""
     else:
         assert err.getvalue() == "" and "/" in out.getvalue()
+
+
+# count takes any integer text, some 1..5001 digits long: past about 155 digits n(n+1)/2 overflows a float.
+# Other orders stay at most 60 or pass the heatmap cost guard with no --force, so no large work starts.
+_ANY_INTEGER = st.integers() | st.builds("{}{}".format, st.integers(1, 9), st.integers(0, 5000).map("0".__mul__))
+_XY = st.integers(-10**30, 10**30)
+_ARGV = {
+    "count": st.tuples(st.just("--n"), _ANY_INTEGER),
+    "coupling": st.tuples(
+        st.just("--n"), st.integers(-3, 60), st.just("--white"), _XY, _XY, st.just("--black"), _XY, _XY
+    ),
+    "heatmap": st.tuples(
+        st.just("--n"), st.integers(-3, 60) | st.integers(401, 10**30), st.just("--d0"), _XY, st.just("--d1"), _XY
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=100, deadline=2000)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, *map(str, data.draw(_ARGV[command]))]
+        argv += ["--out", os.path.join(tmp, "h.csv")] * (command == "heatmap")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)  # any other exception fails the test
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error: " in err.getvalue() and out.getvalue() == ""
 
 
 def test_prob_rejects_overlapping_pattern(tmp_path, capsys):
@@ -302,12 +343,12 @@ def kernel_calls(monkeypatch):
 
 
 def test_heatmap_builds_each_kernel_row_once(tmp_path, capsys, kernel_calls):
-    # At d1 = 2 the cells are w0 in 1..40 and w1 in 1..39.  Each w1 is one
+    # At d1 = 2 the cells are w0 in 1..40 and w1 in 1..39.  Each w0 is one
     # row of the coupling kernel; the O(n^2) cost of the sweep rests on
-    # evaluating each row in one kernel call over every w0.
+    # evaluating each row in one kernel call over every w1.
     code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "h.csv"))
     assert code == 0
-    assert kernel_calls == [range(1, 41)] * 39
+    assert kernel_calls == [range(1, 40)] * 40
 
 
 def test_heatmap_cost_guard(tmp_path, capsys):

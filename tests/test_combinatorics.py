@@ -8,37 +8,35 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aztecdimers.combinatorics import (
+    dented_rectangle_matchings,
+    krawtchouk_column,
+    krawtchouk_row,
+    superfactorial,
+    toothed_rectangle_matchings,
+    vandermonde,
+)
+from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count
+from aztecdimers.exactlinalg import IntMatrix, det
+from aztecdimers.lattice import BlackRect, WhiteRect, black, build_rectangle
+from derivation import (
     DeltaOperator,
     TruncationError,
     annihilator_coeffs,
     binomial_poly,
     delta_symbol_coefficient,
-    dented_rectangle_matchings,
     first_column_hole_count,
     hole_pair_determinant,
     hole_pair_determinant_telescoped,
     hole_pair_prefactor,
     holed_rectangle_closed_form,
     krawtchouk,
-    krawtchouk_column,
     krawtchouk_convolution,
-    krawtchouk_row,
     laplace_block_identity,
     poly_eval,
     poly_forward_difference,
     poly_mul,
-    superfactorial,
-    toothed_rectangle_matchings,
-    vandermonde,
-)
-from aztecdimers.enumerate import (
-    HoleSpec,
-    enumerate_matchings,
-    weighted_count,
     weighted_count_rect,
 )
-from aztecdimers.exactlinalg import IntMatrix, det
-from aztecdimers.lattice import BlackRect, WhiteRect, black, build_rectangle
 
 
 # ---------------------------------------------------------------------------

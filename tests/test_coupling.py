@@ -2,13 +2,13 @@
 
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aztecdimers import coupling as coupling_mod
-from aztecdimers.combinatorics import first_column_hole_count, krawtchouk_convolution
+from aztecdimers.cli import _heatmap_rows
 from aztecdimers.coupling import (
     DyadicRational,
     coupling,
@@ -22,6 +22,7 @@ from aztecdimers.kasteleyn import (
     pattern_probability_oracle,
 )
 from aztecdimers.lattice import BoardError, Pattern, black, build_diamond, white
+from derivation import first_column_hole_count, krawtchouk_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +308,12 @@ def test_transpose_orientation_defines_the_same_values():
                 assert coupling_signed(n, w0, d0, w1, d1) == coupling_signed(n, w1, d1, w0, d0)
                 transposed = coupling(n, white(w.y, w.x), black(v.y, v.x))
                 assert abs(coupling(n, v, w).to_fraction()) == abs(transposed.to_fraction())
+    # Whole kernel rows, as the heatmap reads them: the rows over w0s, transposed, are the rows over w1s.
+    for n, d0, d1 in product(range(1, 13), range(-4, 5), range(-4, 5)):
+        w0s, w1s = _heatmap_rows(n, d0, d1)
+        if w0s and w1s:
+            rows = [coupling_signed_row(n, w0s, d0, w1, d1) for w1 in w1s]
+            assert [list(c) for c in zip(*rows)] == [coupling_signed_row(n, w1s, d1, w0, d0) for w0 in w0s]
 
 
 def test_mistranscribed_formula_fails_calibration():

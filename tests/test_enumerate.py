@@ -10,7 +10,6 @@ from aztecdimers.enumerate import (
     crossing_weight,
     enumerate_matchings,
     weighted_count,
-    weighted_count_rect,
 )
 from aztecdimers.kasteleyn import count_matchings_det
 from aztecdimers.lattice import (
@@ -22,6 +21,7 @@ from aztecdimers.lattice import (
     remove_vertices,
     white,
 )
+from derivation import weighted_count_rect
 
 
 def test_diamond_one_has_two_matchings():

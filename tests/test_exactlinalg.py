@@ -10,10 +10,10 @@ from aztecdimers.exactlinalg import (
     ShapeError,
     SingularMatrixError,
     det,
-    det_fractions,
     invert,
     minor,
 )
+from derivation import det_fractions
 
 
 def test_det_empty_matrix_is_one():
