@@ -26,7 +26,9 @@ Commands
     cells of one ``w0`` are one call of the coupling kernel, written as
     soon as it returns, so the sweep makes ``N`` kernel calls, costs
     ``O(N^2)`` big-integer operations and holds one row of output at a
-    time; ``N`` above 400 needs ``--force``.
+    time; ``N`` above 400 needs ``--force``.  Each cell is formatted from
+    the kernel's integer numerator over ``2^N``: reduced to lowest terms and
+    divided by a ``Decimal`` power of two built once per command.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.
@@ -54,6 +56,7 @@ int-to-str limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,8 +64,9 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
-# The heatmap's one source of signed entries, which bench/test_smoke.py replaces.
-from .coupling import coupling, coupling_signed_row as coupling_signed, pattern_probability
+# The heatmap's one source of signed entries, rows of integer numerators over 2^n.  The
+# name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
+from .coupling import coupling, coupling_signed_row as coupling_signed, lowest_terms, pattern_probability
 from .lattice import Color, Pattern, Vertex
 
 HEATMAP_ORDER_LIMIT = 400
@@ -70,16 +74,17 @@ HEATMAP_ORDER_LIMIT = 400
 _APPROX_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 
 
-def _approx(numerator: int, denominator: int) -> str:
+def _approx(numerator: int, denominator: Decimal) -> str:
     """12-significant-digit decimal string, round-half-even."""
-    return str(_APPROX_CONTEXT.divide(Decimal(numerator), Decimal(denominator)))
+    return str(_APPROX_CONTEXT.divide(Decimal(numerator), denominator))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     e = args.n * (args.n + 1) // 2
     limit = sys.get_int_max_str_digits() or 4300
     if e > 4 * limit or math.floor(e * math.log10(2)) + 1 > limit:  # 2^e has over e/4 digits
-        print(f"error: 2^{e} has more than {limit} digits, the int-to-str limit", file=sys.stderr)
+        # Not 2^{e}: past about 2150-digit orders e itself is over the int-to-str limit.
+        print(f"error: 2^(n(n+1)/2) has more than {limit} digits, the int-to-str limit", file=sys.stderr)
         return 2
     print(f"{2 ** e} (= 2^{e})")
     return 0
@@ -89,7 +94,7 @@ def _cmd_coupling(args: argparse.Namespace) -> int:
     v = Vertex(Color.WHITE, args.white[0], args.white[1])
     w = Vertex(Color.BLACK, args.black[0], args.black[1])
     value = coupling(args.n, v, w)
-    print(f"{value} ({_approx(value.numerator, 2 ** value.scale)})")
+    print(f"{value} ({_approx(value.numerator, Decimal(2 ** value.scale))})")
     return 0
 
 
@@ -149,7 +154,7 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
 def _cmd_prob(args: argparse.Namespace) -> int:
     n, pattern = load_pattern_file(args.pattern_file)
     p = pattern_probability(n, pattern)
-    print(f"{p.numerator}/{p.denominator} ({_approx(p.numerator, p.denominator)})")
+    print(f"{p.numerator}/{p.denominator} ({_approx(p.numerator, Decimal(p.denominator))})")
     return 0
 
 
@@ -173,10 +178,11 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         fh.write("w0,w1,numerator,scale,approx\n")
         # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b),
         # so entry (w0, d0, w1, d1) equals entry (w1, d1, w0, d0): the cells of one w0 are a kernel row.
+        pow2 = [Decimal(1 << k) for k in range(n + 1)]
         for w0 in w0s:
+            cells = (lowest_terms(s, n) for s in coupling_signed(n, w1s, d1, w0, d0))
             fh.writelines(
-                f"{w0},{w1},{v.numerator},{v.scale},{_approx(v.numerator, 2 ** v.scale)}\n"
-                for w1, v in zip(w1s, coupling_signed(n, w1s, d1, w0, d0))
+                f"{w0},{w1},{num},{scale},{_approx(num, pow2[scale])}\n" for w1, (num, scale) in zip(w1s, cells)
             )
     print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0
@@ -203,7 +209,9 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command tree, built once per process: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="aztec-dimers",
         description="Exact local statistics of random domino tilings of the Aztec diamond.",

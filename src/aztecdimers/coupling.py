@@ -13,7 +13,9 @@ for ``x' <= x``, with ``Kr`` the Krawtchouk coefficient (out-of-range
 indices contribute 0).  The probability that a random tiling contains a
 given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
-so sums stay in integers and a value is returned as a :class:`DyadicRational`.
+so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
+while a row and the pattern determinant use the numerators over ``2^n`` as they
+are, and :func:`lowest_terms` is the one rule that reduces such a numerator.
 
 Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only,
 over ``j`` below ``x`` or from ``x`` on.  So one range kernel with no cache
@@ -24,7 +26,8 @@ in ``O(n)`` big-integer operations.  A lone entry is a run of one ``x`` and
 sums only its own ``x`` or ``n+1-x`` terms; a heatmap row is one call.
 
 The signed inverse-Kasteleyn entry is :func:`coupling_signed`, ``(-1)^{d0+d1+w1}``
-times ``c(v, w)`` for every hole offset, and a row of them :func:`coupling_signed_row`.
+times ``c(v, w)`` for every hole offset, and a row of them, as numerators over
+``2^n``, :func:`coupling_signed_row`.
 All evaluate the same formula in the canonical diagonal labelling of
 :mod:`aztecdimers.lattice`, which the ``verify`` suite and the tests hold
 against the exact inverse-Kasteleyn oracle.
@@ -42,6 +45,13 @@ from .exactlinalg import IntMatrix, det
 from .lattice import Pattern, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
 
 
+def lowest_terms(num: int, scale: int) -> tuple[int, int]:
+    """``num / 2^scale`` as ``(numerator, scale)`` in lowest terms: the numerator is
+    odd whenever the scale is positive, and zero has scale 0."""
+    shift = min(scale, (num & -num).bit_length() - 1) if num else scale
+    return num >> shift, scale - shift
+
+
 @dataclass(frozen=True)
 class DyadicRational:
     """Exact ``numerator / 2^scale`` in lowest terms: the numerator is odd
@@ -53,10 +63,9 @@ class DyadicRational:
     def __post_init__(self):
         if self.scale < 0:
             raise ValueError(f"negative scale {self.scale}")
-        num, scale = self.numerator, self.scale
-        shift = min(scale, (num & -num).bit_length() - 1) if num else scale
-        object.__setattr__(self, "numerator", num >> shift)
-        object.__setattr__(self, "scale", scale - shift)
+        num, scale = lowest_terms(self.numerator, self.scale)
+        object.__setattr__(self, "numerator", num)
+        object.__setattr__(self, "scale", scale)
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.numerator, 2**self.scale)
@@ -84,6 +93,12 @@ def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
     return [-s for s in list(accumulate(terms, initial=0))[n + 1 - last:][::-1]]
 
 
+def _coupling_sum(n: int, v: Vertex, w: Vertex) -> int:
+    """``c(v, w)`` times ``2^n``: the one branch sum of a lone entry."""
+    check_diamond_pair(n, v, w)
+    return _branch_sums(n, v.y, w.y, w.x - v.x, range(v.x, v.x + 1))[0]
+
+
 def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     """The coupling function ``c(v, w)`` on the order-``n`` diamond.
 
@@ -91,18 +106,18 @@ def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     determinants; for the signed inverse-Kasteleyn entry use
     :func:`coupling_signed`.
     """
-    check_diamond_pair(n, v, w)
-    return DyadicRational(_branch_sums(n, v.y, w.y, w.x - v.x, range(v.x, v.x + 1))[0], n)
+    return DyadicRational(_coupling_sum(n, v, w), n)
 
 
-def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[DyadicRational]:
+def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[int]:
     """:func:`coupling_signed` at each ``w0`` of a nonempty step-1 range, in one
-    kernel call.  Each color class of the diamond is an x-range times a y-range,
+    kernel call, as integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``,
+    not reduced.  Each color class of the diamond is an x-range times a y-range,
     so the row lies on the diamond when both of its ends do."""
     for w0 in {w0s[0], w0s[-1]}:
         check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
-    sign = -1 if (d0 + d1 + w1) % 2 else 1
-    return [DyadicRational(sign * s, n) for s in _branch_sums(n, w1 + d1, w1, d0, w0s)]
+    sums = _branch_sums(n, w1 + d1, w1, d0, w0s)
+    return [-s for s in sums] if (d0 + d1 + w1) % 2 else sums
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:
@@ -110,7 +125,7 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRationa
     and white vertex ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their
     coupling value, for offsets of either sign.
     """
-    return coupling_signed_row(n, range(w0, w0 + 1), d0, w1, d1)[0]
+    return DyadicRational(coupling_signed_row(n, range(w0, w0 + 1), d0, w1, d1)[0], n)
 
 
 def pattern_probability(n: int, pattern: Pattern) -> Fraction:
@@ -121,14 +136,7 @@ def pattern_probability(n: int, pattern: Pattern) -> Fraction:
     power of two and the determinant is taken over integers.
     """
     whites, blacks = validate_pattern(build_diamond(n), pattern)
-    k = len(whites)
-    entries = []
-    for v in whites:
-        row = []
-        for w in blacks:
-            c = coupling(n, v, w)
-            row.append(c.numerator << (n - c.scale))
-        entries.append(tuple(row))
-    d = det(IntMatrix(tuple(entries)))
-    return Fraction(abs(d), 2 ** (n * k))
+    entries = tuple(tuple(_coupling_sum(n, v, w) for w in blacks) for v in whites)
+    d = det(IntMatrix(entries))
+    return Fraction(abs(d), 2 ** (n * len(whites)))
 

@@ -7,13 +7,15 @@ import json
 import os
 import sys
 import tempfile
+from decimal import Context, Decimal, ROUND_HALF_EVEN
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aztecdimers import cli
 from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import load_pattern_file, main
-from aztecdimers.coupling import coupling_signed
+from aztecdimers.coupling import DyadicRational, coupling_signed, lowest_terms
 
 
 def run(capsys, *argv):
@@ -45,14 +47,15 @@ def str_digits_limit():
 @pytest.mark.parametrize("limit", [4300, 0])
 def test_count_stops_at_the_int_to_str_limit(capsys, str_digits_limit, limit):
     # 2^14196 has 4274 digits and 2^14365 has 4325; a limit of 0 reads as 4300.
+    # At an order of 2201 digits n(n+1)/2 itself has over 4300, so the message must not print it.
     str_digits_limit(limit)
     code, out, _ = run(capsys, "count", "--n", "168")
     assert code == 0
     assert out == f"{2 ** 14196} (= 2^14196)\n"
-    for n in ("169", str(10**9), str(10**200)):
+    for n in ("169", str(10**9), str(10**200), "1" + "0" * 2200):
         code, out, err = run(capsys, "count", "--n", n)
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err == "error: 2^(n(n+1)/2) has more than 4300 digits, the int-to-str limit\n"
 
 
 def test_coupling_and_prob_stop_at_the_int_to_str_limit(tmp_path, capsys, str_digits_limit):
@@ -411,6 +414,11 @@ HEATMAP_SHA256 = {
     (40, -1, 2): "3d23ece70c398aead23be2901cc736611494ef2bc51e5d27f3ec25894f9749c9",
     (40, 2, -3): "d23a5e9c7753c8ae149866162d051f4408fc1aaa3a836f03a13bf07a3cc9fdaa",
     (200, 1, 2): "e2e3d6b604e04627b579db0d8a7da6f6e7a542f5ef5f344efb14082d66f2ebae",
+    # The benchmark's shapes, at offsets of both signs, recorded before cells skipped DyadicRational.
+    (120, 2, -1): "ab1178cd7660002b7a111f38b10e63d5d8bdcf349136435dc2b17101b76d9944",
+    (160, -3, 2): "171a790a6facc63043124939ea1c1049155541dce71de8db98abc428a7a790d2",
+    (200, 1, -3): "cc4605bc93c19eef4517ce3d5b0fad18ee97e06849835e4ce7470a91a79c0f08",
+    (200, -2, -1): "c72df773251865dab12dc65e54935e77787da552ec6ec15ad5d82cd376711b46",
 }
 
 
@@ -421,6 +429,69 @@ def test_heatmap_output_bytes_are_pinned(tmp_path, capsys, n, d0, d1):
     assert (code, err) == (0, "")
     assert stdout == f"wrote {out.read_text().count(chr(10)) - 1} entries to {out}\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HEATMAP_SHA256[n, d0, d1]
+
+
+@pytest.mark.parametrize(
+    "num,scale,text",
+    [
+        (1, 18, "0.00000381469726562"),  # 5^18 = 3814697265625: a tie, rounded to the even 2
+        (0, 0, "0"),
+        (1, 0, "1"),
+        (-1, 0, "-1"),
+        (1, 400, "3.87259191485E-121"),
+    ],
+)
+def test_dyadic_approx_fixed_cases(num, scale, text):
+    assert cli._approx(num, Decimal(2**scale)) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-(2**420), 2**420), scale=st.integers(0, 400))
+def test_heatmap_approx_rounds_the_unreduced_value_half_even(num, scale):
+    # The heatmap divides the reduced numerator by a power of two; the text must
+    # be that of the unreduced value at 12 digits, half-even.
+    want = str(Context(prec=12, rounding=ROUND_HALF_EVEN).divide(Decimal(num), Decimal(2**scale)))
+    reduced, reduced_scale = lowest_terms(num, scale)
+    assert cli._approx(reduced, Decimal(2**reduced_scale)) == want
+
+
+@pytest.fixture
+def dyadic_constructions(monkeypatch):
+    """A list that grows by one for every :class:`DyadicRational` built during one test."""
+    built, post_init = [], DyadicRational.__post_init__
+
+    def spy(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(DyadicRational, "__post_init__", spy)
+    return built
+
+
+def test_heatmap_and_prob_build_no_dyadic_rational(tmp_path, capsys, dyadic_constructions):
+    code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "-1", "--out", str(tmp_path / "h.csv"))
+    assert code == 0 and dyadic_constructions == []
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"format": 1, "n": 6, "dominoes": [
+        [["white", 3, 3], ["black", 3, 3]], [["white", 4, 4], ["black", 5, 4]]]}))
+    code, _, _ = run(capsys, "prob", str(path))
+    assert code == 0 and dyadic_constructions == []
+    code, _, _ = run(capsys, "coupling", "--n", "6", "--white", "3", "3", "--black", "3", "3")
+    assert code == 0 and len(dyadic_constructions) == 1  # the spy sees a lone value
+
+
+def test_main_builds_the_parser_once_and_keeps_no_parsed_state(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    out = str(tmp_path / "h.csv")
+    assert run(capsys, "heatmap", "--n", "4", "--d0", "1", "--d1", "1", "--out", out, "--force")[0] == 0
+    with pytest.raises(SystemExit) as exc:  # --force does not carry over to the next call
+        main(["heatmap", "--n", "401", "--d0", "1", "--d1", "1", "--out", out])
+    assert exc.value.code == 2 and "cost guard" in capsys.readouterr().err
+    assert run(capsys, "count", "--n", "3")[:2] == (0, "64 (= 2^6)\n")
+    assert run(capsys, "coupling", "--n", "2", "--white", "1", "1", "--black", "2", "1")[:2] == (0, "1 / 2^2 (0.25)\n")
+    assert run(capsys, "heatmap", "--n", "2", "--d0", "5", "--d1", "1", "--out", out)[0] == 2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_heatmap_impossible_offsets(tmp_path, capsys):

@@ -132,7 +132,8 @@ def test_signed_row_equals_its_cells():
             for d1 in range(-4, 5):
                 for w1 in _on_board(n, d1) if w0s else ():
                     cells = [coupling_signed(n, w0, d0, w1, d1) for w0 in w0s]
-                    assert coupling_signed_row(n, w0s, d0, w1, d1) == cells, (n, d0, w1, d1)
+                    row = coupling_signed_row(n, w0s, d0, w1, d1)
+                    assert [DyadicRational(s, n) for s in row] == cells, (n, d0, w1, d1)
 
 
 @pytest.mark.parametrize("w0s", [range(0, 3), range(1, 5), range(4, 5)])
