@@ -67,7 +67,7 @@ from . import verify as verify_mod
 # The heatmap's one source of signed entries, rows of integer numerators over 2^n.  The
 # name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
 from .coupling import coupling, coupling_signed_row as coupling_signed, lowest_terms, pattern_probability
-from .lattice import Color, Pattern, Vertex
+from .lattice import Color, Edge, Vertex
 
 HEATMAP_ORDER_LIMIT = 400
 
@@ -103,8 +103,9 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_pattern_file(path: str) -> tuple[int, Pattern]:
-    """Parse a pattern file into its diamond order and :class:`Pattern`."""
+def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
+    """Parse a pattern file into its diamond order and its dominoes, a tuple of
+    ``(white, black)`` vertex pairs in file order, whichever cell each lists first."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -148,7 +149,7 @@ def load_pattern_file(path: str) -> tuple[int, Pattern]:
             raise ValueError(f"{path}: domino {k} needs one white and one black cell")
         w, b = (cells[0], cells[1]) if cells[0].color is Color.WHITE else (cells[1], cells[0])
         dominoes.append((w, b))
-    return n, Pattern(tuple(dominoes))
+    return n, tuple(dominoes)
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
+from typing import Sequence
 
 from .combinatorics import krawtchouk_column, krawtchouk_row
-from .exactlinalg import IntMatrix, det
-from .lattice import Pattern, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
+from .exactlinalg import det
+from .lattice import Edge, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
 
 
 def lowest_terms(num: int, scale: int) -> tuple[int, int]:
@@ -128,7 +129,7 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRationa
     return DyadicRational(coupling_signed_row(n, range(w0, w0 + 1), d0, w1, d1)[0], n)
 
 
-def pattern_probability(n: int, pattern: Pattern) -> Fraction:
+def pattern_probability(n: int, pattern: Sequence[Edge]) -> Fraction:
     """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``.
 
     The pattern is validated by the diamond's membership test, at a cost
@@ -136,7 +137,6 @@ def pattern_probability(n: int, pattern: Pattern) -> Fraction:
     power of two and the determinant is taken over integers.
     """
     whites, blacks = validate_pattern(build_diamond(n), pattern)
-    entries = tuple(tuple(_coupling_sum(n, v, w) for w in blacks) for v in whites)
-    d = det(IntMatrix(entries))
+    d = det([[_coupling_sum(n, v, w) for w in blacks] for v in whites])
     return Fraction(abs(d), 2 ** (n * len(whites)))
 

@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .lattice import Board, Color, Vertex, black, build_diamond, remove_vertices, white
+from .lattice import Board, Color, Edge, Vertex, black, build_diamond, remove_vertices, white
 
-Edge = tuple[Vertex, Vertex]
-
-#: Boards above this size are refused unless ``allow_large=True``.
+#: Boards above this size are refused, with no override: the search time grows
+#: exponentially with the board, and every oracle check fits under this size.
 MAX_ENUMERATION_VERTICES = 60
 
 
@@ -29,22 +28,16 @@ class EnumerationLimitError(ValueError):
     """Board too large for exhaustive enumeration."""
 
 
-def enumerate_matchings(
-    board: Board,
-    visitor: Optional[Callable[[tuple[Edge, ...]], None]] = None,
-    *,
-    allow_large: bool = False,
-) -> int:
+def enumerate_matchings(board: Board, visitor: Optional[Callable[[tuple[Edge, ...]], None]] = None) -> int:
     """Visit every perfect matching of ``board`` exactly once; return the count.
 
     ``visitor``, if given, receives each matching as a tuple of
-    (white, black) edges sorted by white vertex.  Unmatchable boards
-    (including color-unbalanced ones) yield 0.
+    (white, black) edges sorted by white vertex, itself a pattern.
+    Unmatchable boards (including color-unbalanced ones) yield 0.
     """
-    if board.vertex_count() > MAX_ENUMERATION_VERTICES and not allow_large:
+    if board.vertex_count() > MAX_ENUMERATION_VERTICES:
         raise EnumerationLimitError(
-            f"{board.vertex_count()} vertices exceeds the enumeration limit "
-            f"({MAX_ENUMERATION_VERTICES}); pass allow_large=True to override"
+            f"{board.vertex_count()} vertices exceeds the enumeration limit ({MAX_ENUMERATION_VERTICES})"
         )
     whites = board.white_vertices
     blacks = board.black_vertices
@@ -135,7 +128,7 @@ def crossing_weight(matching: Iterable[Edge], spec: HoleSpec) -> int:
     return total
 
 
-def weighted_count(n: int, spec: HoleSpec, *, allow_large: bool = False) -> int:
+def weighted_count(n: int, spec: HoleSpec) -> int:
     """``sum_T (-1)^{w(T)}`` over matchings of the two-hole diamond, by enumeration."""
     board = remove_vertices(build_diamond(n), [spec.white_hole, spec.black_hole])
     total = 0
@@ -144,6 +137,6 @@ def weighted_count(n: int, spec: HoleSpec, *, allow_large: bool = False) -> int:
         nonlocal total
         total += -1 if crossing_weight(matching, spec) % 2 else 1
 
-    enumerate_matchings(board, visit, allow_large=allow_large)
+    enumerate_matchings(board, visit)
     return total
 

@@ -2,9 +2,11 @@
 
 Python's ``int`` and :class:`fractions.Fraction` supply the scalar types;
 this module adds the dense matrix operations that pattern probabilities and
-the oracles need: integer determinants, minors and whole inverses.  Both
-eliminations, determinant and inverse, run through one fraction-free
-(Bareiss) core over integer rows, so intermediate values stay integers.
+the oracles need: integer determinants, minors and whole inverses.  A matrix
+is plain data, a sequence of equal-length int rows (lists and tuples alike);
+``minor`` and ``invert`` return tuples of row tuples.  Both eliminations,
+determinant and inverse, run through one fraction-free (Bareiss) core over
+integer rows, so intermediate values stay integers.
 
 Matrices at play are small (a desk-scale Kasteleyn matrix is at most a few
 dozen rows), so everything is dense and single-threaded.
@@ -12,7 +14,6 @@ dozen rows), so everything is dense and single-threaded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,38 +26,16 @@ class SingularMatrixError(ZeroDivisionError):
     """Inverse of a singular matrix requested."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable dense matrix of Python ints."""
+#: A matrix is a sequence of equal-length rows of ints, lists and tuples alike.
+Matrix = Sequence[Sequence[int]]
 
-    entries: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
-        if rows and any(len(row) != len(rows[0]) for row in rows):
-            raise ShapeError("ragged rows")
-        return cls(rows)
-
-    @classmethod
-    def identity(cls, k: int) -> "IntMatrix":
-        return cls(tuple(tuple(int(i == j) for j in range(k)) for i in range(k)))
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.entries[i][j]
+def _order(m: Matrix) -> int:
+    """The order of a square ``m``; raises :class:`ShapeError` on ragged or non-square rows."""
+    k = len(m)
+    if any(len(row) != k for row in m):
+        raise ShapeError(f"not a square matrix: {k} rows of lengths {sorted({len(r) for r in m})}")
+    return k
 
 
 def _bareiss(a: list[list[int]], jordan: bool) -> int:
@@ -94,41 +73,36 @@ def _bareiss(a: list[list[int]], jordan: bool) -> int:
     return sign * prev
 
 
-def det(m: IntMatrix) -> int:
+def det(m: Matrix) -> int:
     """Exact determinant by Bareiss fraction-free elimination.
 
     The 0x0 determinant is 1 (empty product).
     """
-    if not m.is_square:
-        raise ShapeError(f"determinant of a {m.rows}x{m.cols} matrix")
-    return _bareiss([list(row) for row in m.entries], jordan=False)
+    _order(m)
+    return _bareiss([list(row) for row in m], jordan=False)
 
 
-def minor(m: IntMatrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> IntMatrix:
+def minor(m: Matrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Submatrix with the listed rows and columns deleted, order preserved."""
     if len(drop_rows) != len(drop_cols):
         raise ShapeError("must delete as many rows as columns")
-    for name, idxs, bound in (("row", drop_rows, m.rows), ("column", drop_cols, m.cols)):
+    for name, idxs, bound in (("row", drop_rows, len(m)), ("column", drop_cols, len(m[0]) if m else 0)):
         if len(set(idxs)) != len(idxs):
             raise IndexError(f"duplicate {name} index in {list(idxs)}")
         if any(not 0 <= i < bound for i in idxs):
             raise IndexError(f"{name} index out of range in {list(idxs)}")
     rset, cset = set(drop_rows), set(drop_cols)
-    return IntMatrix(
-        tuple(
-            tuple(v for j, v in enumerate(row) if j not in cset)
-            for i, row in enumerate(m.entries)
-            if i not in rset
-        )
+    return tuple(
+        tuple(v for j, v in enumerate(row) if j not in cset)
+        for i, row in enumerate(m)
+        if i not in rset
     )
 
 
-def invert(m: IntMatrix) -> tuple[tuple[Fraction, ...], ...]:
+def invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
     """Full inverse by fraction-free Gauss-Jordan elimination on ``[m | I]``."""
-    if not m.is_square:
-        raise ShapeError("inverse of a non-square matrix")
-    k = m.rows
-    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m.entries)]
+    k = _order(m)
+    a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
     if _bareiss(a, jordan=True) == 0:
         raise SingularMatrixError("matrix is singular")
     return tuple(tuple(Fraction(v, row[i]) for v in row[k:]) for i, row in enumerate(a))

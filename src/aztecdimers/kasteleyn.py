@@ -32,9 +32,11 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
+
 from . import exactlinalg
-from .exactlinalg import IntMatrix, ShapeError
-from .lattice import Board, Color, Pattern, Vertex, build_diamond, check_diamond_pair, validate_pattern
+from .exactlinalg import ShapeError
+from .lattice import Board, Color, Edge, Vertex, build_diamond, check_diamond_pair, validate_pattern
 
 
 class SignConvention(Enum):
@@ -54,8 +56,10 @@ def untilted(v: Vertex) -> tuple[int, int]:
     return (v.x + v.y, v.y - v.x + 1)
 
 
-def kasteleyn_matrix(board: Board, convention: SignConvention = DEFAULT_CONVENTION) -> IntMatrix:
-    """Signed adjacency matrix of ``board`` under the given convention."""
+def kasteleyn_matrix(
+    board: Board, convention: SignConvention = DEFAULT_CONVENTION
+) -> tuple[tuple[int, ...], ...]:
+    """Signed adjacency matrix of ``board`` under the given convention, as a tuple of rows."""
     whites = board.white_vertices
     blacks = board.black_vertices
     if len(whites) != len(blacks):
@@ -96,7 +100,7 @@ def kasteleyn_matrix(board: Board, convention: SignConvention = DEFAULT_CONVENTI
                 sign = -1 if k % 2 else 1
             row[col_index[b]] = sign
         rows.append(tuple(row))
-    return IntMatrix(tuple(rows))
+    return tuple(rows)
 
 
 def edge_sign(v: Vertex, b: Vertex) -> int:
@@ -132,7 +136,7 @@ def _cofactor(n: int, v: Vertex, w: Vertex) -> tuple[int, int]:
     return cof, d
 
 
-def pattern_probability_oracle(n: int, pattern: Pattern) -> Fraction:
+def pattern_probability_oracle(n: int, pattern: Sequence[Edge]) -> Fraction:
     """Probability of a pattern, as a ratio of Kasteleyn determinants.
 
     The numerator is the minor of ``K`` with the pattern's white rows and

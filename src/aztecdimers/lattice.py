@@ -33,8 +33,13 @@ plus white "teeth" ``(t_k, m+1)``.
 
 A board's kind (:class:`Diamond`, :class:`BlackRect`, :class:`WhiteRect`)
 decides which vertices it has, by a few range comparisons in ``v in kind``,
-so building a board costs O(1).  Boards are immutable; removing vertices
-returns a new board with the holes recorded.
+so building a board costs O(1); its vertex tuples are built on first use.
+Boards are immutable; removing vertices returns a new board with the holes
+recorded.
+
+An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
+(:data:`Edge`), and a pattern is a sequence of them, such as a matching from
+:func:`aztecdimers.enumerate.enumerate_matchings`.
 """
 
 from __future__ import annotations
@@ -42,16 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class Color(Enum):
     WHITE = "white"
     BLACK = "black"
-
-    @property
-    def opposite(self) -> "Color":
-        return Color.BLACK if self is Color.WHITE else Color.WHITE
 
 
 class BoardError(ValueError):
@@ -88,6 +89,10 @@ class Vertex:
 
     def __repr__(self) -> str:
         return f"{self.color.value[0].upper()}({self.x},{self.y})"
+
+
+#: A domino: a (white, black) adjacent pair.  A pattern is a sequence of them.
+Edge = tuple[Vertex, Vertex]
 
 
 def white(x: int, y: int) -> Vertex:
@@ -159,9 +164,9 @@ BoardKind = Union[Diamond, BlackRect, WhiteRect]
 @dataclass(frozen=True)
 class Board:
     """An immutable board: ``v in board`` means ``v in board.kind and v not
-    in board.holes``.  The vertex tuples are generated from the kind's test
-    in row-major order (by ``y``, then ``x``), the row and column order of
-    every matrix built from the board."""
+    in board.holes``.  Each color's vertex tuple is generated from that test
+    once per board, in row-major order (by ``y``, then ``x``), the row and
+    column order of every matrix built from the board."""
 
     kind: BoardKind
     holes: frozenset[Vertex] = frozenset()
@@ -171,25 +176,16 @@ class Board:
         kind = self.kind
         rows = range(1, (kind.n if isinstance(kind, Diamond) else kind.m) + 2)
         cands = (Vertex(color, x, y) for y in rows for x in range(1, kind.n + 2))
-        return tuple(v for v in cands if v in kind)
+        return tuple(v for v in cands if v in self)
 
     @cached_property
-    def whites(self) -> tuple[Vertex, ...]:
-        """White vertices of the kind, holes included, in row-major order."""
+    def white_vertices(self) -> tuple[Vertex, ...]:
+        """White vertices on the board, holes excluded, in row-major order."""
         return self._generate(Color.WHITE)
 
     @cached_property
-    def blacks(self) -> tuple[Vertex, ...]:
-        return self._generate(Color.BLACK)
-
-    @property
-    def white_vertices(self) -> tuple[Vertex, ...]:
-        """White vertices still on the board, in row-major order."""
-        return tuple(v for v in self.whites if v not in self.holes)
-
-    @property
     def black_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self.blacks if v not in self.holes)
+        return self._generate(Color.BLACK)
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.kind and v not in self.holes
@@ -207,12 +203,6 @@ class Board:
     def is_edge(self, w: Vertex, b: Vertex) -> bool:
         return (w.color is Color.WHITE and b.color is Color.BLACK and w in self and b in self
                 and (b.x - w.x, b.y - w.y) in _WHITE_TO_BLACK)
-
-    def edges(self) -> Iterator[tuple[Vertex, Vertex]]:
-        """All edges as (white, black) pairs, row-major in the white vertex."""
-        for w in self.white_vertices:
-            for b in self.neighbors(w):
-                yield (w, b)
 
     def vertex_count(self) -> int:
         return len(self.white_vertices) + len(self.black_vertices)
@@ -265,18 +255,7 @@ def remove_vertices(board: Board, holes: Iterable[Vertex]) -> Board:
     return replace(board, holes=frozenset(new_holes))
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """A set of dominoes, each a (white, black) adjacent pair."""
-
-    dominoes: tuple[tuple[Vertex, Vertex], ...]
-
-    @classmethod
-    def of(cls, *dominoes: tuple[Vertex, Vertex]) -> "Pattern":
-        return cls(tuple(dominoes))
-
-
-def validate_pattern(board: Board, pattern: Pattern) -> tuple[list[Vertex], list[Vertex]]:
+def validate_pattern(board: Board, pattern: Sequence[Edge]) -> tuple[list[Vertex], list[Vertex]]:
     """Split a pattern into its white and black vertex lists, order preserved.
 
     Raises :class:`PatternError` if a pair is not a board edge or a vertex
@@ -285,7 +264,7 @@ def validate_pattern(board: Board, pattern: Pattern) -> tuple[list[Vertex], list
     whites: list[Vertex] = []
     blacks: list[Vertex] = []
     seen: set[Vertex] = set()
-    for w, b in pattern.dominoes:
+    for w, b in pattern:
         if not board.is_edge(w, b):
             raise PatternError(f"({w!r}, {b!r}) is not a domino of the board")
         for v in (w, b):

@@ -90,7 +90,8 @@ def _coupling_vs_oracle(full: bool) -> CheckResult:
 
 def _local_inverse(full: bool) -> CheckResult:
     # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
-    # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n.
+    # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n,
+    # as coupling_signed_row returns each entry.
     top = 12 if full else 8
     cases = 0
     for n in range(1, top + 1):
@@ -100,8 +101,8 @@ def _local_inverse(full: bool) -> CheckResult:
         k_rows = [(v, [(kasteleyn.edge_sign(v, b), index[b]) for b in board.neighbors(v)])
                   for v in board.white_vertices]
         for v2 in board.white_vertices:
-            signed = (coupling.coupling_signed(n, v2.x, b.x - v2.x, b.y, v2.y - b.y) for b in blacks)
-            scaled = [c.numerator << (n - c.scale) for c in signed]
+            xs = range(v2.x, v2.x + 1)
+            scaled = [coupling.coupling_signed_row(n, xs, b.x - v2.x, b.y, v2.y - b.y)[0] for b in blacks]
             for v, k_row in k_rows:
                 total = sum(sign * scaled[j] for sign, j in k_row)
                 if total != (2**n if v == v2 else 0):

@@ -16,9 +16,9 @@ from math import comb, lcm, prod
 from typing import Sequence
 
 from aztecdimers.combinatorics import _check_positions, krawtchouk_row, superfactorial
-from aztecdimers.enumerate import Edge, enumerate_matchings
-from aztecdimers.exactlinalg import IntMatrix, ShapeError, det
-from aztecdimers.lattice import BlackRect, Board, Color, Vertex, WhiteRect, remove_vertices
+from aztecdimers.enumerate import enumerate_matchings
+from aztecdimers.exactlinalg import det
+from aztecdimers.lattice import BlackRect, Board, Color, Edge, Vertex, WhiteRect, remove_vertices
 
 
 class TruncationError(ValueError):
@@ -226,18 +226,16 @@ def det_fractions(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant of a small rational matrix.
 
     Each row is scaled by the lcm of its denominators to integers; the
-    integer determinant over the product of those scales is the answer.
+    integer determinant over the product of those scales is the answer;
+    ``det`` raises ``ShapeError`` on rows that are not square.
     """
-    k = len(rows)
-    if any(len(row) != k for row in rows):
-        raise ShapeError("determinant of a non-square matrix")
     rows = [[Fraction(v) for v in row] for row in rows]
     scales = [lcm(*(v.denominator for v in row)) for row in rows]
     ints = [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)]
-    return Fraction(det(IntMatrix.from_rows(ints)), prod(scales))
+    return Fraction(det(ints), prod(scales))
 
 
-def weighted_count_rect(board: Board, hole: Vertex, *, allow_large: bool = False) -> int:
+def weighted_count_rect(board: Board, hole: Vertex) -> int:
     """Signed matching count of a rectangle with one black hole.
 
     A matching weighs ``(-1)`` to the number of its edges descending into
@@ -257,7 +255,7 @@ def weighted_count_rect(board: Board, hole: Vertex, *, allow_large: bool = False
         )
         total += -1 if w % 2 else 1
 
-    enumerate_matchings(holed, visit, allow_large=allow_large)
+    enumerate_matchings(holed, visit)
     return total
 
 

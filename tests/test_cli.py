@@ -117,7 +117,7 @@ def test_prob_accepts_black_first_ordering(tmp_path):
     path.write_text(json.dumps(doc))
     n, pattern = load_pattern_file(str(path))
     assert n == 2
-    assert pattern.dominoes[0][0].color.value == "white"
+    assert pattern[0][0].color.value == "white"
 
 
 @pytest.mark.parametrize(

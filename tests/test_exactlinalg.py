@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from aztecdimers.exactlinalg import (
-    IntMatrix,
     ShapeError,
     SingularMatrixError,
     det,
@@ -15,36 +14,47 @@ from aztecdimers.exactlinalg import (
 )
 from derivation import det_fractions
 
+# Matrices are plain rows; ragged rows and non-square rows are both shape errors.
+NOT_SQUARE = ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1, 2]], ((1,), (2,)))
+
+
+def _identity(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
 
 def test_det_empty_matrix_is_one():
-    assert det(IntMatrix(())) == 1
+    assert det(()) == 1
+    assert det([]) == 1
 
 
 def test_det_identity():
-    assert det(IntMatrix.identity(3)) == 1
+    assert det(_identity(3)) == 1
 
 
 def test_det_two_by_two():
-    assert det(IntMatrix.from_rows([[1, 2], [3, 4]])) == -2
+    assert det([[1, 2], [3, 4]]) == -2
+    assert det(((1, 2), (3, 4))) == -2
+    assert det([(1, 2), [3, 4]]) == -2
 
 
 def test_det_requires_square():
-    with pytest.raises(ShapeError):
-        det(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    for rows in NOT_SQUARE:
+        with pytest.raises(ShapeError):
+            det(rows)
 
 
 def test_det_singular_with_pivot_swap():
-    m = IntMatrix.from_rows([[0, 1, 2], [0, 2, 4], [1, 0, 0]])
+    m = [[0, 1, 2], [0, 2, 4], [1, 0, 0]]
     assert det(m) == 0
 
 
 def _random_matrix(rng, k, lo=-9, hi=9):
-    return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)])
+    return [[rng.randint(lo, hi) for _ in range(k)] for _ in range(k)]
 
 
 def _matmul(a, b):
-    cols = list(zip(*b.entries))
-    return IntMatrix.from_rows([[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.entries])
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def _cofactor_entry(m, i, j):
@@ -67,40 +77,43 @@ def test_det_matches_laplace_expansion():
         m = _random_matrix(rng, k)
         row = rng.randrange(k)
         expansion = sum(
-            (-1) ** ((row + j) % 2) * m[row, j] * det(minor(m, [row], [j]))
+            (-1) ** ((row + j) % 2) * m[row][j] * det(minor(m, [row], [j]))
             for j in range(k)
         )
         assert det(m) == expansion
 
 
 def test_minor_identity_and_full_deletion():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert minor(m, [], []) == m
-    assert minor(m, [0], [0]) == IntMatrix.from_rows([[4]])
-    assert minor(m, [0, 1], [0, 1]) == IntMatrix(())
+    m = ((1, 2), (3, 4))
+    # Lists and tuples alike come back as a tuple of row tuples.
+    for rows in (m, [[1, 2], [3, 4]]):
+        assert minor(rows, [], []) == m
+        assert minor(rows, [0], [0]) == ((4,),)
+        assert minor(rows, [1], [0]) == ((2,),)
+        assert minor(rows, [0, 1], [0, 1]) == ()
 
 
 def test_minor_errors():
-    m = IntMatrix.from_rows([[1, 2], [3, 4]])
-    with pytest.raises(ShapeError):
-        minor(m, [0], [])
-    with pytest.raises(IndexError):
-        minor(m, [2], [0])
-    with pytest.raises(IndexError):
-        minor(m, [0, 0], [0, 1])
+    for m in (((1, 2), (3, 4)), [[1, 2], [3, 4]]):
+        with pytest.raises(ShapeError):
+            minor(m, [0], [])
+        with pytest.raises(IndexError):
+            minor(m, [2], [0])
+        with pytest.raises(IndexError):
+            minor(m, [0, 0], [0, 1])
 
 
 def test_inverse_entry_identity_and_diagonal():
-    assert _cofactor_entry(IntMatrix.identity(4), 2, 2) == 1
-    assert invert(IntMatrix.identity(4))[2][2] == 1
-    m = IntMatrix.from_rows([[2, 0], [0, 4]])
+    assert _cofactor_entry(_identity(4), 2, 2) == 1
+    assert invert(_identity(4))[2][2] == 1
+    m = [[2, 0], [0, 4]]
     assert _cofactor_entry(m, 1, 1) == Fraction(1, 4)
     assert _cofactor_entry(m, 0, 1) == 0
     assert invert(m) == ((Fraction(1, 2), 0), (0, Fraction(1, 4)))
 
 
 def test_inverse_entry_singular():
-    m = IntMatrix.from_rows([[1, 1], [1, 1]])
+    m = [[1, 1], [1, 1]]
     assert det(m) == 0
     with pytest.raises(ZeroDivisionError):
         _cofactor_entry(m, 0, 0)
@@ -118,7 +131,7 @@ def test_random_inverse_roundtrip():
         inv = invert(m)
         for i in range(4):
             for j in range(4):
-                prod = sum(Fraction(m[i, k]) * inv[k][j] for k in range(4))
+                prod = sum(Fraction(m[i][k]) * inv[k][j] for k in range(4))
                 assert prod == (1 if i == j else 0)
         done += 1
 
@@ -139,7 +152,7 @@ def test_inverse_entry_agrees_with_gauss_jordan():
 
 def test_invert_singular():
     with pytest.raises(SingularMatrixError):
-        invert(IntMatrix.from_rows([[1, 2], [2, 4]]))
+        invert([[1, 2], [2, 4]])
 
 
 def test_det_fractions_matches_integer_det():
@@ -147,15 +160,18 @@ def test_det_fractions_matches_integer_det():
     for _ in range(10):
         k = rng.randint(0, 4)
         m = _random_matrix(rng, k)
-        assert det_fractions([[Fraction(v) for v in row] for row in m.entries]) == det(m)
+        assert det_fractions([[Fraction(v) for v in row] for row in m]) == det(m)
 
 
 def test_invert_needs_pivot_swaps_and_square_input():
-    m = IntMatrix.from_rows([[0, 1, 0], [0, 0, 2], [3, 0, 0]])
-    assert invert(m) == ((0, 0, Fraction(1, 3)), (1, 0, 0), (0, Fraction(1, 2), 0))
-    assert invert(IntMatrix(())) == ()
-    with pytest.raises(ShapeError):
-        invert(IntMatrix.from_rows([[1, 2]]))
+    m = [[0, 1, 0], [0, 0, 2], [3, 0, 0]]
+    want = ((0, 0, Fraction(1, 3)), (1, 0, 0), (0, Fraction(1, 2), 0))
+    assert invert(m) == want
+    assert invert(tuple(map(tuple, m))) == want
+    assert invert(()) == ()
+    for rows in NOT_SQUARE:
+        with pytest.raises(ShapeError):
+            invert(rows)
 
 
 def test_det_fractions_rational_rows():
@@ -166,7 +182,7 @@ def test_det_fractions_rational_rows():
         k = rng.randint(1, 5)
         m = _random_matrix(rng, k)
         scales = [rng.randint(1, 12) for _ in range(k)]
-        rows = [[Fraction(v, s) for v in row] for row, s in zip(m.entries, scales)]
+        rows = [[Fraction(v, s) for v in row] for row, s in zip(m, scales)]
         want = Fraction(det(m))
         for s in scales:
             want /= s

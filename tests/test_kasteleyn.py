@@ -19,7 +19,6 @@ from aztecdimers.kasteleyn import (
 )
 from aztecdimers.lattice import (
     BlackRect,
-    Pattern,
     black,
     build_diamond,
     build_rectangle,
@@ -33,8 +32,8 @@ CONVENTIONS = tuple(SignConvention)
 @pytest.mark.parametrize("convention", CONVENTIONS)
 def test_diamond_one_matrix(convention):
     k = kasteleyn_matrix(build_diamond(1), convention)
-    assert k.rows == k.cols == 2
-    assert all(v in (-1, 1) for row in k.entries for v in row)
+    assert len(k) == 2 and all(len(row) == 2 for row in k)
+    assert all(v in (-1, 1) for row in k for v in row)
     assert abs(det(k)) == 2
 
 
@@ -47,7 +46,7 @@ def test_diamond_two_det(convention):
 def test_single_edge_board(convention):
     board = build_rectangle(BlackRect, 1, 1, [1])
     k = kasteleyn_matrix(board, convention)
-    assert k.entries in (((1,),), ((-1,),))
+    assert k in (((1,),), ((-1,),))
     assert count_matchings_det(board, convention) == 1
 
 
@@ -87,7 +86,7 @@ def test_conventions_agree_on_rectangles():
 
 
 def test_empty_pattern_probability_is_one():
-    assert pattern_probability_oracle(2, Pattern.of()) == 1
+    assert pattern_probability_oracle(2, ()) == 1
 
 
 def test_full_matching_probability():
@@ -96,7 +95,7 @@ def test_full_matching_probability():
     enumerate_matchings(board, matchings.append)
     assert len(matchings) == 8
     for m in matchings[:3]:
-        assert pattern_probability_oracle(2, Pattern(m)) == Fraction(1, 8)
+        assert pattern_probability_oracle(2, m) == Fraction(1, 8)
 
 
 def test_single_domino_probability_matches_brute_force():
@@ -110,7 +109,7 @@ def test_single_domino_probability_matches_brute_force():
         containing += (w, b) in m
 
     total = enumerate_matchings(board, visit)
-    assert pattern_probability_oracle(2, Pattern.of((w, b))) == Fraction(containing, total)
+    assert pattern_probability_oracle(2, ((w, b),)) == Fraction(containing, total)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -118,7 +117,7 @@ def test_domino_probabilities_sum_to_one(n):
     board = build_diamond(n)
     for v in board.white_vertices:
         total = sum(
-            pattern_probability_oracle(n, Pattern.of((v, w))) for w in board.neighbors(v)
+            pattern_probability_oracle(n, ((v, w),)) for w in board.neighbors(v)
         )
         assert total == 1
 
@@ -138,7 +137,7 @@ def test_adjacent_entry_equals_domino_probability():
     w = white(1, 1)
     b = board.neighbors(w)[0]
     entry = inverse_coupling_oracle(2, w, b)
-    assert abs(entry) == pattern_probability_oracle(2, Pattern.of((w, b)))
+    assert abs(entry) == pattern_probability_oracle(2, ((w, b),))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -189,7 +188,7 @@ def test_signed_hole_cofactor_is_ordering_free():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_edge_sign_is_the_kasteleyn_entry(n):
     board = build_diamond(n)
-    k = kasteleyn_matrix(board).entries
+    k = kasteleyn_matrix(board)
     col = {b: j for j, b in enumerate(board.black_vertices)}
     for i, v in enumerate(board.white_vertices):
         neighbors = {col[b]: edge_sign(v, b) for b in board.neighbors(v)}

@@ -51,6 +51,20 @@ def test_seeded_mutation_is_caught():
         assert "local-inverse" in failed, mutation.__name__
 
 
+def test_local_inverse_reads_kernel_integers(monkeypatch):
+    # The identities are checked on the kernel's integers times 2^n; no DyadicRational is built.
+    built, post_init = [], coupling_mod.DyadicRational.__post_init__
+
+    def spy(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(coupling_mod.DyadicRational, "__post_init__", spy)
+    result = verify._local_inverse(False)
+    assert result.ok and result.detail == "11568 identities up to order 8"
+    assert built == []
+
+
 def test_package_attributes_are_its_submodules():
     # A re-export that reuses a submodule's name (``from .coupling import
     # coupling``) hides the module from ``from aztecdimers import coupling``.
