@@ -83,13 +83,14 @@ def det(m: Matrix) -> int:
 
 
 def minor(m: Matrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Submatrix with the listed rows and columns deleted, order preserved."""
+    """Submatrix of a square ``m`` with the listed rows and columns deleted, order preserved."""
+    k = _order(m)
     if len(drop_rows) != len(drop_cols):
         raise ShapeError("must delete as many rows as columns")
-    for name, idxs, bound in (("row", drop_rows, len(m)), ("column", drop_cols, len(m[0]) if m else 0)):
+    for name, idxs in (("row", drop_rows), ("column", drop_cols)):
         if len(set(idxs)) != len(idxs):
             raise IndexError(f"duplicate {name} index in {list(idxs)}")
-        if any(not 0 <= i < bound for i in idxs):
+        if any(not 0 <= i < k for i in idxs):
             raise IndexError(f"{name} index out of range in {list(idxs)}")
     rset, cset = set(drop_rows), set(drop_cols)
     return tuple(

@@ -1,21 +1,20 @@
 """Kasteleyn matrices and the determinant-based oracles built on them.
 
 A Kasteleyn matrix is a signed bipartite adjacency matrix whose
-determinant's absolute value equals the number of perfect matchings.  Two
-sign conventions are supported.  Both classify an edge as *horizontal* or
-*vertical* in the untilted drawing of the board, where the square lattice
-has its usual axis-parallel edges; a vertical edge between rows ``l`` and
-``l+1`` gets sign ``(-1)^k`` with
+determinant's absolute value equals the number of perfect matchings
+(Kasteleyn, *The statistics of dimers on a lattice*, 1961; Kenyon, *Local
+statistics of lattice dimers*, 1997).  One sign rule, :func:`edge_sign`,
+gives every entry: ``-1`` on the white-to-black step ``(1, -1)`` in
+diagonal coordinates, ``+1`` on the other three steps, ``0`` off the edges.
 
-* ``k`` = number of board vertices in row ``l`` strictly to the left
-  (:attr:`SignConvention.WILSON_VERTICES`), or
-* ``k`` = number of vertical board edges from row ``l`` to ``l+1`` strictly
-  to the left (:attr:`SignConvention.VERTICAL_EDGES`).
-
-Horizontal edges get ``+1`` and non-edges ``0``.  The untilted drawing is
-derived from diagonal coordinates by the fixed embedding ``white (x, y) ->
-(x+y, y-x)``, ``black (x, y) -> (x+y, y-x+1)``, under which the four
-white-to-black adjacency offsets become the four unit steps.
+Why it is a Kasteleyn signing: every face of the square lattice is a
+4-cycle of two whites and two blacks, and exactly one of its four
+white-to-black steps is ``(1, -1)``.  So the signs around every face
+multiply to ``-1``, which is Kasteleyn's condition for a face of length 4.
+The rule therefore holds on every board whose bounded faces are lattice
+faces: diamonds, rectangles, and boards with holes on the boundary.  A
+hole strictly inside the board merges lattice faces into a longer bounded
+face, for which this argument says nothing; such boards are not supported.
 
 Rows are white vertices and columns black vertices, each in row-major
 order of their diagonal coordinates.  Any fixed ordering changes the
@@ -28,93 +27,44 @@ coupling layer, which never touches a matrix.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from . import exactlinalg
 from .exactlinalg import ShapeError
-from .lattice import Board, Color, Edge, Vertex, build_diamond, check_diamond_pair, validate_pattern
+from .lattice import Board, Edge, Vertex, build_diamond, check_diamond_pair, validate_pattern
 
 
-class SignConvention(Enum):
-    WILSON_VERTICES = "wilson-vertices"
-    VERTICAL_EDGES = "vertical-edges"
+def edge_sign(v: Vertex, b: Vertex) -> int:
+    """The Kasteleyn entry ``K(v, b)`` for white ``v`` and an adjacent black ``b``:
+    -1 on the step ``b = v + (1, -1)`` and +1 on the other three."""
+    return -1 if (b.x - v.x, b.y - v.y) == (1, -1) else 1
 
 
-#: The convention used by all downstream formulas; valid for boards (like
-#: diamonds and rectangles) whose loops enclose only board vertices.
-DEFAULT_CONVENTION = SignConvention.VERTICAL_EDGES
-
-
-def untilted(v: Vertex) -> tuple[int, int]:
-    """(column, row) of the vertex in the untilted square-lattice drawing."""
-    if v.color is Color.WHITE:
-        return (v.x + v.y, v.y - v.x)
-    return (v.x + v.y, v.y - v.x + 1)
-
-
-def kasteleyn_matrix(
-    board: Board, convention: SignConvention = DEFAULT_CONVENTION
-) -> tuple[tuple[int, ...], ...]:
-    """Signed adjacency matrix of ``board`` under the given convention, as a tuple of rows."""
+def kasteleyn_matrix(board: Board) -> tuple[tuple[int, ...], ...]:
+    """Signed adjacency matrix of ``board`` under :func:`edge_sign`, as a tuple of rows."""
     whites = board.white_vertices
     blacks = board.black_vertices
     if len(whites) != len(blacks):
         raise ShapeError(
             f"board has {len(whites)} white but {len(blacks)} black vertices"
         )
-    verticals_by_row: dict[int, list[int]] = {}
-    vertices_by_row: dict[int, list[int]] = {}
-    for v in whites + blacks:
-        col, row = untilted(v)
-        vertices_by_row.setdefault(row, []).append(col)
-    for w in whites:
-        wc, wr = untilted(w)
-        for b in board.neighbors(w):
-            bc, br = untilted(b)
-            if bc == wc:
-                verticals_by_row.setdefault(min(wr, br), []).append(wc)
-    for cols in verticals_by_row.values():
-        cols.sort()
-    for cols in vertices_by_row.values():
-        cols.sort()
-
     col_index = {b: j for j, b in enumerate(blacks)}
     rows = []
     for w in whites:
-        wc, wr = untilted(w)
         row = [0] * len(blacks)
         for b in board.neighbors(w):
-            bc, br = untilted(b)
-            if bc != wc:
-                sign = 1
-            else:
-                lower = min(wr, br)
-                if convention is SignConvention.VERTICAL_EDGES:
-                    k = bisect_left(verticals_by_row[lower], wc)
-                else:
-                    k = bisect_left(vertices_by_row[lower], wc)
-                sign = -1 if k % 2 else 1
-            row[col_index[b]] = sign
+            row[col_index[b]] = edge_sign(w, b)
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def edge_sign(v: Vertex, b: Vertex) -> int:
-    """The entry ``K(v, b)`` of a diamond's Kasteleyn matrix under :data:`DEFAULT_CONVENTION`,
-    for white ``v`` and an adjacent black ``b``, at every order: -1 on the step
-    ``b = v + (1, -1)`` and +1 on the other three."""
-    return -1 if (b.x - v.x, b.y - v.y) == (1, -1) else 1
-
-
-def count_matchings_det(board: Board, convention: SignConvention = DEFAULT_CONVENTION) -> int:
+def count_matchings_det(board: Board) -> int:
     """Number of perfect matchings, as ``|det K|``; 0 on an unbalanced board."""
     if len(board.white_vertices) != len(board.black_vertices):
         return 0
-    return abs(exactlinalg.det(kasteleyn_matrix(board, convention)))
+    return abs(exactlinalg.det(kasteleyn_matrix(board)))
 
 
 @lru_cache(maxsize=None)

@@ -503,15 +503,15 @@ def test_heatmap_impossible_offsets(tmp_path, capsys):
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
-    assert "all" in out and "passed" in out
-    assert out.count("PASS") >= 5
+    assert out.count("PASS") == 7
+    assert "all 7 checks passed" in out
 
 
 def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
-    assert out.count("PASS") == 8
-    assert "all 8 checks passed" in out
+    assert out.count("PASS") == 7
+    assert "all 7 checks passed" in out
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

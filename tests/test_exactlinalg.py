@@ -101,6 +101,9 @@ def test_minor_errors():
             minor(m, [2], [0])
         with pytest.raises(IndexError):
             minor(m, [0, 0], [0, 1])
+    for ragged in ([[1, 2], [3]], [[1, 2]]):
+        with pytest.raises(ShapeError):
+            minor(ragged, [1], [1])
 
 
 def test_inverse_entry_identity_and_diagonal():

@@ -8,7 +8,7 @@ import pytest
 
 import aztecdimers
 from aztecdimers import coupling as coupling_mod
-from aztecdimers import verify
+from aztecdimers import kasteleyn, verify
 
 
 def test_quick_level_passes():
@@ -49,6 +49,41 @@ def test_seeded_mutation_is_caught():
         failed = [r.name for r in results if not r.ok]
         assert "coupling-vs-oracle" in failed, mutation.__name__
         assert "local-inverse" in failed, mutation.__name__
+
+
+def _all_plus(v, b):
+    # Not a Kasteleyn signing: every face multiplies to +1.
+    return 1
+
+
+def _minus_on_step_1_0(v, b):
+    # A valid Kasteleyn signing in another gauge: |det K| is right, the signed entries are not.
+    return -1 if (b.x - v.x, b.y - v.y) == (1, 0) else 1
+
+
+def _clear_oracle_caches():
+    kasteleyn._diamond_system.cache_clear()
+    kasteleyn.inverse_coupling_matrix.cache_clear()
+
+
+def test_wrong_edge_sign_is_caught():
+    _clear_oracle_caches()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kasteleyn, "edge_sign", _all_plus)
+            # Called one by one: coupling-vs-oracle raises SingularMatrixError under this rule.
+            for check in (verify._counts_vs_enumeration, verify._counts_power_of_two,
+                          verify._rectangle_closed_forms):
+                assert not check(False).ok, check.__name__
+        _clear_oracle_caches()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
+            results = {r.name: r.ok for r in verify.run_checks("quick")}
+        assert results["counts-vs-enumeration"] and results["rectangle-closed-forms"]
+        for name in ("coupling-vs-oracle", "local-inverse", "sign-relation"):
+            assert not results[name], name
+    finally:
+        _clear_oracle_caches()
 
 
 def test_local_inverse_reads_kernel_integers(monkeypatch):
