@@ -1,28 +1,35 @@
 """Self-check suite: every closed form against its independent oracle.
 
-Backs the ``verify`` CLI command.  ``quick`` keeps boards to order 3 and
-runs in a few seconds; ``full`` pushes each check to the largest size the
+Backs the ``verify`` CLI command.  ``quick`` keeps most boards to order 3
+and runs in a few seconds; ``full`` pushes each check to the largest size the
 oracles handle comfortably (order 5 for the exhaustive coupling sweep).
-Ground truth is backtracking enumeration: ``counts-vs-enumeration`` holds
-``|det K|`` to it on diamonds, and ``rectangle-closed-forms`` holds both the
-rectangle product formulas and ``|det K|`` to it on every rectangle it
-enumerates (74 in ``full``), so the one Kasteleyn sign rule is checked
-against counts, not against a second rule.
+Ground truth is the transfer-matrix count :func:`enumerate.weighted_matchings`,
+which uses neither Kasteleyn signs nor Krawtchouk sums:
+``counts-vs-enumeration`` holds ``|det K|`` to it on diamonds (to order 8 in
+``full``), and ``rectangle-closed-forms`` holds both the rectangle product
+formulas and ``|det K|`` to it on every rectangle it counts (74 in ``full``),
+so the one Kasteleyn sign rule is checked against counts, not against a
+second rule.  ``sign-relation`` holds the signed two-hole counts to the
+Kasteleyn cofactors, and ``pattern-vs-transfer`` holds the product's pattern
+probabilities to counts of the diamond with the pattern removed.
 ``local-inverse`` needs no oracle matrix: it checks ``K C^T = I`` one sparse
 row of ``K`` at a time, exhaustively to order 8 (``quick``) or 12 (``full``).
-Each check returns a :class:`CheckResult`; any failure makes the command
-exit nonzero.
+Each check returns a :class:`CheckResult`; a check that raises is recorded
+as a failure naming the exception, and any failure makes the command exit
+nonzero.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
 from . import combinatorics, coupling, kasteleyn
-from .lattice import BlackRect, WhiteRect, build_diamond, build_rectangle
+from .lattice import Board, BlackRect, Edge, WhiteRect, build_diamond, build_rectangle, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -35,13 +42,18 @@ class CheckResult:
 LEVELS = ("quick", "full")
 
 
+def _count(board: Board) -> int:
+    """Perfect matchings of ``board``, by transfer matrix."""
+    return enum.weighted_matchings(board, lambda w, b: 1)
+
+
 def _counts_vs_enumeration(full: bool) -> CheckResult:
-    top = 4 if full else 3
+    top = 8 if full else 3
     for n in range(1, top + 1):
         board = build_diamond(n)
-        got, brute = kasteleyn.count_matchings_det(board), enum.enumerate_matchings(board)
-        if got != brute:
-            return CheckResult("counts-vs-enumeration", False, f"n={n}: det {got} != brute force {brute}")
+        got, want = kasteleyn.count_matchings_det(board), _count(board)
+        if got != want:
+            return CheckResult("counts-vs-enumeration", False, f"n={n}: det {got} != transfer matrix {want}")
     return CheckResult("counts-vs-enumeration", True, f"diamonds up to order {top}")
 
 
@@ -105,7 +117,7 @@ def _normalization(full: bool) -> CheckResult:
 
 
 def _sign_relation(full: bool) -> CheckResult:
-    top = 4 if full else 3
+    top = 5 if full else 3
     cases = 0
     for n in range(1, top + 1):
         for w0 in range(1, n + 1):
@@ -125,7 +137,7 @@ def _sign_relation(full: bool) -> CheckResult:
 
 
 def _rectangle_closed_forms(full: bool) -> CheckResult:
-    # Each rectangle is enumerated once; the product formula and det K must both match the count.
+    # Each rectangle is counted once; the product formula and det K must both match the count.
     top_n = 4 if full else 3
     top_m = 3 if full else 2
     cases = 0
@@ -137,7 +149,7 @@ def _rectangle_closed_forms(full: bool) -> CheckResult:
             ):
                 for notch in notches:
                     board = build_rectangle(kind, n, m, notch)
-                    want = enum.enumerate_matchings(board)
+                    want = _count(board)
                     got = closed_form(n, m, notch), kasteleyn.count_matchings_det(board)
                     if got != (want, want):
                         return CheckResult(
@@ -148,6 +160,37 @@ def _rectangle_closed_forms(full: bool) -> CheckResult:
     return CheckResult("rectangle-closed-forms", True, f"{cases} rectangles, closed form and det K")
 
 
+def _random_pattern(rng: random.Random, board: Board, size: int) -> list[Edge]:
+    # Up to ``size`` disjoint dominoes; a white whose neighbours are all taken is skipped.
+    pattern: list[Edge] = []
+    taken = set()
+    for v in rng.sample(board.white_vertices, min(size, len(board.white_vertices))):
+        free = [b for b in board.neighbors(v) if b not in taken]
+        if free:
+            b = rng.choice(free)
+            taken.add(b)
+            pattern.append((v, b))
+    return pattern
+
+
+def _pattern_vs_transfer(full: bool) -> CheckResult:
+    # P(pattern) = #matchings of the diamond minus the pattern's cells / 2^{n(n+1)/2}.
+    top, per_order = (8, 20) if full else (8, 5)
+    rng = random.Random(12)
+    cases = 0
+    for n in range(1, top + 1):
+        board = build_diamond(n)
+        for _ in range(per_order):
+            pattern = _random_pattern(rng, board, rng.randint(1, 4))
+            want = Fraction(_count(remove_vertices(board, [v for edge in pattern for v in edge])),
+                            2 ** (n * (n + 1) // 2))
+            got = coupling.pattern_probability(n, pattern)
+            if got != want:
+                return CheckResult("pattern-vs-transfer", False, f"n={n} {pattern}: {got} != {want}")
+            cases += 1
+    return CheckResult("pattern-vs-transfer", True, f"{cases} seeded patterns up to order {top}")
+
+
 _CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
     _counts_vs_enumeration,
     _counts_power_of_two,
@@ -156,7 +199,17 @@ _CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
     _local_inverse,
     _normalization,
     _sign_relation,
+    _pattern_vs_transfer,
 )
+
+
+def _run(check: Callable[[bool], CheckResult], full: bool) -> CheckResult:
+    # A check that raises fails alone; the rest of the suite still runs.
+    try:
+        return check(full)
+    except Exception as exc:
+        name = check.__name__.lstrip("_").replace("_", "-")
+        return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def run_checks(level: str = "quick") -> list[CheckResult]:
@@ -164,4 +217,4 @@ def run_checks(level: str = "quick") -> list[CheckResult]:
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
     full = level == "full"
-    return [check(full) for check in _CHECKS]
+    return [_run(check, full) for check in _CHECKS]

@@ -503,15 +503,15 @@ def test_heatmap_impossible_offsets(tmp_path, capsys):
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
-    assert out.count("PASS") == 7
-    assert "all 7 checks passed" in out
+    assert out.count("PASS") == 8
+    assert "all 8 checks passed" in out
 
 
 def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
-    assert out.count("PASS") == 7
-    assert "all 7 checks passed" in out
+    assert out.count("PASS") == 8
+    assert "all 8 checks passed" in out
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
@@ -525,6 +525,28 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_records_a_raising_check_and_exits_one(capsys, monkeypatch):
+    # Under an all-plus sign rule K is singular and coupling-vs-oracle's dense inverse
+    # raises; the run still prints every check's line and exits 1 with no traceback.
+    from aztecdimers import kasteleyn
+
+    def clear():
+        kasteleyn._diamond_system.cache_clear()
+        kasteleyn.inverse_coupling_matrix.cache_clear()
+
+    clear()
+    monkeypatch.setattr(kasteleyn, "edge_sign", lambda v, b: 1)
+    try:
+        code, out, err = run(capsys, "verify", "--level", "quick")
+    finally:
+        monkeypatch.undo()
+        clear()
+    assert code == 1 and err == ""
+    assert "FAIL  coupling-vs-oracle (raised SingularMatrixError: matrix is singular)" in out
+    assert out.count("PASS") + out.count("FAIL") == 8
+    assert "checks failed" in out.splitlines()[-1]
 
 
 def test_prob_off_board_domino_on_a_huge_diamond(tmp_path, capsys):

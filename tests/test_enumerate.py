@@ -1,6 +1,7 @@
 """Brute-force enumeration and signed hole counts."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +11,7 @@ from aztecdimers.enumerate import (
     crossing_weight,
     enumerate_matchings,
     weighted_count,
+    weighted_matchings,
 )
 from aztecdimers.kasteleyn import count_matchings_det
 from aztecdimers.lattice import (
@@ -162,3 +164,85 @@ def test_weighted_count_rect_requires_black_hole():
     board = build_rectangle(WhiteRect, 2, 1, [1])
     with pytest.raises(ValueError):
         weighted_count_rect(board, white(1, 1))
+
+
+# The transfer matrix held to the backtracking enumerator on boards the enumerator accepts.
+
+
+def _one(w, b):
+    return 1
+
+
+def _hole_specs(n):
+    return [
+        HoleSpec(w0, d0, w1, d1)
+        for w0 in range(1, n + 1)
+        for d0 in range(1, n + 2 - w0)
+        for w1 in range(1, n + 1)
+        for d1 in range(1, n + 2 - w1)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transfer_matrix_counts_diamonds(n):
+    assert weighted_matchings(build_diamond(n), _one) == enumerate_matchings(build_diamond(n))
+
+
+def test_transfer_matrix_counts_diamond_five():
+    # test_size_guard enumerates the order-5 diamond to 2^15, the slowest enumeration in the
+    # suite; doing it a second time here would add nothing.
+    assert weighted_matchings(build_diamond(5), _one) == 2 ** 15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transfer_matrix_signed_hole_counts(n):
+    # weighted_count's per-edge sign product against the visitor sum of (-1)^crossing_weight.
+    for spec in _hole_specs(n):
+        board = remove_vertices(build_diamond(n), [spec.white_hole, spec.black_hole])
+        total = 0
+
+        def visit(matching):
+            nonlocal total
+            total += -1 if crossing_weight(matching, spec) % 2 else 1
+
+        enumerate_matchings(board, visit)
+        assert weighted_count(n, spec) == total, spec
+
+
+def test_transfer_matrix_counts_suite_rectangles():
+    # The rectangles verify's rectangle-closed-forms counts in its full level.
+    cases = 0
+    for n in range(1, 5):
+        for m in range(1, 4):
+            for kind, top in ((BlackRect, n + 1), (WhiteRect, n)):
+                for notches in combinations(range(1, top + 1), m):
+                    board = build_rectangle(kind, n, m, notches)
+                    assert weighted_matchings(board, _one) == enumerate_matchings(board), (kind, n, m, notches)
+                    cases += 1
+    assert cases == 74
+
+
+def test_transfer_matrix_weights_multiply_per_edge():
+    # Weight 2 on every edge scales each matching of the order-n diamond by 2^{n(n+1)}.
+    for n in (1, 2, 3):
+        assert weighted_matchings(build_diamond(n), lambda w, b: 2) == 2 ** (n * (n + 1)) * 2 ** (n * (n + 1) // 2)
+
+
+def test_transfer_matrix_unbalanced_board_is_zero():
+    board = remove_vertices(build_diamond(2), [white(1, 1), white(2, 1)])
+    assert weighted_matchings(board, _one) == enumerate_matchings(board) == 0
+
+
+@pytest.mark.parametrize(
+    "holes",
+    [
+        # Black (1,1) loses both white neighbours.
+        [white(1, 1), white(1, 2), black(3, 1), black(3, 2)],
+        # White (1,1) loses both black neighbours; every black keeps a white one.
+        [black(1, 1), black(2, 1), white(1, 3), white(2, 3)],
+    ],
+)
+def test_transfer_matrix_unmatchable_balanced_board_is_zero(holes):
+    board = remove_vertices(build_diamond(2), holes)
+    assert len(board.white_vertices) == len(board.black_vertices)
+    assert weighted_matchings(board, _one) == enumerate_matchings(board) == 0

@@ -8,6 +8,7 @@ import pytest
 
 import aztecdimers
 from aztecdimers import coupling as coupling_mod
+from aztecdimers import enumerate as enum
 from aztecdimers import kasteleyn, verify
 
 
@@ -49,6 +50,7 @@ def test_seeded_mutation_is_caught():
         failed = [r.name for r in results if not r.ok]
         assert "coupling-vs-oracle" in failed, mutation.__name__
         assert "local-inverse" in failed, mutation.__name__
+        assert "pattern-vs-transfer" in failed, mutation.__name__
 
 
 def _all_plus(v, b):
@@ -71,10 +73,13 @@ def test_wrong_edge_sign_is_caught():
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _all_plus)
-            # Called one by one: coupling-vs-oracle raises SingularMatrixError under this rule.
-            for check in (verify._counts_vs_enumeration, verify._counts_power_of_two,
-                          verify._rectangle_closed_forms):
-                assert not check(False).ok, check.__name__
+            results = {r.name: r for r in verify.run_checks("quick")}
+        assert len(results) == len(verify._CHECKS)
+        for name in ("counts-vs-enumeration", "counts-power-of-two", "rectangle-closed-forms",
+                     "coupling-vs-oracle"):
+            assert not results[name].ok, name
+        # K is singular under this rule: the dense inverse raises, and the check records it.
+        assert results["coupling-vs-oracle"].detail == "raised SingularMatrixError: matrix is singular"
         _clear_oracle_caches()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
@@ -84,6 +89,32 @@ def test_wrong_edge_sign_is_caught():
             assert not results[name], name
     finally:
         _clear_oracle_caches()
+
+
+_real_crossing_weight = enum.crossing_weight
+
+
+def _bound_one_short(clause):
+    # crossing_weight with one clause's strict bound lowered by one: ``b.x < w0 + d0 - 1``
+    # (clause 1) or ``w.x < w0 - 1`` (clause 2).  Raising it by one instead would change
+    # nothing, since the vertex at the bound is the hole.
+    def mutant(matching, spec):
+        w0, d0, w1, d1 = spec.w0, spec.d0, spec.w1, spec.d1
+        dropped = sum(
+            1 for w, b in matching
+            if (clause == 1 and w.y == w1 + 1 and b.y == w1 and b.x == w0 + d0 - 1)
+            or (clause == 2 and w.y == w1 + d1 and b.y == w1 + d1 - 1 and w.x == w0 - 1)
+        )
+        return _real_crossing_weight(matching, spec) - dropped
+
+    return mutant
+
+
+@pytest.mark.parametrize("clause", [1, 2])
+def test_off_by_one_crossing_weight_is_caught(monkeypatch, clause):
+    assert verify._sign_relation(False).ok
+    monkeypatch.setattr(enum, "crossing_weight", _bound_one_short(clause))
+    assert not verify._sign_relation(False).ok
 
 
 def test_local_inverse_reads_kernel_integers(monkeypatch):
