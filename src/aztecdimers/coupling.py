@@ -95,8 +95,8 @@ def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
 
 
 def _coupling_sum(n: int, v: Vertex, w: Vertex) -> int:
-    """``c(v, w)`` times ``2^n``: the one branch sum of a lone entry."""
-    check_diamond_pair(n, v, w)
+    """``c(v, w)`` times ``2^n``: the one branch sum of a lone entry, for a
+    white ``v`` and a black ``w`` the caller has put on the diamond."""
     return _branch_sums(n, v.y, w.y, w.x - v.x, range(v.x, v.x + 1))[0]
 
 
@@ -107,6 +107,7 @@ def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     determinants; for the signed inverse-Kasteleyn entry use
     :func:`coupling_signed`.
     """
+    check_diamond_pair(n, v, w)
     return DyadicRational(_coupling_sum(n, v, w), n)
 
 
@@ -114,9 +115,13 @@ def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[i
     """:func:`coupling_signed` at each ``w0`` of a nonempty step-1 range, in one
     kernel call, as integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``,
     not reduced.  Each color class of the diamond is an x-range times a y-range,
-    so the row lies on the diamond when both of its ends do."""
-    for w0 in {w0s[0], w0s[-1]}:
-        check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
+    so the row lies on the diamond when both of its ends do; that is checked on
+    integers, and only a failure builds the vertices that word the error."""
+    first, last = w0s[0], w0s[-1]
+    if not (1 <= first and last <= n and 1 <= first + d0 and last + d0 <= n + 1
+            and 1 <= w1 <= n and 1 <= w1 + d1 <= n + 1):
+        for w0 in (first, last):
+            check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
     sums = _branch_sums(n, w1 + d1, w1, d0, w0s)
     return [-s for s in sums] if (d0 + d1 + w1) % 2 else sums
 
@@ -133,8 +138,9 @@ def pattern_probability(n: int, pattern: Sequence[Edge]) -> Fraction:
     """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``.
 
     The pattern is validated by the diamond's membership test, at a cost
-    that does not grow with ``n``.  Exact: values are scaled to a common
-    power of two and the determinant is taken over integers.
+    that does not grow with ``n``; that puts every white and black on the
+    diamond, so the entries are not checked again.  Exact: values are scaled
+    to a common power of two and the determinant is taken over integers.
     """
     whites, blacks = validate_pattern(build_diamond(n), pattern)
     d = det([[_coupling_sum(n, v, w) for w in blacks] for v in whites])

@@ -1,15 +1,18 @@
 """Exact linear algebra over arbitrary-precision integers and rationals.
 
 Python's ``int`` and :class:`fractions.Fraction` supply the scalar types;
-this module adds the dense matrix operations that pattern probabilities and
-the oracles need: integer determinants, minors and whole inverses.  A matrix
+this module adds the matrix operations that pattern probabilities and the
+oracles need: integer determinants, minors and whole inverses.  A matrix
 is plain data, a sequence of equal-length int rows (lists and tuples alike);
-``minor`` and ``invert`` return tuples of row tuples.  Both eliminations,
-determinant and inverse, run through one fraction-free (Bareiss) core over
-integer rows, so intermediate values stay integers.
+``minor`` and ``invert`` return tuples of row tuples.  Both operations run
+through one forward fraction-free (Bareiss) elimination over integer rows,
+so intermediate values stay integers; ``invert`` finishes by integer back
+substitution.
 
-Matrices at play are small (a desk-scale Kasteleyn matrix is at most a few
-dozen rows), so everything is dense and single-threaded.
+Rows are stored dense, but each elimination step touches only the rows with
+a nonzero in its pivot column.  A Kasteleyn matrix has at most four nonzeros
+per row and little fill-in, so most rows are skipped at most steps.
+Everything is single-threaded.
 """
 
 from __future__ import annotations
@@ -38,37 +41,52 @@ def _order(m: Matrix) -> int:
     return k
 
 
-def _bareiss(a: list[list[int]], jordan: bool) -> int:
-    """Fraction-free elimination of the square left block ``K`` of ``a``, in place.
+def _bareiss(a: list[list[int]]) -> int:
+    """Forward fraction-free elimination of the square left block ``K`` of ``a``, in place.
 
-    Column by column, each pivot row clears the rows below it (and, with
-    ``jordan``, the rows above it too) by Bareiss' exact update
-    ``a[r][j] = (a[r][j]*p - a[r][c]*a[c][j]) // prev`` on every column to
-    the right of the pivot.  Returns ``det K``, which is 0 when ``K`` is
-    singular.  After a Gauss-Jordan run every diagonal entry of ``K``'s
-    block equals the last pivot ``p``, the rest of the block is zero, and
-    each column ``b`` to its right has become ``p * K^{-1} b``.
+    Returns ``det K``, which is 0 when ``K`` is singular.  Otherwise ``a``
+    ends as ``[U | Y]``, an integer combination of the rows of the input,
+    with ``U`` upper triangular and the pivots ``p_0 .. p_{k-1}`` on its
+    diagonal; ``p_{k-1} = +-det K``, the sign counting the row swaps.
+
+    Step ``c`` takes as pivot ``p_c`` the first row from ``c`` on with a
+    nonzero in column ``c`` (and ``p_{-1} = 1``).  Eager Bareiss would
+    update every row below it by ``x -> (x*p_c - f*y) // p_{c-1}``, with
+    ``f`` the row's column-``c`` entry and ``y`` the pivot row.  On a row
+    with ``f = 0`` that is the bare rescale ``x*p_c // p_{c-1}``, so such a
+    row is skipped.  A row last updated at step ``t - 1`` (never, if
+    ``t = 0``) and skipped at steps ``t .. c-1`` thus holds its eager values
+    divided by the product of the skipped scalings ``p_i / p_{i-1}``, which
+    telescopes to ``p_{c-1} / p_{t-1}``.  It is brought up to date once, when
+    next touched: updated at step ``c``, it takes ``(x*p_c - f*y) // p_{t-1}``,
+    the rescale folded into the update; swapped in as pivot, it first takes
+    ``x * p_{c-1} // p_{t-1}``.  Each division is exact, because its result
+    is the eager value, an integer minor of the input (Sylvester's
+    identity).  ``divisor[r]`` holds row ``r``'s ``p_{t-1}``.
     """
     k = len(a)
     sign = 1
     prev = 1
+    divisor = [1] * k
     for c in range(k):
-        pivot = next((r for r in range(c, k) if a[r][c] != 0), None)
-        if pivot is None:
+        rows = [r for r in range(c, k) if a[r][c] != 0]
+        if not rows:
             return 0
+        pivot = rows[0]
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
+            divisor[c], divisor[pivot] = divisor[pivot], divisor[c]
             sign = -sign
-        p, tail = a[c][c], a[c][c + 1:]
-        for r in range(0 if jordan else c + 1, k):
-            if r == c:
-                continue
-            other, f = a[r], a[r][c]
+        pivot_row = a[c]
+        if divisor[c] != prev:
+            pivot_row[c:] = [x * prev // divisor[c] for x in pivot_row[c:]]
+        p, tail = pivot_row[c], pivot_row[c + 1:]
+        for r in rows[1:]:
+            other, f, d = a[r], a[r][c], divisor[r]
             # Exact by the Bareiss identity; // never truncates here.
-            other[c + 1:] = [(x * p - f * y) // prev for x, y in zip(other[c + 1:], tail)]
+            other[c + 1:] = [(x * p - f * y) // d for x, y in zip(other[c + 1:], tail)]
             other[c] = 0
-            if r < c:
-                other[r] = other[r] * p // prev
+            divisor[r] = p
         prev = p
     return sign * prev
 
@@ -79,7 +97,7 @@ def det(m: Matrix) -> int:
     The 0x0 determinant is 1 (empty product).
     """
     _order(m)
-    return _bareiss([list(row) for row in m], jordan=False)
+    return _bareiss([list(row) for row in m])
 
 
 def minor(m: Matrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -101,10 +119,27 @@ def minor(m: Matrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tupl
 
 
 def invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Full inverse by fraction-free Gauss-Jordan elimination on ``[m | I]``."""
+    """Full inverse: forward fraction-free elimination of ``[m | I]``, then back substitution.
+
+    The forward pass returns ``d = det m`` and leaves ``[U | Y]``, an integer
+    combination of the rows of ``[m | I]``, so ``U m^{-1} = Y``.  The rows
+    ``x_r`` of ``d m^{-1} = adj(m)`` are integers, so back substitution over
+    the nonzeros of ``U`` stays in integers and each division is exact:
+    ``x_r = (d*y_r - sum_{j>r, U[r][j] != 0} U[r][j]*x_j) // U[r][r]``.
+    Each entry is returned as ``Fraction(x, d)``.
+    """
     k = _order(m)
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
-    if _bareiss(a, jordan=True) == 0:
+    d = _bareiss(a)
+    if d == 0:
         raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(Fraction(v, row[i]) for v in row[k:]) for i, row in enumerate(a))
-
+    x: list[list[int]] = [[]] * k
+    for r in reversed(range(k)):
+        row = a[r]
+        acc = [d * y for y in row[k:]]
+        for j in range(r + 1, k):
+            u = row[j]
+            if u:
+                acc = [s - u * t for s, t in zip(acc, x[j])]
+        x[r] = [s // row[r] for s in acc]
+    return tuple(tuple(Fraction(v, d) for v in xr) for xr in x)

@@ -106,7 +106,8 @@ def inverse_coupling_oracle(n: int, v: Vertex, w: Vertex) -> Fraction:
 
 @lru_cache(maxsize=8)
 def inverse_coupling_matrix(n: int) -> dict[tuple[Vertex, Vertex], Fraction]:
-    """All entries of ``(K^{-1})^T`` at once, via one Gauss-Jordan inversion.
+    """All entries of ``(K^{-1})^T`` at once, from one :func:`exactlinalg.invert`:
+    a forward fraction-free elimination of ``[K | I]`` and back substitution.
 
     Equal entry-by-entry to :func:`inverse_coupling_oracle`; cached because
     exhaustive sweeps ask for every pair.

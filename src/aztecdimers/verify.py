@@ -2,7 +2,8 @@
 
 Backs the ``verify`` CLI command.  ``quick`` keeps most boards to order 3
 and runs in a few seconds; ``full`` pushes each check to the largest size the
-oracles handle comfortably (order 5 for the exhaustive coupling sweep).
+oracles handle comfortably (order 8 for the exhaustive coupling sweep against
+the exact inverse Kasteleyn matrix, order 10 for ``|det K| = 2^{n(n+1)/2}``).
 Ground truth is the transfer-matrix count :func:`enumerate.weighted_matchings`,
 which uses neither Kasteleyn signs nor Krawtchouk sums:
 ``counts-vs-enumeration`` holds ``|det K|`` to it on diamonds (to order 8 in
@@ -58,7 +59,7 @@ def _counts_vs_enumeration(full: bool) -> CheckResult:
 
 
 def _counts_power_of_two(full: bool) -> CheckResult:
-    top = 6 if full else 5
+    top = 10 if full else 5
     for n in range(1, top + 1):
         want = 2 ** (n * (n + 1) // 2)
         got = kasteleyn.count_matchings_det(build_diamond(n))
@@ -68,7 +69,7 @@ def _counts_power_of_two(full: bool) -> CheckResult:
 
 
 def _coupling_vs_oracle(full: bool) -> CheckResult:
-    top = 5 if full else 3
+    top = 8 if full else 3
     pairs = 0
     for n in range(1, top + 1):
         oracle = kasteleyn.inverse_coupling_matrix(n)

@@ -21,7 +21,7 @@ from aztecdimers.kasteleyn import (
     inverse_coupling_matrix,
     pattern_probability_oracle,
 )
-from aztecdimers.lattice import BoardError, black, build_diamond, white
+from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, white
 from derivation import first_column_hole_count, krawtchouk_convolution
 
 
@@ -58,7 +58,7 @@ def test_master_equivalence(n):
         assert abs(coupling(n, v, w).to_fraction()) == abs(entry)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
 def test_signed_equivalence_all_offsets(n):
     for (v, w), entry in inverse_coupling_matrix(n).items():
         value = coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y)
@@ -140,6 +140,52 @@ def test_signed_row_equals_its_cells():
 def test_signed_row_rejects_an_end_off_the_board(w0s):
     with pytest.raises(BoardError):
         coupling_signed_row(3, w0s, 0, 1, 0)
+
+
+def test_signed_row_checks_its_ends_like_check_diamond_pair():
+    # The integer bounds test rejects exactly the rows check_diamond_pair rejects,
+    # with its message.
+    for n in range(0, 4):
+        for w0, d0, w1, d1 in product(range(-1, 6), range(-5, 6), range(-1, 6), range(-5, 6)):
+            for w0s in (range(w0, w0 + 1), range(w0, w0 + 2)):
+                try:
+                    for x in (w0s[0], w0s[-1]):
+                        check_diamond_pair(n, white(x, w1 + d1), black(x + d0, w1))
+                    want = None
+                except BoardError as exc:
+                    want = str(exc)
+                try:
+                    coupling_signed_row(n, w0s, d0, w1, d1)
+                    got = None
+                except BoardError as exc:
+                    got = str(exc)
+                assert got == want, (n, w0s, d0, w1, d1)
+
+
+def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
+    def no_vertex(x, y):
+        raise AssertionError("vertex built")
+
+    want = coupling_signed(5, 2, 1, 3, -1)
+    monkeypatch.setattr(coupling_mod, "white", no_vertex)
+    monkeypatch.setattr(coupling_mod, "black", no_vertex)
+    assert coupling_signed(5, 2, 1, 3, -1) == want
+    assert coupling_signed_row(5, range(1, 5), 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
+
+
+def test_pattern_entries_are_not_rechecked(monkeypatch):
+    # validate_pattern has put every white and black on the board; coupling()
+    # alone still checks its pair.
+    pattern = ((white(2, 2), black(2, 2)), (white(3, 3), black(4, 2)))
+    want = pattern_probability(4, pattern)
+
+    def no_check(n, v, w):
+        raise AssertionError("entry rechecked")
+
+    monkeypatch.setattr(coupling_mod, "check_diamond_pair", no_check)
+    assert pattern_probability(4, pattern) == want
+    with pytest.raises(AssertionError, match="entry rechecked"):
+        coupling(4, white(2, 2), black(2, 2))
 
 
 def test_a_lone_entry_keeps_only_a_row_and_a_column():

@@ -12,6 +12,8 @@ from aztecdimers.exactlinalg import (
     invert,
     minor,
 )
+from aztecdimers.kasteleyn import kasteleyn_matrix
+from aztecdimers.lattice import build_diamond
 from derivation import det_fractions
 
 # Matrices are plain rows; ragged rows and non-square rows are both shape errors.
@@ -139,7 +141,7 @@ def test_random_inverse_roundtrip():
         done += 1
 
 
-def test_inverse_entry_agrees_with_gauss_jordan():
+def test_inverse_entry_agrees_with_invert():
     rng = random.Random(5)
     done = 0
     while done < 8:
@@ -193,3 +195,97 @@ def test_det_fractions_rational_rows():
     assert det_fractions([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]) == Fraction(1, 60)
     with pytest.raises(ShapeError):
         det_fractions([[Fraction(1)], [Fraction(2)]])
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrices: the elimination skips rows with a zero in the pivot column
+# ---------------------------------------------------------------------------
+
+
+def _laplace(m):
+    # Full cofactor expansion along the first row; shares no code with det.
+    if not m:
+        return 1
+    rest = m[1:]
+    return sum(
+        (-1) ** j * v * _laplace([row[:j] + row[j + 1:] for row in rest])
+        for j, v in enumerate(m[0])
+        if v
+    )
+
+
+def _sparse_matrix(rng, k):
+    # About 70% zeros.
+    return [[rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(k)] for _ in range(k)]
+
+
+def _longest_skip_before_a_swapped_in_pivot(m):
+    """Eager elimination over Fractions with the same pivot rule as ``det``:
+    the most steps in a row that a row swapped in as pivot went untouched,
+    0 when no pivot is swapped in."""
+    a = [[Fraction(v) for v in row] for row in m]
+    level = [0] * len(a)  # one past the step that last updated each row
+    longest = 0
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            break
+        if pivot != c:
+            longest = max(longest, c - level[pivot])
+            a[c], a[pivot] = a[pivot], a[c]
+            level[c], level[pivot] = level[pivot], level[c]
+        for r in range(c + 1, len(a)):
+            if a[r][c]:
+                f = a[r][c] / a[c][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+                level[r] = c + 1
+    return longest
+
+
+def test_skipped_row_swapped_in_as_pivot():
+    # Row 4 has zeros in columns 0..2, so steps 0..2 skip it; step 3 finds a zero
+    # on the diagonal and swaps it in, rescaled by p_2 = 25.  The row it displaces
+    # was last updated at step 0 and is rescaled at step 4.
+    m = [
+        [2, 1, 0, 0, 0],
+        [1, 3, 0, 0, 0],
+        [0, 0, 5, 0, 1],
+        [2, 1, 0, 0, 7],
+        [0, 0, 0, 3, 1],
+    ]
+    assert _longest_skip_before_a_swapped_in_pivot(m) == 3
+    assert det(m) == _laplace(m) == -525
+    assert _matmul(invert(m), m) == [list(row) for row in _identity(5)]
+
+
+def test_sparse_det_matches_laplace_and_inverse_roundtrips():
+    rng = random.Random(29)
+    singular = swapped_in_late = 0
+    for _ in range(1000):
+        k = rng.randint(1, 7)
+        m = _sparse_matrix(rng, k)
+        want = _laplace(m)
+        assert det(m) == want, m
+        if want == 0:
+            singular += 1
+            with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
+                invert(m)
+            continue
+        assert _matmul(invert(m), m) == [list(row) for row in _identity(k)], m
+        assert _matmul(m, invert(m)) == [list(row) for row in _identity(k)], m
+        swapped_in_late += _longest_skip_before_a_swapped_in_pivot(m) >= 2
+    # The sample reaches both the singular exits and the lazy rescale of a pivot row.
+    assert singular >= 100 and swapped_in_late >= 20, (singular, swapped_in_late)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kasteleyn_inverse_and_determinant(n):
+    board = build_diamond(n)
+    k = kasteleyn_matrix(board)
+    assert abs(det(k)) == 2 ** (n * (n + 1) // 2)
+    inv = invert(k)
+    # K has at most four nonzeros per row: multiply over them only.
+    for i, row in enumerate(k):
+        support = [(j, v) for j, v in enumerate(row) if v]
+        for c in range(len(k)):
+            assert sum(v * inv[j][c] for j, v in support) == (i == c), (n, i, c)
