@@ -2,12 +2,11 @@
 
 Python's ``int`` and :class:`fractions.Fraction` supply the scalar types;
 this module adds the matrix operations that pattern probabilities and the
-oracles need: integer determinants, minors and whole inverses.  A matrix
-is plain data, a sequence of equal-length int rows (lists and tuples alike);
-``minor`` and ``invert`` return tuples of row tuples.  Both operations run
-through one forward fraction-free (Bareiss) elimination over integer rows,
-so intermediate values stay integers; ``invert`` finishes by integer back
-substitution.
+oracles need: integer determinants and whole inverses.  A matrix is plain
+data, a sequence of equal-length int rows (lists and tuples alike).  Both
+operations run through one forward fraction-free (Bareiss) elimination over
+integer rows, so intermediate values stay integers; ``invert`` finishes by
+integer back substitution and returns the determinant with the inverse.
 
 Rows are stored dense, but each elimination step touches only the rows with
 a nonzero in its pivot column.  A Kasteleyn matrix has at most four nonzeros
@@ -100,33 +99,16 @@ def det(m: Matrix) -> int:
     return _bareiss([list(row) for row in m])
 
 
-def minor(m: Matrix, drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Submatrix of a square ``m`` with the listed rows and columns deleted, order preserved."""
-    k = _order(m)
-    if len(drop_rows) != len(drop_cols):
-        raise ShapeError("must delete as many rows as columns")
-    for name, idxs in (("row", drop_rows), ("column", drop_cols)):
-        if len(set(idxs)) != len(idxs):
-            raise IndexError(f"duplicate {name} index in {list(idxs)}")
-        if any(not 0 <= i < k for i in idxs):
-            raise IndexError(f"{name} index out of range in {list(idxs)}")
-    rset, cset = set(drop_rows), set(drop_cols)
-    return tuple(
-        tuple(v for j, v in enumerate(row) if j not in cset)
-        for i, row in enumerate(m)
-        if i not in rset
-    )
-
-
-def invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Full inverse: forward fraction-free elimination of ``[m | I]``, then back substitution.
+def invert(m: Matrix) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
+    """``(det m, m^{-1})``: forward fraction-free elimination of ``[m | I]``,
+    then back substitution; the inverse is a tuple of row tuples.
 
     The forward pass returns ``d = det m`` and leaves ``[U | Y]``, an integer
     combination of the rows of ``[m | I]``, so ``U m^{-1} = Y``.  The rows
     ``x_r`` of ``d m^{-1} = adj(m)`` are integers, so back substitution over
     the nonzeros of ``U`` stays in integers and each division is exact:
     ``x_r = (d*y_r - sum_{j>r, U[r][j] != 0} U[r][j]*x_j) // U[r][r]``.
-    Each entry is returned as ``Fraction(x, d)``.
+    Each entry is returned as ``Fraction(x, d)``, alongside ``d`` itself.
     """
     k = _order(m)
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
@@ -142,4 +124,4 @@ def invert(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
             if u:
                 acc = [s - u * t for s, t in zip(acc, x[j])]
         x[r] = [s // row[r] for s in acc]
-    return tuple(tuple(Fraction(v, d) for v in xr) for xr in x)
+    return d, tuple(tuple(Fraction(v, d) for v in xr) for xr in x)

@@ -1,4 +1,4 @@
-"""Kasteleyn matrices and the determinant-based oracles built on them.
+"""Kasteleyn matrices and the oracles built on them.
 
 A Kasteleyn matrix is a signed bipartite adjacency matrix whose
 determinant's absolute value equals the number of perfect matchings
@@ -22,18 +22,21 @@ determinant only by a global sign, which every consumer here either takes
 the absolute value of or normalizes away (see :func:`signed_hole_cofactor`).
 
 The oracles are deliberately slow and simple; they certify the closed-form
-coupling layer, which never touches a matrix.
+coupling layer, which never touches a matrix.  Each diamond order gets one
+cached elimination of ``[K | I]``; ``det K``, every inverse entry and every
+signed cofactor are read from it, and no minor of ``K`` is formed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from types import MappingProxyType
 
 from . import exactlinalg
 from .exactlinalg import ShapeError
-from .lattice import Board, Edge, Vertex, build_diamond, check_diamond_pair, validate_pattern
+from .lattice import Board, Vertex, build_diamond, check_diamond_pair
 
 
 def edge_sign(v: Vertex, b: Vertex) -> int:
@@ -67,58 +70,25 @@ def count_matchings_det(board: Board) -> int:
     return abs(exactlinalg.det(kasteleyn_matrix(board)))
 
 
-@lru_cache(maxsize=None)
-def _diamond_system(n: int):
-    board = build_diamond(n)
-    k = kasteleyn_matrix(board)
-    d = exactlinalg.det(k)
-    index_w = {v: i for i, v in enumerate(board.white_vertices)}
-    index_b = {v: j for j, v in enumerate(board.black_vertices)}
-    return board, k, d, index_w, index_b
-
-
-def _cofactor(n: int, v: Vertex, w: Vertex) -> tuple[int, int]:
-    """The signed cofactor of ``K`` at white ``v`` and black ``w``, and ``det K``."""
-    check_diamond_pair(n, v, w)
-    _, k, d, index_w, index_b = _diamond_system(n)
-    i, j = index_w[v], index_b[w]
-    cof = (-1) ** ((i + j) % 2) * exactlinalg.det(exactlinalg.minor(k, [i], [j]))
-    return cof, d
-
-
-def pattern_probability_oracle(n: int, pattern: Sequence[Edge]) -> Fraction:
-    """Probability of a pattern, as a ratio of Kasteleyn determinants.
-
-    The numerator is the minor of ``K`` with the pattern's white rows and
-    black columns deleted; the denominator is ``det K`` itself.
-    """
-    board, k, d, index_w, index_b = _diamond_system(n)
-    whites, blacks = validate_pattern(board, pattern)
-    sub = exactlinalg.minor(k, [index_w[v] for v in whites], [index_b[v] for v in blacks])
-    return Fraction(abs(exactlinalg.det(sub)), abs(d))
-
-
-def inverse_coupling_oracle(n: int, v: Vertex, w: Vertex) -> Fraction:
-    """The exact ``(v, w)`` entry of ``(K^{-1})^T``: cofactor over determinant."""
-    cof, d = _cofactor(n, v, w)
-    return Fraction(cof, d)
-
-
 @lru_cache(maxsize=8)
-def inverse_coupling_matrix(n: int) -> dict[tuple[Vertex, Vertex], Fraction]:
-    """All entries of ``(K^{-1})^T`` at once, from one :func:`exactlinalg.invert`:
-    a forward fraction-free elimination of ``[K | I]`` and back substitution.
-
-    Equal entry-by-entry to :func:`inverse_coupling_oracle`; cached because
-    exhaustive sweeps ask for every pair.
-    """
-    board, k, _, _, _ = _diamond_system(n)
-    inv = exactlinalg.invert(k)
-    return {
+def _diamond_inverse(n: int) -> tuple[int, Mapping[tuple[Vertex, Vertex], Fraction]]:
+    """``det K`` and the entries of ``(K^{-1})^T`` keyed by ``(white, black)``, for
+    the order-``n`` diamond from one :func:`exactlinalg.invert`; cached because
+    exhaustive sweeps ask for every pair, and read-only because every caller
+    shares them."""
+    board = build_diamond(n)
+    d, inv = exactlinalg.invert(kasteleyn_matrix(board))
+    return d, MappingProxyType({
         (v, w): inv[j][i]
         for i, v in enumerate(board.white_vertices)
         for j, w in enumerate(board.black_vertices)
-    }
+    })
+
+
+def inverse_coupling_matrix(n: int) -> Mapping[tuple[Vertex, Vertex], Fraction]:
+    """All entries of ``(K^{-1})^T``, keyed by ``(white, black)``: the cached
+    elimination of ``[K | I]`` for the order-``n`` diamond."""
+    return _diamond_inverse(n)[1]
 
 
 def signed_hole_cofactor(n: int, v: Vertex, w: Vertex) -> int:
@@ -127,8 +97,10 @@ def signed_hole_cofactor(n: int, v: Vertex, w: Vertex) -> int:
     This is ``(K^{-1})^T[v, w] * |det K|``: the determinant of ``K`` with
     ``v``'s row and ``w``'s column replaced by unit vectors, normalized by
     the sign of ``det K`` so that the value does not depend on the chosen
-    vertex ordering.  Raises :class:`ValueError` unless ``v`` is a white and
-    ``w`` a black vertex of the order-``n`` diamond.
+    vertex ordering.  Both factors are read from the cached elimination.
+    Raises :class:`ValueError` unless ``v`` is a white and ``w`` a black
+    vertex of the order-``n`` diamond.
     """
-    cof, d = _cofactor(n, v, w)
-    return cof if d > 0 else -cof
+    check_diamond_pair(n, v, w)
+    d, entries = _diamond_inverse(n)
+    return int(entries[v, w] * abs(d))

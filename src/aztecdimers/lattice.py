@@ -71,22 +71,6 @@ class Vertex:
     x: int
     y: int
 
-    @property
-    def cart(self) -> tuple[int, int]:
-        """Cartesian pair of the tilted drawing."""
-        if self.color is Color.WHITE:
-            return (2 * self.x - 1, 2 * self.y - 2)
-        return (2 * self.x - 2, 2 * self.y - 1)
-
-    @classmethod
-    def from_cart(cls, cx: int, cy: int) -> "Vertex":
-        """Inverse of :attr:`cart`; rejects off-lattice parities."""
-        if cx % 2 == 1 and cy % 2 == 0:
-            return cls(Color.WHITE, (cx + 1) // 2, cy // 2 + 1)
-        if cx % 2 == 0 and cy % 2 == 1:
-            return cls(Color.BLACK, cx // 2 + 1, (cy + 1) // 2)
-        raise BoardError(f"({cx}, {cy}) is not a lattice vertex")
-
     def __repr__(self) -> str:
         return f"{self.color.value[0].upper()}({self.x},{self.y})"
 

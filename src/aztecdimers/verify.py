@@ -11,8 +11,10 @@ which uses neither Kasteleyn signs nor Krawtchouk sums:
 formulas and ``|det K|`` to it on every rectangle it counts (74 in ``full``),
 so the one Kasteleyn sign rule is checked against counts, not against a
 second rule.  ``sign-relation`` holds the signed two-hole counts to the
-Kasteleyn cofactors, and ``pattern-vs-transfer`` holds the product's pattern
-probabilities to counts of the diamond with the pattern removed.
+Kasteleyn cofactors ``(K^{-1})^T[v, w] |det K|``, read from the cached
+inverse, on every hole pair to order 3 (``quick``) or 6 (``full``), and
+``pattern-vs-transfer`` holds the product's pattern probabilities to counts
+of the diamond with the pattern removed.
 ``local-inverse`` needs no oracle matrix: it checks ``K C^T = I`` one sparse
 row of ``K`` at a time, exhaustively to order 8 (``quick``) or 12 (``full``).
 Each check returns a :class:`CheckResult`; a check that raises is recorded
@@ -118,7 +120,7 @@ def _normalization(full: bool) -> CheckResult:
 
 
 def _sign_relation(full: bool) -> CheckResult:
-    top = 5 if full else 3
+    top = 6 if full else 3
     cases = 0
     for n in range(1, top + 1):
         for w0 in range(1, n + 1):

@@ -4,8 +4,11 @@ operator calculus in the forward difference ``delta``, the holed-rectangle
 and hole-pair determinants, the annihilator, Laplace and delta-symbol
 identities, and the scalar Krawtchouk coefficients they read.  Nothing in
 ``aztecdimers`` calls them; ``test_acceptance`` criteria 4-7 and 13 and
-``test_combinatorics`` certify them against enumeration.  Pytest does not
-collect this file; tests import it as ``from derivation import ...``.
+``test_combinatorics`` certify them against enumeration.  Two references
+the tests share close the file: the Cartesian coordinates of the tilted
+drawing (:func:`cart`, :func:`from_cart`) and matrix minors, the cofactor
+route to single inverse entries.  Pytest does not collect this file; tests
+import it as ``from derivation import ...``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 from aztecdimers.combinatorics import _check_positions, krawtchouk_row, superfactorial
 from aztecdimers.enumerate import enumerate_matchings
 from aztecdimers.exactlinalg import det
-from aztecdimers.lattice import BlackRect, Board, Color, Edge, Vertex, WhiteRect, remove_vertices
+from aztecdimers.lattice import BlackRect, Board, BoardError, Color, Edge, Vertex, WhiteRect, remove_vertices
 
 
 class TruncationError(ValueError):
@@ -433,3 +436,34 @@ def delta_symbol_coefficient(n: int, w1: int, d0: int) -> Fraction:
         if 0 <= j < len(series):
             acc += p * series[j]
     return acc
+
+
+# ---------------------------------------------------------------------------
+# References shared by the tests
+# ---------------------------------------------------------------------------
+
+
+def cart(v: Vertex) -> tuple[int, int]:
+    """Cartesian pair of ``v`` in the tilted drawing."""
+    if v.color is Color.WHITE:
+        return (2 * v.x - 1, 2 * v.y - 2)
+    return (2 * v.x - 2, 2 * v.y - 1)
+
+
+def from_cart(cx: int, cy: int) -> Vertex:
+    """Inverse of :func:`cart`; raises ``BoardError`` on off-lattice parities."""
+    if cx % 2 == 1 and cy % 2 == 0:
+        return Vertex(Color.WHITE, (cx + 1) // 2, cy // 2 + 1)
+    if cx % 2 == 0 and cy % 2 == 1:
+        return Vertex(Color.BLACK, cx // 2 + 1, (cy + 1) // 2)
+    raise BoardError(f"({cx}, {cy}) is not a lattice vertex")
+
+
+def minor(m: Sequence[Sequence[int]], drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tuple:
+    """Submatrix of ``m`` with the listed rows and columns deleted, order preserved."""
+    rset, cset = set(drop_rows), set(drop_cols)
+    return tuple(
+        tuple(v for j, v in enumerate(row) if j not in cset)
+        for i, row in enumerate(m)
+        if i not in rset
+    )

@@ -504,6 +504,7 @@ def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
     assert out.count("PASS") == 8
+    assert "PASS  sign-relation (46 hole pairs up to order 3)" in out
     assert "all 8 checks passed" in out
 
 
@@ -511,6 +512,7 @@ def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
     assert out.count("PASS") == 8
+    assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
     assert "all 8 checks passed" in out
 
 
@@ -532,17 +534,13 @@ def test_verify_records_a_raising_check_and_exits_one(capsys, monkeypatch):
     # raises; the run still prints every check's line and exits 1 with no traceback.
     from aztecdimers import kasteleyn
 
-    def clear():
-        kasteleyn._diamond_system.cache_clear()
-        kasteleyn.inverse_coupling_matrix.cache_clear()
-
-    clear()
+    kasteleyn._diamond_inverse.cache_clear()
     monkeypatch.setattr(kasteleyn, "edge_sign", lambda v, b: 1)
     try:
         code, out, err = run(capsys, "verify", "--level", "quick")
     finally:
         monkeypatch.undo()
-        clear()
+        kasteleyn._diamond_inverse.cache_clear()
     assert code == 1 and err == ""
     assert "FAIL  coupling-vs-oracle (raised SingularMatrixError: matrix is singular)" in out
     assert out.count("PASS") + out.count("FAIL") == 8

@@ -16,12 +16,9 @@ from aztecdimers.coupling import (
     coupling_signed_row,
     pattern_probability,
 )
-from aztecdimers.enumerate import enumerate_matchings
-from aztecdimers.kasteleyn import (
-    inverse_coupling_matrix,
-    pattern_probability_oracle,
-)
-from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, white
+from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
+from aztecdimers.kasteleyn import inverse_coupling_matrix
+from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, remove_vertices, white
 from derivation import first_column_hole_count, krawtchouk_convolution
 
 
@@ -281,12 +278,18 @@ def test_complete_matchings_of_order_two():
         assert pattern_probability(2, m) == Fraction(1, 8)
 
 
+def _transfer_ratio(board, pattern):
+    # Ground truth: matchings of the board minus the pattern's cells over all matchings.
+    rest = remove_vertices(board, [v for edge in pattern for v in edge])
+    return Fraction(weighted_matchings(rest, lambda w, b: 1), weighted_matchings(board, lambda w, b: 1))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pattern_probabilities_match_oracle(n):
     board = build_diamond(n)
     dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     for d in dominoes:
-        assert pattern_probability(n, (d,)) == pattern_probability_oracle(n, (d,))
+        assert pattern_probability(n, (d,)) == _transfer_ratio(board, (d,))
     # A sample of two-domino patterns; the exhaustive sweep lives in the
     # acceptance suite.
     checked = 0
@@ -294,7 +297,7 @@ def test_pattern_probabilities_match_oracle(n):
         if len({d1[0], d2[0]}) + len({d1[1], d2[1]}) < 4:
             continue
         p = (d1, d2)
-        assert pattern_probability(n, p) == pattern_probability_oracle(n, p)
+        assert pattern_probability(n, p) == _transfer_ratio(board, p)
         checked += 1
         if checked >= 40:
             break

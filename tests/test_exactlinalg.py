@@ -1,4 +1,4 @@
-"""Exact determinants, minors, and inverses."""
+"""Exact determinants and inverses, with minors as the cofactor reference."""
 
 import random
 from fractions import Fraction
@@ -10,11 +10,10 @@ from aztecdimers.exactlinalg import (
     SingularMatrixError,
     det,
     invert,
-    minor,
 )
 from aztecdimers.kasteleyn import kasteleyn_matrix
 from aztecdimers.lattice import build_diamond
-from derivation import det_fractions
+from derivation import det_fractions, minor
 
 # Matrices are plain rows; ragged rows and non-square rows are both shape errors.
 NOT_SQUARE = ([[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], [[1, 2]], ((1,), (2,)))
@@ -95,26 +94,13 @@ def test_minor_identity_and_full_deletion():
         assert minor(rows, [0, 1], [0, 1]) == ()
 
 
-def test_minor_errors():
-    for m in (((1, 2), (3, 4)), [[1, 2], [3, 4]]):
-        with pytest.raises(ShapeError):
-            minor(m, [0], [])
-        with pytest.raises(IndexError):
-            minor(m, [2], [0])
-        with pytest.raises(IndexError):
-            minor(m, [0, 0], [0, 1])
-    for ragged in ([[1, 2], [3]], [[1, 2]]):
-        with pytest.raises(ShapeError):
-            minor(ragged, [1], [1])
-
-
 def test_inverse_entry_identity_and_diagonal():
     assert _cofactor_entry(_identity(4), 2, 2) == 1
-    assert invert(_identity(4))[2][2] == 1
+    assert invert(_identity(4))[1][2][2] == 1
     m = [[2, 0], [0, 4]]
     assert _cofactor_entry(m, 1, 1) == Fraction(1, 4)
     assert _cofactor_entry(m, 0, 1) == 0
-    assert invert(m) == ((Fraction(1, 2), 0), (0, Fraction(1, 4)))
+    assert invert(m) == (8, ((Fraction(1, 2), 0), (0, Fraction(1, 4))))
 
 
 def test_inverse_entry_singular():
@@ -133,7 +119,8 @@ def test_random_inverse_roundtrip():
         m = _random_matrix(rng, 4)
         if det(m) == 0:
             continue
-        inv = invert(m)
+        d, inv = invert(m)
+        assert d == det(m)
         for i in range(4):
             for j in range(4):
                 prod = sum(Fraction(m[i][k]) * inv[k][j] for k in range(4))
@@ -148,7 +135,8 @@ def test_inverse_entry_agrees_with_invert():
         m = _random_matrix(rng, 5)
         if det(m) == 0:
             continue
-        inv = invert(m)
+        d, inv = invert(m)
+        assert d == det(m)
         for i in range(5):
             for j in range(5):
                 assert _cofactor_entry(m, i, j) == inv[i][j]
@@ -171,9 +159,9 @@ def test_det_fractions_matches_integer_det():
 def test_invert_needs_pivot_swaps_and_square_input():
     m = [[0, 1, 0], [0, 0, 2], [3, 0, 0]]
     want = ((0, 0, Fraction(1, 3)), (1, 0, 0), (0, Fraction(1, 2), 0))
-    assert invert(m) == want
-    assert invert(tuple(map(tuple, m))) == want
-    assert invert(()) == ()
+    assert invert(m) == (6, want)
+    assert invert(tuple(map(tuple, m))) == (6, want)
+    assert invert(()) == (1, ())
     for rows in NOT_SQUARE:
         with pytest.raises(ShapeError):
             invert(rows)
@@ -255,7 +243,9 @@ def test_skipped_row_swapped_in_as_pivot():
     ]
     assert _longest_skip_before_a_swapped_in_pivot(m) == 3
     assert det(m) == _laplace(m) == -525
-    assert _matmul(invert(m), m) == [list(row) for row in _identity(5)]
+    d, inv = invert(m)
+    assert d == -525
+    assert _matmul(inv, m) == [list(row) for row in _identity(5)]
 
 
 def test_sparse_det_matches_laplace_and_inverse_roundtrips():
@@ -271,8 +261,10 @@ def test_sparse_det_matches_laplace_and_inverse_roundtrips():
             with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
                 invert(m)
             continue
-        assert _matmul(invert(m), m) == [list(row) for row in _identity(k)], m
-        assert _matmul(m, invert(m)) == [list(row) for row in _identity(k)], m
+        d, inv = invert(m)
+        assert d == want, m
+        assert _matmul(inv, m) == [list(row) for row in _identity(k)], m
+        assert _matmul(m, inv) == [list(row) for row in _identity(k)], m
         swapped_in_late += _longest_skip_before_a_swapped_in_pivot(m) >= 2
     # The sample reaches both the singular exits and the lazy rescale of a pivot row.
     assert singular >= 100 and swapped_in_late >= 20, (singular, swapped_in_late)
@@ -283,7 +275,8 @@ def test_kasteleyn_inverse_and_determinant(n):
     board = build_diamond(n)
     k = kasteleyn_matrix(board)
     assert abs(det(k)) == 2 ** (n * (n + 1) // 2)
-    inv = invert(k)
+    d, inv = invert(k)
+    assert d == det(k)
     # K has at most four nonzeros per row: multiply over them only.
     for i, row in enumerate(k):
         support = [(j, v) for j, v in enumerate(row) if v]

@@ -1,4 +1,4 @@
-"""Kasteleyn matrices and the determinant oracles."""
+"""Kasteleyn matrices, the cached inverse, and the determinant ratios behind them."""
 
 import hashlib
 from fractions import Fraction
@@ -7,19 +7,19 @@ from math import prod
 
 import pytest
 
+from aztecdimers import exactlinalg, kasteleyn
 from aztecdimers.enumerate import enumerate_matchings
-from aztecdimers.exactlinalg import ShapeError, det, minor
+from aztecdimers.exactlinalg import ShapeError, det
 from aztecdimers.kasteleyn import (
     count_matchings_det,
     edge_sign,
     inverse_coupling_matrix,
-    inverse_coupling_oracle,
     kasteleyn_matrix,
-    pattern_probability_oracle,
     signed_hole_cofactor,
 )
 from aztecdimers.lattice import (
     BlackRect,
+    BoardError,
     WhiteRect,
     black,
     build_diamond,
@@ -27,6 +27,23 @@ from aztecdimers.lattice import (
     remove_vertices,
     white,
 )
+from derivation import minor
+
+
+def _determinant_ratio(board, pattern):
+    # P(pattern) = |det K of the board minus the pattern's cells| / |det K|: the
+    # deleted rows and columns leave the Kasteleyn matrix of the smaller board.
+    cells = [v for edge in pattern for v in edge]
+    return Fraction(count_matchings_det(remove_vertices(board, cells)), count_matchings_det(board))
+
+
+def _cofactor(n, v, w):
+    # The signed cofactor of K at white v and black w, and det K, from a minor.
+    board = build_diamond(n)
+    k = kasteleyn_matrix(board)
+    i, j = board.white_vertices.index(v), board.black_vertices.index(w)
+    return (-1) ** ((i + j) % 2) * det(minor(k, [i], [j])), det(k)
+
 
 def test_diamond_one_matrix():
     k = kasteleyn_matrix(build_diamond(1))
@@ -83,7 +100,7 @@ def test_det_counts_rectangles():
 
 
 def test_empty_pattern_probability_is_one():
-    assert pattern_probability_oracle(2, ()) == 1
+    assert _determinant_ratio(build_diamond(2), ()) == 1
 
 
 def test_full_matching_probability():
@@ -92,7 +109,7 @@ def test_full_matching_probability():
     enumerate_matchings(board, matchings.append)
     assert len(matchings) == 8
     for m in matchings[:3]:
-        assert pattern_probability_oracle(2, m) == Fraction(1, 8)
+        assert _determinant_ratio(board, m) == Fraction(1, 8)
 
 
 def test_single_domino_probability_matches_brute_force():
@@ -106,7 +123,7 @@ def test_single_domino_probability_matches_brute_force():
         containing += (w, b) in m
 
     total = enumerate_matchings(board, visit)
-    assert pattern_probability_oracle(2, ((w, b),)) == Fraction(containing, total)
+    assert _determinant_ratio(board, ((w, b),)) == Fraction(containing, total)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -114,7 +131,7 @@ def test_domino_probabilities_sum_to_one(n):
     board = build_diamond(n)
     for v in board.white_vertices:
         total = sum(
-            pattern_probability_oracle(n, ((v, w),)) for w in board.neighbors(v)
+            _determinant_ratio(board, ((v, w),)) for w in board.neighbors(v)
         )
         assert total == 1
 
@@ -122,7 +139,7 @@ def test_domino_probabilities_sum_to_one(n):
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_domino_probabilities_sum_to_one_via_inverse(n):
     # Same identity at larger orders through the cached full inverse
-    # (entrywise equal to the minor route; see the consistency test below).
+    # (entrywise equal to the minor route; see the cofactor tests below).
     inv = inverse_coupling_matrix(n)
     board = build_diamond(n)
     for v in board.white_vertices:
@@ -133,15 +150,16 @@ def test_adjacent_entry_equals_domino_probability():
     board = build_diamond(2)
     w = white(1, 1)
     b = board.neighbors(w)[0]
-    entry = inverse_coupling_oracle(2, w, b)
-    assert abs(entry) == pattern_probability_oracle(2, ((w, b),))
+    entry = inverse_coupling_matrix(2)[w, b]
+    assert abs(entry) == _determinant_ratio(board, ((w, b),))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_inverse_matrix_matches_cofactor_route(n):
     inv = inverse_coupling_matrix(n)
     for (v, w), entry in inv.items():
-        assert inverse_coupling_oracle(n, v, w) == entry
+        cof, d = _cofactor(n, v, w)
+        assert Fraction(cof, d) == entry
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -154,7 +172,7 @@ def test_cramer_consistency(n):
     index_b = {v: j for j, v in enumerate(board.black_vertices)}
     for v in board.white_vertices:
         for w in board.black_vertices:
-            entry = inverse_coupling_oracle(n, v, w)
+            entry = inverse_coupling_matrix(n)[v, w]
             sub = abs(det(minor(k, [index_w[v]], [index_b[w]])))
             assert abs(entry) * count == sub
 
@@ -166,11 +184,52 @@ def test_entry_denominators_divide_global_power_of_two(n):
 
 
 def test_oracle_rejects_foreign_vertices():
-    for oracle in (inverse_coupling_oracle, signed_hole_cofactor):
-        for v, w in [(white(5, 5), black(1, 1)), (white(1, 1), white(1, 2)),
-                     (black(1, 1), black(1, 1)), (white(1, 1), black(3, 3))]:
-            with pytest.raises(ValueError):
-                oracle(2, v, w)
+    # A BoardError from the pair check, never a KeyError from the cached entries.
+    for v, w in [(white(5, 5), black(1, 1)), (white(1, 1), white(1, 2)),
+                 (black(1, 1), black(1, 1)), (white(1, 1), black(3, 3))]:
+        with pytest.raises(BoardError):
+            signed_hole_cofactor(2, v, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_hole_cofactor_matches_minor_route(n):
+    board = build_diamond(n)
+    for v in board.white_vertices:
+        for w in board.black_vertices:
+            cof, d = _cofactor(n, v, w)
+            got = signed_hole_cofactor(n, v, w)
+            assert type(got) is int and got == (cof if d > 0 else -cof), (v, w)
+
+
+def test_one_elimination_per_order(monkeypatch):
+    # The whole inverse and every signed cofactor of an order come from one
+    # elimination of [K | I].
+    orders = []
+    real = exactlinalg._bareiss
+
+    def spy(a):
+        orders.append(len(a))
+        return real(a)
+
+    kasteleyn._diamond_inverse.cache_clear()
+    monkeypatch.setattr(exactlinalg, "_bareiss", spy)
+    for n in (1, 2, 3, 4):
+        board = build_diamond(n)
+        inverse_coupling_matrix(n)
+        for v in board.white_vertices:
+            for w in board.black_vertices:
+                signed_hole_cofactor(n, v, w)
+        inverse_coupling_matrix(n)
+    assert orders == [n * (n + 1) for n in (1, 2, 3, 4)]
+
+
+def test_cached_inverse_is_read_only():
+    # Every caller shares the cached entries, signed_hole_cofactor included.
+    entries = inverse_coupling_matrix(2)
+    v, w = next(iter(entries))
+    with pytest.raises(TypeError):
+        entries[v, w] = 0
+    assert signed_hole_cofactor(2, v, w) == entries[v, w] * 8
 
 
 def test_signed_hole_cofactor_is_ordering_free():

@@ -19,6 +19,7 @@ from aztecdimers.lattice import (
     validate_pattern,
     white,
 )
+from derivation import cart, from_cart
 
 
 def _edges(board):
@@ -57,16 +58,16 @@ def test_diamond_edges_are_the_quadrilateral_families(n):
             for a, b in zip(corners, corners[1:] + corners[:1]):
                 quads.add(frozenset((a, b)))
     board = build_diamond(n)
-    built = {frozenset((w.cart, b.cart)) for w, b in _edges(board)}
+    built = {frozenset((cart(w), cart(b))) for w, b in _edges(board)}
     assert built == quads
 
 
 def _cartesian_diamond(n):
     """Reference vertex lists of the order-``n`` diamond from its Cartesian
     ranges, sorted by ``(y, x)``."""
-    cart = [(2 * r + 1, 2 * s) for r in range(n) for s in range(n + 1)]
-    cart += [(2 * r, 2 * s + 1) for r in range(n + 1) for s in range(n)]
-    vertices = sorted((Vertex.from_cart(*c) for c in cart), key=lambda v: (v.y, v.x))
+    cells = [(2 * r + 1, 2 * s) for r in range(n) for s in range(n + 1)]
+    cells += [(2 * r, 2 * s + 1) for r in range(n + 1) for s in range(n)]
+    vertices = sorted((from_cart(*c) for c in cells), key=lambda v: (v.y, v.x))
     return ([v for v in vertices if v.color is Color.WHITE],
             [v for v in vertices if v.color is Color.BLACK])
 
@@ -155,14 +156,14 @@ def test_invalid_order_rejected():
 )
 def test_cart_roundtrip_is_identity(color, x, y):
     v = Vertex(color, x, y)
-    assert Vertex.from_cart(*v.cart) == v
+    assert from_cart(*cart(v)) == v
 
 
 def test_from_cart_rejects_off_lattice():
     with pytest.raises(BoardError):
-        Vertex.from_cart(0, 0)
+        from_cart(0, 0)
     with pytest.raises(BoardError):
-        Vertex.from_cart(1, 1)
+        from_cart(1, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

@@ -63,13 +63,12 @@ def _minus_on_step_1_0(v, b):
     return -1 if (b.x - v.x, b.y - v.y) == (1, 0) else 1
 
 
-def _clear_oracle_caches():
-    kasteleyn._diamond_system.cache_clear()
-    kasteleyn.inverse_coupling_matrix.cache_clear()
+def _clear_oracle_cache():
+    kasteleyn._diamond_inverse.cache_clear()
 
 
 def test_wrong_edge_sign_is_caught():
-    _clear_oracle_caches()
+    _clear_oracle_cache()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _all_plus)
@@ -80,7 +79,7 @@ def test_wrong_edge_sign_is_caught():
             assert not results[name].ok, name
         # K is singular under this rule: the dense inverse raises, and the check records it.
         assert results["coupling-vs-oracle"].detail == "raised SingularMatrixError: matrix is singular"
-        _clear_oracle_caches()
+        _clear_oracle_cache()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
             results = {r.name: r.ok for r in verify.run_checks("quick")}
@@ -88,7 +87,7 @@ def test_wrong_edge_sign_is_caught():
         for name in ("coupling-vs-oracle", "local-inverse", "sign-relation"):
             assert not results[name], name
     finally:
-        _clear_oracle_caches()
+        _clear_oracle_cache()
 
 
 _real_crossing_weight = enum.crossing_weight
