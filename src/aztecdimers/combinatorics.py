@@ -7,7 +7,15 @@ suite and ``verify`` certify it against :mod:`aztecdimers.enumerate` and
   coefficients ``Kr(a, b, c)`` of ``x^a`` in ``(1-x)^c (1+x)^{b-c}``, for all
   ``a`` and for all ``c``, which :mod:`aztecdimers.coupling` reads.  Each
   builds one line by a three-term recurrence in ``O(b)`` big-integer
-  operations and keeps its last 16 lines cached.
+  operations and keeps its last 16 lines cached.  Both lines are palindromes
+  up to sign.  Reading ``P = (1-x)^c (1+x)^{b-c}`` backwards, ``x^b P(1/x) =
+  (-1)^c P``, and swapping its factors, ``P(-x)``, give
+
+      Kr(b-a, b, c) = (-1)^c Kr(a, b, c)   and   Kr(a, b, b-c) = (-1)^a Kr(a, b, c),
+
+  so the entries past the middle index ``floor(b/2)`` are their mirrors'
+  entries times a known sign.  Each recurrence therefore runs ``floor(b/2)``
+  steps, up to the middle, and the line is completed by reflection.
 * Matching counts of fully dented/toothed Aztec rectangles as scaled
   Vandermonde products.
 """
@@ -24,20 +32,30 @@ from typing import Sequence
 # ---------------------------------------------------------------------------
 
 
+def _mirrored(half: list[int], b: int, odd: int) -> tuple[int, ...]:
+    """The full line ``0..b`` from its entries ``0..floor(b/2)``: entry ``b-i``
+    is entry ``i``, negated when ``odd``."""
+    tail = half[:b - b // 2][::-1]
+    return tuple(half + ([-v for v in tail] if odd else tail))
+
+
 @lru_cache(maxsize=16)
 def krawtchouk_row(b: int, c: int) -> tuple[int, ...]:
     """``Kr(a, b, c)`` for ``a = 0..b``, in ``O(b)`` big-integer operations.
 
     From ``(1-x^2) P' = ((b-2c) - b x) P`` for ``P = (1-x)^c (1+x)^{b-c}``:
     ``(a+1) p[a+1] = (b-2c) p[a] - (b-a+1) p[a-1]`` with ``p[0] = 1``; the
-    division is exact.
+    division is exact.  It runs for ``a < floor(b/2)``, and the row
+    reflection ``p[b-a] = (-1)^c p[a]`` fills in the rest.
     """
     if not 0 <= c <= b:
         raise ValueError(f"need 0 <= c <= b, got b={b}, c={c}")
-    p = [0, 1]  # p[-1] = 0, p[0] = 1
-    for a in range(b):
-        p.append(((b - 2 * c) * p[-1] - (b - a + 1) * p[-2]) // (a + 1))
-    return tuple(p[1:])
+    slope, prev, cur = b - 2 * c, 0, 1
+    p = [cur]
+    for a in range(b // 2):
+        prev, cur = cur, (slope * cur - (b - a + 1) * prev) // (a + 1)
+        p.append(cur)
+    return _mirrored(p, b, c % 2)
 
 
 @lru_cache(maxsize=16)
@@ -46,14 +64,18 @@ def krawtchouk_column(a: int, b: int) -> tuple[int, ...]:
 
     Self-duality, ``C(b, c) Kr(a, b, c) = C(b, a) Kr(c, b, a)``, turns the
     recurrence of :func:`krawtchouk_row` into ``(b-c) f[c+1] = (b-2a) f[c] -
-    c f[c-1]`` with ``f[0] = comb(b, a)``; the division is exact.
+    c f[c-1]`` with ``f[0] = comb(b, a)``; the division is exact.  It runs for
+    ``c < floor(b/2)``, and the column reflection ``f[b-c] = (-1)^a f[c]``
+    fills in the rest.
     """
     if not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
-    f = [0, comb(b, a)]  # f[-1] = 0, f[0] = comb(b, a)
-    for c in range(b):
-        f.append(((b - 2 * a) * f[-1] - c * f[-2]) // (b - c))
-    return tuple(f[1:])
+    slope, prev, cur = b - 2 * a, 0, comb(b, a)
+    f = [cur]
+    for c in range(b // 2):
+        prev, cur = cur, (slope * cur - c * prev) // (b - c)
+        f.append(cur)
+    return _mirrored(f, b, a % 2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,12 @@ over ``j`` below ``x`` or from ``x`` on.  So one range kernel with no cache
 (:func:`_branch_sums`) serves any run of consecutive ``x`` in one pass over
 its branch's terms, which read one white row ``Kr(., n, y-1)`` and one black
 column ``Kr(y'-1, n-1, .)``, each built by :mod:`~aztecdimers.combinatorics`
-in ``O(n)`` big-integer operations.  A lone entry is a run of one ``x`` and
-sums only its own ``x`` or ``n+1-x`` terms; a heatmap row is one call.
+in ``O(n)`` big-integer operations.  The reflections of those lines make
+both branches forward prefix sums of ``t_j = Kr(j, n, y-1) * Kr(y'-1, n-1,
+j+o)``: for ``x' > x``, ``o = x'-x-1`` and ``c(v, w)`` is ``(-1)^{y'-1}
+2^{-n} sum_{j<x} t_j``; for ``x' <= x``, ``o = x-x'`` and it is ``(-1)^y 2^{-n}
+sum_{j<=n-x} t_j``.  A lone entry is a run of one ``x`` and sums only its own
+``x`` or ``n+1-x`` terms; a heatmap row is one call.
 
 The signed inverse-Kasteleyn entry is :func:`coupling_signed`, ``(-1)^{d0+d1+w1}``
 times ``c(v, w)`` for every hole offset, and a row of them, as numerators over
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 from typing import Sequence
 
@@ -79,19 +83,30 @@ def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
     """The branch sums, sign included, at each white column ``x`` of ``xs``.
 
     With ``y``, ``y2`` and ``shift = x' - x`` fixed, the terms
-    ``t_j = Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on ``x``:
-    entry ``x`` is ``sum_{j<x} t_j`` for ``shift > 0``, accumulated up to the
-    last ``x``, and ``-sum_{j>=x} t_j`` otherwise, accumulated from ``j = n``
-    down to the first.  ``xs`` is a nonempty step-1 range of pairs on the
-    diamond, so every such term exists.
+    ``Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on ``x``.  The
+    column reflection ``Kr(a, b, b-c) = (-1)^a Kr(a, b, c)`` (for ``shift > 0``)
+    or the row reflection ``Kr(b-a, b, c) = (-1)^c Kr(a, b, c)`` (for
+    ``shift <= 0``, with ``j`` read as ``n - j``) turns both branches into
+    forward prefix sums of ``t_j = row[j] * column[j + offset]``:
+
+    * ``shift > 0``: ``(-1)^(y2-1) * sum_{j<x} t_j`` with ``offset = shift-1``;
+    * ``shift <= 0``: ``(-1)^y * sum_{j<=n-x} t_j`` with ``offset = -shift``.
+
+    The terms before the range's first prefix are summed directly, so a lone
+    entry builds no list of partial sums.  ``xs`` is a nonempty step-1 range
+    of pairs on the diamond, so every such term exists.
     """
     row, column = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
-    first, last = xs[0], xs[-1]
     if shift > 0:
-        terms = map(mul, row[:last], column[n + 1 - shift - last:n + 1 - shift][::-1])
-        return list(accumulate(terms, initial=0))[first:]
-    terms = map(mul, row[first:][::-1], column[-shift:n + 1 - shift - first])
-    return [-s for s in list(accumulate(terms, initial=0))[n + 1 - last:][::-1]]
+        offset, lo, hi, negate = shift - 1, xs[0], xs[-1], y2 % 2 == 0
+    else:
+        offset, lo, hi, negate = -shift, n + 1 - xs[-1], n + 1 - xs[0], y % 2 == 1
+    terms = map(mul, row, column[offset:])
+    head = sum(islice(terms, lo))
+    sums = list(accumulate(islice(terms, hi - lo), initial=head))
+    if shift <= 0:
+        sums.reverse()
+    return [-s for s in sums] if negate else sums
 
 
 def _coupling_sum(n: int, v: Vertex, w: Vertex) -> int:

@@ -15,8 +15,10 @@ Kasteleyn cofactors ``(K^{-1})^T[v, w] |det K|``, read from the cached
 inverse, on every hole pair to order 3 (``quick``) or 6 (``full``), and
 ``pattern-vs-transfer`` holds the product's pattern probabilities to counts
 of the diamond with the pattern removed.
-``local-inverse`` needs no oracle matrix: it checks ``K C^T = I`` one sparse
-row of ``K`` at a time, exhaustively to order 8 (``quick``) or 12 (``full``).
+``local-inverse`` needs no oracle matrix: it builds every signed entry of an
+order from kernel rows, one per ``(d0, w1, d1)``, and checks ``K C^T = I`` one
+sparse row of ``K`` at a time, exhaustively to order 8 (``quick``) or 16
+(``full``).
 Each check returns a :class:`CheckResult`; a check that raises is recorded
 as a failure naming the exception, and any failure makes the command exit
 nonzero.
@@ -88,20 +90,29 @@ def _coupling_vs_oracle(full: bool) -> CheckResult:
 def _local_inverse(full: bool) -> CheckResult:
     # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
     # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n,
-    # as coupling_signed_row returns each entry.
-    top = 12 if full else 8
+    # as coupling_signed_row returns each entry.  Every entry of an order comes from one
+    # kernel row per (d0, w1, d1), over all w0 whose white (w0, w1+d1) and black
+    # (w0+d0, w1) are on the board, so both branches are checked at every offset.
+    top = 16 if full else 8
     cases = 0
     for n in range(1, top + 1):
         board = build_diamond(n)
         blacks = board.black_vertices
-        index = {b: j for j, b in enumerate(blacks)}
-        k_rows = [(v, [(kasteleyn.edge_sign(v, b), index[b]) for b in board.neighbors(v)])
+        index = {(b.x, b.y): j for j, b in enumerate(blacks)}
+        scaled = {(v.x, v.y): [0] * len(blacks) for v in board.white_vertices}
+        for d0 in range(1 - n, n + 1):
+            w0s = range(max(1, 1 - d0), min(n, n + 1 - d0) + 1)
+            for w1 in range(1, n + 1):
+                for d1 in range(1 - w1, n + 2 - w1):
+                    row = coupling.coupling_signed_row(n, w0s, d0, w1, d1)
+                    for w0, entry in zip(w0s, row):
+                        scaled[w0, w1 + d1][index[w0 + d0, w1]] = entry
+        k_rows = [(v, [(kasteleyn.edge_sign(v, b), index[b.x, b.y]) for b in board.neighbors(v)])
                   for v in board.white_vertices]
         for v2 in board.white_vertices:
-            xs = range(v2.x, v2.x + 1)
-            scaled = [coupling.coupling_signed_row(n, xs, b.x - v2.x, b.y, v2.y - b.y)[0] for b in blacks]
+            entries = scaled[v2.x, v2.y]
             for v, k_row in k_rows:
-                total = sum(sign * scaled[j] for sign, j in k_row)
+                total = sum(sign * entries[j] for sign, j in k_row)
                 if total != (2**n if v == v2 else 0):
                     return CheckResult("local-inverse", False, f"n={n} {v!r},{v2!r}: {total} / 2^{n}")
                 cases += 1

@@ -505,6 +505,7 @@ def test_verify_quick_exits_zero(capsys):
     assert code == 0
     assert out.count("PASS") == 8
     assert "PASS  sign-relation (46 hole pairs up to order 3)" in out
+    assert "PASS  local-inverse (11568 identities up to order 8)" in out
     assert "all 8 checks passed" in out
 
 
@@ -513,6 +514,7 @@ def test_verify_full_exits_zero(capsys):
     assert code == 0
     assert out.count("PASS") == 8
     assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
+    assert "PASS  local-inverse (282336 identities up to order 16)" in out
     assert "all 8 checks passed" in out
 
 

@@ -88,6 +88,27 @@ def test_krawtchouk_reflection():
                 assert krawtchouk(a, b, c) == (-1) ** a * krawtchouk(a, b, b - c)
 
 
+def test_krawtchouk_row_reflection():
+    for b in range(13):
+        for c in range(b + 1):
+            for a in range(b + 1):
+                assert krawtchouk(b - a, b, c) == (-1) ** c * krawtchouk(a, b, c)
+
+
+@pytest.mark.parametrize("b", [199, 200, 401])
+def test_krawtchouk_lines_match_convolution_at_large_order(b):
+    # Each builder runs its recurrence to the middle index and reflects the
+    # rest; the ends and both middle indices are where an off-by-one shows.
+    rng = random.Random(b)
+    indices = sorted({0, 1, b // 2, (b + 1) // 2, b - 1, b, *rng.sample(range(b + 1), 8)})
+    for i in indices:
+        row, column = krawtchouk_row(b, i), krawtchouk_column(i, b)
+        assert len(row) == len(column) == b + 1
+        for j in indices:
+            assert row[j] == krawtchouk_convolution(j, b, i), (b, j, i)
+            assert column[j] == krawtchouk_convolution(i, b, j), (b, i, j)
+
+
 def test_krawtchouk_row_sums():
     for b in range(13):
         for c in range(b + 1):

@@ -1,5 +1,6 @@
 """The coupling function against the matrix oracles."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import _heatmap_rows
+from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
 from aztecdimers.coupling import (
     DyadicRational,
     coupling,
@@ -123,14 +125,48 @@ def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
 
 
 def test_signed_row_equals_its_cells():
+    # Every offset at every order to 12.  To order 9 every sub-range of w0 is
+    # one row, the single columns included, so each branch of the kernel starts
+    # and stops at every x; above that, the whole row.
     for n in range(1, 13):
-        for d0 in range(-4, 5):
+        for d0 in range(1 - n, n + 1):
             w0s = _on_board(n, d0)
-            for d1 in range(-4, 5):
-                for w1 in _on_board(n, d1) if w0s else ():
+            for w1 in range(1, n + 1):
+                for d1 in range(1 - w1, n + 2 - w1):
                     cells = [coupling_signed(n, w0, d0, w1, d1) for w0 in w0s]
-                    row = coupling_signed_row(n, w0s, d0, w1, d1)
-                    assert [DyadicRational(s, n) for s in row] == cells, (n, d0, w1, d1)
+                    scaled = [c.numerator << (n - c.scale) for c in cells]
+                    spans = combinations(range(len(w0s) + 1), 2) if n <= 9 else [(0, len(w0s))]
+                    for lo, hi in spans:
+                        row = coupling_signed_row(n, w0s[lo:hi], d0, w1, d1)
+                        assert row == scaled[lo:hi], (n, w0s[lo:hi], d0, w1, d1)
+
+
+def _branch_sum_from_lines(n, x, y, x2, y2):
+    """The coupling formula's branch sum read from one built row and column in
+    the formula's own orientation, with no reflection."""
+    row, column = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
+    shift = x2 - x
+    if shift > 0:
+        return sum(row[j] * column[n - j - shift] for j in range(x))
+    return -sum(row[j] * column[n - j - shift] for j in range(x, n + 1))
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
+    # n = 200 reads a row of even order b = n and a column of odd order
+    # b = n - 1, n = 201 the reverse; the offsets alternate between the two
+    # branches.
+    rng = random.Random(n)
+    for i in range(40):
+        d0 = rng.randint(1, n) if i % 2 else rng.randint(1 - n, 0)
+        w1 = rng.randint(1, n)
+        d1 = rng.randint(1 - w1, n + 1 - w1)
+        cols = _on_board(n, d0)
+        lo = rng.randrange(len(cols))
+        w0s = cols[lo:rng.randint(lo + 1, min(len(cols), lo + 8))]
+        sign = -1 if (d0 + d1 + w1) % 2 else 1
+        want = [sign * _branch_sum_from_lines(n, w0, w1 + d1, w0 + d0, w1) for w0 in w0s]
+        assert coupling_signed_row(n, w0s, d0, w1, d1) == want, (n, w0s, d0, w1, d1)
 
 
 @pytest.mark.parametrize("w0s", [range(0, 3), range(1, 5), range(4, 5)])
