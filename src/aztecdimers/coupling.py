@@ -31,7 +31,10 @@ sum_{j<=n-x} t_j``.  A lone entry is a run of one ``x`` and sums only its own
 
 The signed inverse-Kasteleyn entry is :func:`coupling_signed`, ``(-1)^{d0+d1+w1}``
 times ``c(v, w)`` for every hole offset, and a row of them, as numerators over
-``2^n``, :func:`coupling_signed_row`.
+``2^n``, :func:`coupling_signed_row`.  The kernel returns its prefix sums
+unsigned, and each caller applies one sign: a lone ``c(v, w)`` its branch
+sign, and a signed row the product of both, ``(-1)^{d0+d1+1}`` for ``d0 > 0``
+and ``(-1)^{d0}`` otherwise.
 All evaluate the same formula in the canonical diagonal labelling of
 :mod:`aztecdimers.lattice`, which the ``verify`` suite and the tests hold
 against the exact inverse-Kasteleyn oracle.
@@ -80,7 +83,8 @@ class DyadicRational:
 
 
 def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
-    """The branch sums, sign included, at each white column ``x`` of ``xs``.
+    """The branch sums at each white column ``x`` of ``xs``, without the
+    branch sign, which the caller applies.
 
     With ``y``, ``y2`` and ``shift = x' - x`` fixed, the terms
     ``Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on ``x``.  The
@@ -89,8 +93,10 @@ def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
     ``shift <= 0``, with ``j`` read as ``n - j``) turns both branches into
     forward prefix sums of ``t_j = row[j] * column[j + offset]``:
 
-    * ``shift > 0``: ``(-1)^(y2-1) * sum_{j<x} t_j`` with ``offset = shift-1``;
-    * ``shift <= 0``: ``(-1)^y * sum_{j<=n-x} t_j`` with ``offset = -shift``.
+    * ``shift > 0``: ``sum_{j<x} t_j`` with ``offset = shift-1``, the branch
+      sum times ``(-1)^(y2-1)``;
+    * ``shift <= 0``: ``sum_{j<=n-x} t_j`` with ``offset = -shift``, the
+      branch sum times ``(-1)^y``.
 
     The terms before the range's first prefix are summed directly, so a lone
     entry builds no list of partial sums.  ``xs`` is a nonempty step-1 range
@@ -98,21 +104,23 @@ def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
     """
     row, column = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
     if shift > 0:
-        offset, lo, hi, negate = shift - 1, xs[0], xs[-1], y2 % 2 == 0
+        offset, lo, hi = shift - 1, xs[0], xs[-1]
     else:
-        offset, lo, hi, negate = -shift, n + 1 - xs[-1], n + 1 - xs[0], y % 2 == 1
+        offset, lo, hi = -shift, n + 1 - xs[-1], n + 1 - xs[0]
     terms = map(mul, row, column[offset:])
     head = sum(islice(terms, lo))
     sums = list(accumulate(islice(terms, hi - lo), initial=head))
     if shift <= 0:
         sums.reverse()
-    return [-s for s in sums] if negate else sums
+    return sums
 
 
 def _coupling_sum(n: int, v: Vertex, w: Vertex) -> int:
     """``c(v, w)`` times ``2^n``: the one branch sum of a lone entry, for a
     white ``v`` and a black ``w`` the caller has put on the diamond."""
-    return _branch_sums(n, v.y, w.y, w.x - v.x, range(v.x, v.x + 1))[0]
+    shift = w.x - v.x
+    total = _branch_sums(n, v.y, w.y, shift, range(v.x, v.x + 1))[0]
+    return -total if (w.y - 1 if shift > 0 else v.y) % 2 else total
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
@@ -138,7 +146,7 @@ def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[i
         for w0 in (first, last):
             check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
     sums = _branch_sums(n, w1 + d1, w1, d0, w0s)
-    return [-s for s in sums] if (d0 + d1 + w1) % 2 else sums
+    return [-s for s in sums] if (d0 + d1 + 1 if d0 > 0 else d0) % 2 else sums
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:

@@ -1,4 +1,4 @@
-"""Boards for the dimer model: Aztec diamonds and Aztec rectangles.
+"""Boards for the dimer model: the Aztec diamond and its holed copies.
 
 Every board lives on the square lattice drawn tilted 45 degrees, so each
 vertex carries two coordinate systems:
@@ -23,19 +23,14 @@ All formulas in :mod:`aztecdimers.coupling` consume diagonal coordinates
 in the canonical labelling above, with no re-orientation.  The bijection
 stays the link to the tilted drawing; boards themselves never use it.
 
-Rectangles come in two flavours.  A *black-edged* ``n x m`` rectangle with
-dents at ``1 <= x_1 < ... <= n+1`` has white vertices ``(i, j)`` for
-``i <= n``, ``j <= m``, black vertices ``(i, j)`` for ``i <= n+1``,
-``j <= m-1``, and black top-row vertices ``(i, m)`` for every non-dent
-``i``.  A *white-edged* ``n x m`` rectangle with teeth at
-``1 <= t_1 < ... <= n`` has the full white and black grids up to row ``m``
-plus white "teeth" ``(t_k, m+1)``.
-
-A board's kind (:class:`Diamond`, :class:`BlackRect`, :class:`WhiteRect`)
-decides which vertices it has, by a few range comparisons in ``v in kind``,
-so building a board costs O(1); its vertex tuples are built on first use.
-Boards are immutable; removing vertices returns a new board with the holes
-recorded.
+A board's kind decides which vertices it has, by a few range comparisons
+in ``v in kind``, so building a board costs O(1); its vertex tuples are
+built on first use.  The product's one kind is :class:`Diamond`.  Any
+other kind (the test suite builds the paper's Aztec rectangles this way)
+supplies the same three members: ``v in kind``, and the bounding box
+``1 <= x <= kind.n + 1``, ``1 <= y <= kind.rows + 1`` that holds all of
+its vertices.  Boards are immutable; removing vertices returns a new
+board with the holes recorded.
 
 An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
 (:data:`Edge`), and a pattern is a sequence of them, such as a matching from
@@ -47,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 class Color(Enum):
@@ -112,54 +107,28 @@ def check_diamond_pair(n: int, v: Vertex, w: Vertex) -> None:
 class Diamond:
     n: int
 
+    @property
+    def rows(self) -> int:
+        return self.n
+
     def __contains__(self, v: Vertex) -> bool:
         return _in_diamond(self.n, v)
-
-
-@dataclass(frozen=True)
-class BlackRect:
-    n: int
-    m: int
-    dents: tuple[int, ...]
-
-    def __contains__(self, v: Vertex) -> bool:
-        if v.color is Color.WHITE:
-            return 1 <= v.x <= self.n and 1 <= v.y <= self.m
-        return (1 <= v.x <= self.n + 1 and 1 <= v.y <= self.m
-                and (v.y < self.m or v.x not in self.dents))
-
-
-@dataclass(frozen=True)
-class WhiteRect:
-    n: int
-    m: int
-    teeth: tuple[int, ...]
-
-    def __contains__(self, v: Vertex) -> bool:
-        if v.color is Color.WHITE:
-            return 1 <= v.x <= self.n and (1 <= v.y <= self.m
-                                           or (v.y == self.m + 1 and v.x in self.teeth))
-        return 1 <= v.x <= self.n + 1 and 1 <= v.y <= self.m
-
-
-BoardKind = Union[Diamond, BlackRect, WhiteRect]
 
 
 @dataclass(frozen=True)
 class Board:
     """An immutable board: ``v in board`` means ``v in board.kind and v not
     in board.holes``.  Each color's vertex tuple is generated from that test
-    once per board, in row-major order (by ``y``, then ``x``), the row and
-    column order of every matrix built from the board."""
+    over the kind's bounding box once per board, in row-major order (by
+    ``y``, then ``x``), the row and column order of every matrix built from
+    the board."""
 
-    kind: BoardKind
+    kind: Diamond
     holes: frozenset[Vertex] = frozenset()
 
     def _generate(self, color: Color) -> tuple[Vertex, ...]:
-        # Every kind fits in the box 1 <= x <= n+1, 1 <= y <= (n or m)+1.
         kind = self.kind
-        rows = range(1, (kind.n if isinstance(kind, Diamond) else kind.m) + 2)
-        cands = (Vertex(color, x, y) for y in rows for x in range(1, kind.n + 2))
+        cands = (Vertex(color, x, y) for y in range(1, kind.rows + 2) for x in range(1, kind.n + 2))
         return tuple(v for v in cands if v in self)
 
     @cached_property
@@ -197,34 +166,6 @@ def build_diamond(n: int) -> Board:
     if n < 1:
         raise BoardError(f"diamond order must be positive, got {n}")
     return Board(Diamond(n))
-
-
-def _check_notches(notches: Sequence[int], m: int, hi: int, what: str) -> tuple[int, ...]:
-    notches = tuple(notches)
-    if len(notches) > m:
-        raise BoardError(f"at most {m} {what} allowed, got {len(notches)}")
-    if any(b <= a for a, b in zip(notches, notches[1:])):
-        raise BoardError(f"{what} must be strictly increasing: {notches}")
-    if notches and not (1 <= notches[0] and notches[-1] <= hi):
-        raise BoardError(f"{what} must lie in [1, {hi}]: {notches}")
-    return notches
-
-
-def build_rectangle(kind, n: int, m: int, notches: Sequence[int]) -> Board:
-    """Aztec rectangle of the given kind (:class:`BlackRect` or :class:`WhiteRect`).
-
-    ``notches`` are dents (removed black top-row vertices) for a black-edged
-    rectangle and teeth (extra white row-``m+1`` vertices) for a white-edged
-    one.  Color-balanced boards need exactly ``m`` notches; fewer are legal
-    and arise when a hole will be punched afterwards.
-    """
-    if n < 1 or m < 1:
-        raise BoardError(f"rectangle sides must be positive, got {n}x{m}")
-    if kind is BlackRect:
-        return Board(BlackRect(n, m, _check_notches(notches, m, n + 1, "dents")))
-    if kind is WhiteRect:
-        return Board(WhiteRect(n, m, _check_notches(notches, m, n, "teeth")))
-    raise BoardError(f"unknown rectangle kind: {kind!r}")
 
 
 def remove_vertices(board: Board, holes: Iterable[Vertex]) -> Board:

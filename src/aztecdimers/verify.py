@@ -1,20 +1,19 @@
 """Self-check suite: every closed form against its independent oracle.
 
-Backs the ``verify`` CLI command.  ``quick`` keeps most boards to order 3
-and runs in a few seconds; ``full`` pushes each check to the largest size the
-oracles handle comfortably (order 8 for the exhaustive coupling sweep against
-the exact inverse Kasteleyn matrix, order 10 for ``|det K| = 2^{n(n+1)/2}``).
+Backs the ``verify`` CLI command, which runs seven checks.  ``quick`` keeps
+most boards to order 3 and runs in a few seconds; ``full`` pushes each check
+to the largest size the oracles handle comfortably (order 8 for the
+exhaustive coupling sweep against the exact inverse Kasteleyn matrix, order
+10 for ``|det K| = 2^{n(n+1)/2}``).
 Ground truth is the transfer-matrix count :func:`enumerate.weighted_matchings`,
 which uses neither Kasteleyn signs nor Krawtchouk sums:
 ``counts-vs-enumeration`` holds ``|det K|`` to it on diamonds (to order 8 in
-``full``), and ``rectangle-closed-forms`` holds both the rectangle product
-formulas and ``|det K|`` to it on every rectangle it counts (74 in ``full``),
-so the one Kasteleyn sign rule is checked against counts, not against a
-second rule.  ``sign-relation`` holds the signed two-hole counts to the
-Kasteleyn cofactors ``(K^{-1})^T[v, w] |det K|``, read from the cached
-inverse, on every hole pair to order 3 (``quick``) or 6 (``full``), and
-``pattern-vs-transfer`` holds the product's pattern probabilities to counts
-of the diamond with the pattern removed.
+``full``), so the one Kasteleyn sign rule is checked against counts, not
+against a second rule.  ``sign-relation`` holds the signed two-hole counts
+to the Kasteleyn cofactors ``(K^{-1})^T[v, w] |det K|``, read from the
+cached inverse, on every hole pair to order 3 (``quick``) or 6 (``full``),
+and ``pattern-vs-transfer`` holds the product's pattern probabilities to
+counts of the diamond with the pattern removed.
 ``local-inverse`` needs no oracle matrix: it builds every signed entry of an
 order from kernel rows, one per ``(d0, w1, d1)``, and checks ``K C^T = I`` one
 sparse row of ``K`` at a time, exhaustively to order 8 (``quick``) or 16
@@ -29,12 +28,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
-from . import combinatorics, coupling, kasteleyn
-from .lattice import Board, BlackRect, Edge, WhiteRect, build_diamond, build_rectangle, remove_vertices
+from . import coupling, kasteleyn
+from .lattice import Board, Edge, build_diamond, remove_vertices
 
 
 @dataclass(frozen=True)
@@ -150,30 +148,6 @@ def _sign_relation(full: bool) -> CheckResult:
     return CheckResult("sign-relation", True, f"{cases} hole pairs up to order {top}")
 
 
-def _rectangle_closed_forms(full: bool) -> CheckResult:
-    # Each rectangle is counted once; the product formula and det K must both match the count.
-    top_n = 4 if full else 3
-    top_m = 3 if full else 2
-    cases = 0
-    for n in range(1, top_n + 1):
-        for m in range(1, top_m + 1):
-            for kind, notches, closed_form in (
-                (BlackRect, combinations(range(1, n + 2), m), combinatorics.dented_rectangle_matchings),
-                (WhiteRect, combinations(range(1, n + 1), m), combinatorics.toothed_rectangle_matchings),
-            ):
-                for notch in notches:
-                    board = build_rectangle(kind, n, m, notch)
-                    want = _count(board)
-                    got = closed_form(n, m, notch), kasteleyn.count_matchings_det(board)
-                    if got != (want, want):
-                        return CheckResult(
-                            "rectangle-closed-forms", False,
-                            f"{kind.__name__} {n},{m},{notch}: (closed form, det) {got} != {want}",
-                        )
-                    cases += 1
-    return CheckResult("rectangle-closed-forms", True, f"{cases} rectangles, closed form and det K")
-
-
 def _random_pattern(rng: random.Random, board: Board, size: int) -> list[Edge]:
     # Up to ``size`` disjoint dominoes; a white whose neighbours are all taken is skipped.
     pattern: list[Edge] = []
@@ -208,7 +182,6 @@ def _pattern_vs_transfer(full: bool) -> CheckResult:
 _CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
     _counts_vs_enumeration,
     _counts_power_of_two,
-    _rectangle_closed_forms,
     _coupling_vs_oracle,
     _local_inverse,
     _normalization,

@@ -1,10 +1,13 @@
 """The paper's derivation chain, kept as a test helper: the proof steps of
 arXiv math/0007136, not the product.  A polynomial toolkit, the truncated
-operator calculus in the forward difference ``delta``, the holed-rectangle
-and hole-pair determinants, the annihilator, Laplace and delta-symbol
-identities, and the scalar Krawtchouk coefficients they read.  Nothing in
-``aztecdimers`` calls them; ``test_acceptance`` criteria 4-7 and 13 and
-``test_combinatorics`` certify them against enumeration.  Two references
+operator calculus in the forward difference ``delta``, the dented and
+toothed Aztec rectangles (their board kinds, :func:`build_rectangle`, and
+their Vandermonde product counts), the holed-rectangle and hole-pair
+determinants, the annihilator, Laplace and delta-symbol identities, and the
+scalar Krawtchouk coefficients they read.  Nothing in ``aztecdimers`` calls
+them; ``test_acceptance`` criteria 2-7 and 13 and ``test_combinatorics``
+certify them against enumeration, and ``test_enumerate`` holds the
+rectangle counts to the transfer matrix and ``|det K|``.  Two references
 the tests share close the file: the Cartesian coordinates of the tilted
 drawing (:func:`cart`, :func:`from_cart`) and matrix minors, the cofactor
 route to single inverse entries.  Pytest does not collect this file; tests
@@ -15,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
-from aztecdimers.combinatorics import _check_positions, krawtchouk_row, superfactorial
+from aztecdimers.combinatorics import krawtchouk_row
 from aztecdimers.enumerate import enumerate_matchings
 from aztecdimers.exactlinalg import det
-from aztecdimers.lattice import BlackRect, Board, BoardError, Color, Edge, Vertex, WhiteRect, remove_vertices
+from aztecdimers.lattice import Board, BoardError, Color, Edge, Vertex, remove_vertices
 
 
 class TruncationError(ValueError):
@@ -213,6 +216,142 @@ class DeltaOperator:
                 )
                 total += c * diff
         return total
+
+
+# ---------------------------------------------------------------------------
+# Aztec rectangles and their product formulas
+# ---------------------------------------------------------------------------
+#
+# Rectangles come in two flavours.  A *black-edged* ``n x m`` rectangle with
+# dents at ``1 <= x_1 < ... <= n+1`` has white vertices ``(i, j)`` for
+# ``i <= n``, ``j <= m``, black vertices ``(i, j)`` for ``i <= n+1``,
+# ``j <= m-1``, and black top-row vertices ``(i, m)`` for every non-dent
+# ``i``.  A *white-edged* ``n x m`` rectangle with teeth at
+# ``1 <= t_1 < ... <= n`` has the full white and black grids up to row ``m``
+# plus white "teeth" ``(t_k, m+1)``.  Both are board kinds of
+# :class:`aztecdimers.lattice.Board`: a membership test and the bounding box
+# ``1 <= x <= n+1``, ``1 <= y <= rows+1``.
+
+
+@dataclass(frozen=True)
+class BlackRect:
+    n: int
+    m: int
+    dents: tuple[int, ...]
+
+    @property
+    def rows(self) -> int:
+        return self.m
+
+    def __contains__(self, v: Vertex) -> bool:
+        if v.color is Color.WHITE:
+            return 1 <= v.x <= self.n and 1 <= v.y <= self.m
+        return (1 <= v.x <= self.n + 1 and 1 <= v.y <= self.m
+                and (v.y < self.m or v.x not in self.dents))
+
+
+@dataclass(frozen=True)
+class WhiteRect:
+    n: int
+    m: int
+    teeth: tuple[int, ...]
+
+    @property
+    def rows(self) -> int:
+        return self.m
+
+    def __contains__(self, v: Vertex) -> bool:
+        if v.color is Color.WHITE:
+            return 1 <= v.x <= self.n and (1 <= v.y <= self.m
+                                           or (v.y == self.m + 1 and v.x in self.teeth))
+        return 1 <= v.x <= self.n + 1 and 1 <= v.y <= self.m
+
+
+def _check_notches(notches: Sequence[int], m: int, hi: int, what: str) -> tuple[int, ...]:
+    notches = tuple(notches)
+    if len(notches) > m:
+        raise BoardError(f"at most {m} {what} allowed, got {len(notches)}")
+    if any(b <= a for a, b in zip(notches, notches[1:])):
+        raise BoardError(f"{what} must be strictly increasing: {notches}")
+    if notches and not (1 <= notches[0] and notches[-1] <= hi):
+        raise BoardError(f"{what} must lie in [1, {hi}]: {notches}")
+    return notches
+
+
+def build_rectangle(kind, n: int, m: int, notches: Sequence[int]) -> Board:
+    """Aztec rectangle of the given kind (:class:`BlackRect` or :class:`WhiteRect`).
+
+    ``notches`` are dents (removed black top-row vertices) for a black-edged
+    rectangle and teeth (extra white row-``m+1`` vertices) for a white-edged
+    one.  Color-balanced boards need exactly ``m`` notches; fewer are legal
+    and arise when a hole will be punched afterwards.
+    """
+    if n < 1 or m < 1:
+        raise BoardError(f"rectangle sides must be positive, got {n}x{m}")
+    if kind is BlackRect:
+        return Board(BlackRect(n, m, _check_notches(notches, m, n + 1, "dents")))
+    if kind is WhiteRect:
+        return Board(WhiteRect(n, m, _check_notches(notches, m, n, "teeth")))
+    raise BoardError(f"unknown rectangle kind: {kind!r}")
+
+
+def superfactorial(k: int) -> int:
+    """``1! 2! ... k!``; the empty product 1 for ``k = 0``."""
+    if k < 0:
+        raise ValueError(f"superfactorial of negative {k}")
+    out = 1
+    for i in range(2, k + 1):
+        out *= factorial(i)
+    return out
+
+
+def vandermonde(xs: Sequence[int]) -> int:
+    """``det[x_i^{j-1}] = prod_{i<j} (x_j - x_i)``."""
+    out = 1
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            out *= xs[j] - xs[i]
+    return out
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"inexact division {num}/{den}")
+    return q
+
+
+def _check_positions(values: Sequence[int], hi: int, what: str) -> tuple:
+    values = tuple(values)
+    if any(b < a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be non-decreasing: {values}")
+    if values and not (1 <= values[0] and values[-1] <= hi):
+        raise ValueError(f"{what} must lie in [1, {hi}]: {values}")
+    return values
+
+
+def dented_rectangle_matchings(n: int, m: int, dents: Sequence[int]) -> int:
+    """Matchings of the black-edged ``n x m`` rectangle with the given dents.
+
+    ``2^{m(m-1)/2} / (1! ... (m-1)!) * vandermonde(dents)``; zero when two
+    dents coincide.
+    """
+    dents = _check_positions(dents, n + 1, "dents")
+    if len(dents) != m:
+        raise ValueError(f"need exactly {m} dents, got {len(dents)}")
+    if any(b == a for a, b in zip(dents, dents[1:])):
+        return 0
+    return _exact_div(2 ** (m * (m - 1) // 2) * vandermonde(dents), superfactorial(m - 1))
+
+
+def toothed_rectangle_matchings(n: int, m: int, teeth: Sequence[int]) -> int:
+    """Matchings of the white-edged ``n x m`` rectangle with the given teeth."""
+    teeth = _check_positions(teeth, n, "teeth")
+    if len(teeth) != m:
+        raise ValueError(f"need exactly {m} teeth, got {len(teeth)}")
+    if any(b == a for a, b in zip(teeth, teeth[1:])):
+        return 0
+    return _exact_div(2 ** (m * (m + 1) // 2) * vandermonde(teeth), superfactorial(m - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from aztecdimers.combinatorics import dented_rectangle_matchings, toothed_rectangle_matchings
 from aztecdimers.coupling import coupling, pattern_probability
 from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count, weighted_matchings
 from aztecdimers.kasteleyn import (
@@ -17,21 +16,19 @@ from aztecdimers.kasteleyn import (
     inverse_coupling_matrix,
     signed_hole_cofactor,
 )
-from aztecdimers.lattice import (
+from aztecdimers.lattice import black, build_diamond, remove_vertices
+from derivation import (
     BlackRect,
     WhiteRect,
-    black,
-    build_diamond,
-    build_rectangle,
-    remove_vertices,
-)
-from derivation import (
     annihilator_coeffs,
+    build_rectangle,
+    dented_rectangle_matchings,
     first_column_hole_count,
     hole_pair_determinant,
     hole_pair_determinant_telescoped,
     holed_rectangle_closed_form,
     krawtchouk,
+    toothed_rectangle_matchings,
     weighted_count_rect,
 )
 

@@ -503,19 +503,19 @@ def test_heatmap_impossible_offsets(tmp_path, capsys):
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 7
     assert "PASS  sign-relation (46 hole pairs up to order 3)" in out
     assert "PASS  local-inverse (11568 identities up to order 8)" in out
-    assert "all 8 checks passed" in out
+    assert "all 7 checks passed" in out
 
 
 def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 7
     assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
     assert "PASS  local-inverse (282336 identities up to order 16)" in out
-    assert "all 8 checks passed" in out
+    assert "all 7 checks passed" in out
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
@@ -545,7 +545,7 @@ def test_verify_records_a_raising_check_and_exits_one(capsys, monkeypatch):
         kasteleyn._diamond_inverse.cache_clear()
     assert code == 1 and err == ""
     assert "FAIL  coupling-vs-oracle (raised SingularMatrixError: matrix is singular)" in out
-    assert out.count("PASS") + out.count("FAIL") == 8
+    assert out.count("PASS") + out.count("FAIL") == 7
     assert "checks failed" in out.splitlines()[-1]
 
 

@@ -7,23 +7,20 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from aztecdimers.combinatorics import (
-    dented_rectangle_matchings,
-    krawtchouk_column,
-    krawtchouk_row,
-    superfactorial,
-    toothed_rectangle_matchings,
-    vandermonde,
-)
+from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
 from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count
 from aztecdimers.exactlinalg import det
-from aztecdimers.lattice import BlackRect, WhiteRect, black, build_rectangle
+from aztecdimers.lattice import black
 from derivation import (
+    BlackRect,
     DeltaOperator,
     TruncationError,
+    WhiteRect,
     annihilator_coeffs,
     binomial_poly,
+    build_rectangle,
     delta_symbol_coefficient,
+    dented_rectangle_matchings,
     first_column_hole_count,
     hole_pair_determinant,
     hole_pair_determinant_telescoped,
@@ -35,6 +32,9 @@ from derivation import (
     poly_eval,
     poly_forward_difference,
     poly_mul,
+    superfactorial,
+    toothed_rectangle_matchings,
+    vandermonde,
     weighted_count_rect,
 )
 

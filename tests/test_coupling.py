@@ -98,6 +98,12 @@ def _on_board(n, shift):
     return range(max(1, 1 - shift), min(n, n + 1 - shift) + 1)
 
 
+def _branch_sign(y, y2, shift):
+    """The sign the reflections put on the kernel's unsigned sums: the branch sum is
+    ``(-1)^(y2-1)`` times the sum for ``shift > 0`` and ``(-1)^y`` times it otherwise."""
+    return (-1) ** ((y2 - 1) if shift > 0 else y)
+
+
 def test_range_kernel_matches_the_per_term_sum_on_every_range():
     # Every (y, y2, shift), the extreme shifts 1 - n and n included, and every
     # contiguous range of x, the single columns included.
@@ -106,7 +112,8 @@ def test_range_kernel_matches_the_per_term_sum_on_every_range():
             cols = _on_board(n, shift)
             for y in range(1, n + 2):
                 for y2 in range(1, n + 1):
-                    want = [_branch_sum_per_term(n, x, y, x + shift, y2) for x in cols]
+                    sign = _branch_sign(y, y2, shift)
+                    want = [sign * _branch_sum_per_term(n, x, y, x + shift, y2) for x in cols]
                     for lo, hi in combinations(range(len(cols) + 1), 2):
                         got = coupling_mod._branch_sums(n, y, y2, shift, cols[lo:hi])
                         assert got == want[lo:hi], (n, y, y2, shift, cols[lo:hi])
@@ -120,7 +127,7 @@ def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
     cols = _on_board(n, shift)
     lo = data.draw(st.integers(0, len(cols) - 1), label="lo")
     xs = cols[lo:data.draw(st.integers(lo + 1, len(cols)), label="hi")]
-    want = [_branch_sum_per_term(n, x, y, x + shift, y2) for x in xs]
+    want = [_branch_sign(y, y2, shift) * _branch_sum_per_term(n, x, y, x + shift, y2) for x in xs]
     assert coupling_mod._branch_sums(n, y, y2, shift, xs) == want
 
 

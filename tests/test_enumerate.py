@@ -14,16 +14,15 @@ from aztecdimers.enumerate import (
     weighted_matchings,
 )
 from aztecdimers.kasteleyn import count_matchings_det
-from aztecdimers.lattice import (
+from aztecdimers.lattice import black, build_diamond, remove_vertices, white
+from derivation import (
     BlackRect,
     WhiteRect,
-    black,
-    build_diamond,
     build_rectangle,
-    remove_vertices,
-    white,
+    dented_rectangle_matchings,
+    toothed_rectangle_matchings,
+    weighted_count_rect,
 )
-from derivation import weighted_count_rect
 
 
 def test_diamond_one_has_two_matchings():
@@ -210,14 +209,20 @@ def test_transfer_matrix_signed_hole_counts(n):
 
 
 def test_transfer_matrix_counts_suite_rectangles():
-    # The rectangles verify's rectangle-closed-forms counts in its full level.
+    # Every dented and toothed rectangle with n <= 4 and m <= 3: the enumerator, the
+    # product formula and |det K| all equal the transfer-matrix count.
     cases = 0
     for n in range(1, 5):
         for m in range(1, 4):
-            for kind, top in ((BlackRect, n + 1), (WhiteRect, n)):
+            for kind, top, closed_form in (
+                (BlackRect, n + 1, dented_rectangle_matchings),
+                (WhiteRect, n, toothed_rectangle_matchings),
+            ):
                 for notches in combinations(range(1, top + 1), m):
                     board = build_rectangle(kind, n, m, notches)
-                    assert weighted_matchings(board, _one) == enumerate_matchings(board), (kind, n, m, notches)
+                    want = weighted_matchings(board, _one)
+                    got = enumerate_matchings(board), closed_form(n, m, notches), count_matchings_det(board)
+                    assert got == (want, want, want), (kind, n, m, notches)
                     cases += 1
     assert cases == 74
 

@@ -17,17 +17,8 @@ from aztecdimers.kasteleyn import (
     kasteleyn_matrix,
     signed_hole_cofactor,
 )
-from aztecdimers.lattice import (
-    BlackRect,
-    BoardError,
-    WhiteRect,
-    black,
-    build_diamond,
-    build_rectangle,
-    remove_vertices,
-    white,
-)
-from derivation import minor
+from aztecdimers.lattice import BoardError, black, build_diamond, remove_vertices, white
+from derivation import BlackRect, WhiteRect, build_rectangle, minor
 
 
 def _determinant_ratio(board, pattern):

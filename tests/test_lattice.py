@@ -4,22 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aztecdimers.lattice import (
-    BlackRect,
     Board,
     BoardError,
     Color,
     Diamond,
     PatternError,
     Vertex,
-    WhiteRect,
     black,
     build_diamond,
-    build_rectangle,
     remove_vertices,
     validate_pattern,
     white,
 )
-from derivation import cart, from_cart
+from derivation import BlackRect, WhiteRect, build_rectangle, cart, from_cart
 
 
 def _edges(board):
