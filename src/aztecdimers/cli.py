@@ -23,12 +23,9 @@ Commands
     The exact columns are never rounded; ``approx`` is a 12-significant-
     digit round-half-even decimal and is not authoritative.  Output rows
     are sorted by ``w0`` then ``w1`` and byte-identical across runs.  The
-    cells of one ``w0`` are one call of the coupling kernel, written as
-    soon as it returns, so the sweep makes ``N`` kernel calls, costs
-    ``O(N^2)`` big-integer operations and holds one row of output at a
-    time; ``N`` above 400 needs ``--force``.  Each cell is formatted from
-    the kernel's integer numerator over ``2^N``: reduced to lowest terms and
-    divided by a ``Decimal`` power of two built once per command.
+    cells of one ``w0`` are one kernel row, written as soon as it returns,
+    so the sweep costs ``O(N^2)`` big-integer operations and holds one row
+    of output at a time; ``N`` above 400 needs ``--force``.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.
@@ -50,7 +47,7 @@ diamond and no cell may repeat.
 Exit codes: 0 success, 1 verification failure, 2 usage error: a bad
 argument or pattern file (malformed, too deeply nested, off the board), an
 unreadable input or unwritable output path, or an exact value past the
-int-to-str limit.
+int-to-str limit, which ``count``, ``coupling`` and ``prob`` name.
 """
 
 from __future__ import annotations
@@ -64,10 +61,11 @@ from decimal import Context, Decimal, ROUND_HALF_EVEN
 from typing import Optional, Sequence
 
 from . import verify as verify_mod
-# The heatmap's one source of signed entries, rows of integer numerators over 2^n.  The
+# Signed kernel rows, integer numerators over 2^n, are the heatmap's one source of entries.  The
 # name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
-from .coupling import coupling, coupling_signed_row as coupling_signed, lowest_terms, pattern_probability
-from .lattice import Color, Edge, Vertex
+from .coupling import (coupling, coupling_signed_row as coupling_signed, hole_ranges, lowest_terms,
+                       pattern_probability)
+from .lattice import Color, Edge, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 400
 
@@ -79,22 +77,27 @@ def _approx(numerator: int, denominator: Decimal) -> str:
     return str(_APPROX_CONTEXT.divide(Decimal(numerator), denominator))
 
 
+def _past_str_limit(what: str, limit: int) -> int:
+    print(f"error: {what} has more than {limit} digits, the int-to-str limit", file=sys.stderr)
+    return 2
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     e = args.n * (args.n + 1) // 2
     limit = sys.get_int_max_str_digits() or 4300
     if e > 4 * limit or math.floor(e * math.log10(2)) + 1 > limit:  # 2^e has over e/4 digits
         # Not 2^{e}: past about 2150-digit orders e itself is over the int-to-str limit.
-        print(f"error: 2^(n(n+1)/2) has more than {limit} digits, the int-to-str limit", file=sys.stderr)
-        return 2
+        return _past_str_limit("2^(n(n+1)/2)", limit)
     print(f"{2 ** e} (= 2^{e})")
     return 0
 
 
 def _cmd_coupling(args: argparse.Namespace) -> int:
-    v = Vertex(Color.WHITE, args.white[0], args.white[1])
-    w = Vertex(Color.BLACK, args.black[0], args.black[1])
-    value = coupling(args.n, v, w)
-    print(f"{value} ({_approx(value.numerator, Decimal(2 ** value.scale))})")
+    value = coupling(args.n, white(*args.white), black(*args.black))
+    try:
+        print(f"{value} ({_approx(value.numerator, Decimal(2 ** value.scale))})")
+    except ValueError:  # str() of the numerator, before anything is printed
+        return _past_str_limit("the coupling value's numerator", sys.get_int_max_str_digits())
     return 0
 
 
@@ -155,21 +158,16 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
 def _cmd_prob(args: argparse.Namespace) -> int:
     n, pattern = load_pattern_file(args.pattern_file)
     p = pattern_probability(n, pattern)
-    print(f"{p.numerator}/{p.denominator} ({_approx(p.numerator, Decimal(p.denominator))})")
+    try:
+        print(f"{p.numerator}/{p.denominator} ({_approx(p.numerator, Decimal(p.denominator))})")
+    except ValueError:  # str() of the denominator, which p <= 1 makes the longer, or the numerator
+        return _past_str_limit("the probability's denominator", sys.get_int_max_str_digits())
     return 0
-
-
-def _heatmap_rows(n: int, d0: int, d1: int) -> tuple[range, range]:
-    """The ``w0`` and ``w1`` ranges of the cells that put the white ``(w0, w1+d1)`` and the black
-    ``(w0+d0, w1)`` on the diamond.  Whites fill ``x <= n``, ``y <= n+1`` and blacks ``x <= n+1``,
-    ``y <= n``, all from 1, so ``w0`` and ``w1`` are bounded apart and every pair is a cell."""
-    w0s = range(max(1, 1 - d0), min(n, n + 1 - d0) + 1)
-    return w0s, range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
 
 
 def _cmd_heatmap(args: argparse.Namespace) -> int:
     n, d0, d1 = args.n, args.d0, args.d1
-    w0s, w1s = _heatmap_rows(n, d0, d1)
+    w0s, w1s = hole_ranges(n, d0, d1)
     if not (w0s and w1s):
         print(f"error: offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond",
               file=sys.stderr)
@@ -177,8 +175,8 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     # Opened first, so that a bad path fails before any cell is computed.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("w0,w1,numerator,scale,approx\n")
-        # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b),
-        # so entry (w0, d0, w1, d1) equals entry (w1, d1, w0, d0): the cells of one w0 are a kernel row.
+        # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b), so
+        # entry (w0, d0, w1, d1) is entry (w1, d1, w0, d0): the cells of one w0 are the kernel row over w1s.
         pow2 = [Decimal(1 << k) for k in range(n + 1)]
         for w0 in w0s:
             cells = (lowest_terms(s, n) for s in coupling_signed(n, w1s, d1, w0, d0))

@@ -17,24 +17,22 @@ so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
 while a row and the pattern determinant use the numerators over ``2^n`` as they
 are, and :func:`lowest_terms` is the one rule that reduces such a numerator.
 
-Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only,
-over ``j`` below ``x`` or from ``x`` on.  So one range kernel with no cache
-(:func:`_branch_sums`) serves any run of consecutive ``x`` in one pass over
-its branch's terms, which read one white row ``Kr(., n, y-1)`` and one black
-column ``Kr(y'-1, n-1, .)``, each built by :mod:`~aztecdimers.combinatorics`
-in ``O(n)`` big-integer operations.  The reflections of those lines make
-both branches forward prefix sums of ``t_j = Kr(j, n, y-1) * Kr(y'-1, n-1,
-j+o)``: for ``x' > x``, ``o = x'-x-1`` and ``c(v, w)`` is ``(-1)^{y'-1}
-2^{-n} sum_{j<x} t_j``; for ``x' <= x``, ``o = x-x'`` and it is ``(-1)^y 2^{-n}
-sum_{j<=n-x} t_j``.  A lone entry is a run of one ``x`` and sums only its own
-``x`` or ``n+1-x`` terms; a heatmap row is one call.
+Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only, so
+one range kernel with no cache (:func:`_branch_sums`) serves any run of
+consecutive ``x`` as forward prefix sums over one white row ``Kr(., n, y-1)``
+and one black column ``Kr(y'-1, n-1, .)``, each built by
+:mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations.  A lone
+entry is a run of one ``x``; a heatmap row is one call.
 
-The signed inverse-Kasteleyn entry is :func:`coupling_signed`, ``(-1)^{d0+d1+w1}``
-times ``c(v, w)`` for every hole offset, and a row of them, as numerators over
-``2^n``, :func:`coupling_signed_row`.  The kernel returns its prefix sums
-unsigned, and each caller applies one sign: a lone ``c(v, w)`` its branch
-sign, and a signed row the product of both, ``(-1)^{d0+d1+1}`` for ``d0 > 0``
-and ``(-1)^{d0}`` otherwise.
+The signed inverse-Kasteleyn entry at hole offsets ``(w0, d0, w1, d1)`` pairs the
+white ``(w0, w1+d1)`` with the black ``(w0+d0, w1)``.  Its rows over a range of
+``w0``, :func:`coupling_signed_row`, are the kernel's one caller and apply one
+sign, the kernel's branch sign times ``(-1)^{d0+d1+w1}``.  Every other value is
+read from them: ``c(v, w) = (-1)^{x'-x+y}`` times the signed entry at
+``(x, x'-x, y', y-y')``.  That sign is a row sign ``(-1)^{y-x}`` times a column
+sign ``(-1)^{x'}``, so a determinant over signed entries has the ``|det|`` of one
+over ``c``, as in Kenyon's local statistics over inverse-Kasteleyn entries.
+:func:`hole_ranges` gives the hole positions that fit the diamond at fixed offsets.
 All evaluate the same formula in the canonical diagonal labelling of
 :mod:`aztecdimers.lattice`, which the ``verify`` suite and the tests hold
 against the exact inverse-Kasteleyn oracle.
@@ -115,23 +113,12 @@ def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
     return sums
 
 
-def _coupling_sum(n: int, v: Vertex, w: Vertex) -> int:
-    """``c(v, w)`` times ``2^n``: the one branch sum of a lone entry, for a
-    white ``v`` and a black ``w`` the caller has put on the diamond."""
-    shift = w.x - v.x
-    total = _branch_sums(n, v.y, w.y, shift, range(v.x, v.x + 1))[0]
-    return -total if (w.y - 1 if shift > 0 else v.y) % 2 else total
-
-
-def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
-    """The coupling function ``c(v, w)`` on the order-``n`` diamond.
-
-    Its absolute value is the probability weight entering pattern
-    determinants; for the signed inverse-Kasteleyn entry use
-    :func:`coupling_signed`.
-    """
-    check_diamond_pair(n, v, w)
-    return DyadicRational(_coupling_sum(n, v, w), n)
+def hole_ranges(n: int, d0: int, d1: int) -> tuple[range, range]:
+    """The ``w0`` and ``w1`` ranges that put the white ``(w0, w1+d1)`` and the black ``(w0+d0, w1)``
+    on the order-``n`` diamond.  Whites fill ``x <= n``, ``y <= n+1`` and blacks ``x <= n+1``,
+    ``y <= n``, all from 1, so ``w0`` and ``w1`` are bounded apart and every pair fits."""
+    w0s = range(max(1, 1 - d0), min(n, n + 1 - d0) + 1)
+    return w0s, range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
 
 
 def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[int]:
@@ -150,22 +137,24 @@ def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[i
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:
-    """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)``
-    and white vertex ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their
-    coupling value, for offsets of either sign.
-    """
+    """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
+    ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
     return DyadicRational(coupling_signed_row(n, range(w0, w0 + 1), d0, w1, d1)[0], n)
 
 
+def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
+    """The coupling function ``c(v, w)`` on the order-``n`` diamond, ``(-1)^{x'-x+y}`` times the
+    signed entry; its absolute value is the probability of the domino ``(v, w)``."""
+    check_diamond_pair(n, v, w)
+    signed = coupling_signed_row(n, range(v.x, v.x + 1), w.x - v.x, w.y, v.y - w.y)[0]
+    return DyadicRational(-signed if (w.x - v.x + v.y) % 2 else signed, n)
+
+
 def pattern_probability(n: int, pattern: Sequence[Edge]) -> Fraction:
-    """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``.
-
-    The pattern is validated by the diamond's membership test, at a cost
-    that does not grow with ``n``; that puts every white and black on the
-    diamond, so the entries are not checked again.  Exact: values are scaled
-    to a common power of two and the determinant is taken over integers.
-    """
+    """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``, taken exactly over the
+    signed entries, which have the same ``|det|``, as integers over a common power of two.  The pattern
+    is validated by the diamond's membership test, at a cost that does not grow with ``n``."""
     whites, blacks = validate_pattern(build_diamond(n), pattern)
-    d = det([[_coupling_sum(n, v, w) for w in blacks] for v in whites])
+    d = det([[coupling_signed_row(n, range(v.x, v.x + 1), w.x - v.x, w.y, v.y - w.y)[0] for w in blacks]
+             for v in whites])
     return Fraction(abs(d), 2 ** (n * len(whites)))
-

@@ -1,23 +1,23 @@
 """Self-check suite: every closed form against its independent oracle.
 
 Backs the ``verify`` CLI command, which runs seven checks.  ``quick`` keeps
-most boards to order 3 and runs in a few seconds; ``full`` pushes each check
-to the largest size the oracles handle comfortably (order 8 for the
-exhaustive coupling sweep against the exact inverse Kasteleyn matrix, order
-10 for ``|det K| = 2^{n(n+1)/2}``).
+most boards small and runs in a few seconds; ``full`` pushes each check to the
+largest size the oracles handle comfortably.  Orders are ``quick``/``full``.
 Ground truth is the transfer-matrix count :func:`enumerate.weighted_matchings`,
 which uses neither Kasteleyn signs nor Krawtchouk sums:
-``counts-vs-enumeration`` holds ``|det K|`` to it on diamonds (to order 8 in
-``full``), so the one Kasteleyn sign rule is checked against counts, not
-against a second rule.  ``sign-relation`` holds the signed two-hole counts
-to the Kasteleyn cofactors ``(K^{-1})^T[v, w] |det K|``, read from the
-cached inverse, on every hole pair to order 3 (``quick``) or 6 (``full``),
-and ``pattern-vs-transfer`` holds the product's pattern probabilities to
+``counts-vs-enumeration`` (3/8) holds ``|det K|`` to it on diamonds, so the one
+Kasteleyn sign rule is checked against counts, not against a second rule, and
+``counts-power-of-two`` (5/10) holds it to ``2^{n(n+1)/2}``.  ``sign-relation``
+(3/6) holds the signed two-hole counts to the Kasteleyn cofactors
+``(K^{-1})^T[v, w] |det K|``, read from the cached inverse, on every hole pair,
+and ``pattern-vs-transfer`` (8) holds the product's pattern probabilities to
 counts of the diamond with the pattern removed.
-``local-inverse`` needs no oracle matrix: it builds every signed entry of an
-order from kernel rows, one per ``(d0, w1, d1)``, and checks ``K C^T = I`` one
-sparse row of ``K`` at a time, exhaustively to order 8 (``quick``) or 16
-(``full``).
+The three coupling checks read one table per order, every signed entry as an
+integer times ``2^n``, built from kernel rows, one per ``(d0, w1, d1)``.
+``coupling-vs-oracle`` (3/12) holds it to the exact inverse Kasteleyn matrix.
+``local-inverse`` (8/16) needs no oracle matrix: it checks ``K C^T = I`` one
+sparse row of ``K`` at a time.  ``normalization`` (6/10) checks that the
+dominoes at every white and every black have weights summing to 1.
 Each check returns a :class:`CheckResult`; a check that raises is recorded
 as a failure naming the exception, and any failure makes the command exit
 nonzero.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
@@ -70,16 +71,30 @@ def _counts_power_of_two(full: bool) -> CheckResult:
     return CheckResult("counts-power-of-two", True, f"diamonds up to order {top}")
 
 
+def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[int]]]:
+    """Every signed entry of the order-``n`` diamond times ``2^n``, as ``(index, table)``:
+    ``index`` numbers the blacks ``(x', y')`` in board order, and ``table[x, y][index[x', y']]``
+    is the entry of white ``(x, y)`` and black ``(x', y')``.  One kernel row per ``(d0, w1, d1)``
+    over :func:`coupling.hole_ranges`, so both branches are read at every offset.  Keyed by
+    integers, because hashing a ``Vertex`` runs in Python."""
+    index = {(b.x, b.y): j for j, b in enumerate(build_diamond(n).black_vertices)}
+    table = {(x, y): [0] * len(index) for y in range(1, n + 2) for x in range(1, n + 1)}
+    for d0 in range(1 - n, n + 1):
+        for d1 in range(1 - n, n + 1):
+            w0s, w1s = coupling.hole_ranges(n, d0, d1)
+            for w1 in w1s:
+                for w0, entry in zip(w0s, coupling.coupling_signed_row(n, w0s, d0, w1, d1)):
+                    table[w0, w1 + d1][index[w0 + d0, w1]] = entry
+    return index, table
+
+
 def _coupling_vs_oracle(full: bool) -> CheckResult:
-    top = 8 if full else 3
+    top = 12 if full else 3
     pairs = 0
     for n in range(1, top + 1):
-        oracle = kasteleyn.inverse_coupling_matrix(n)
-        for (v, w), entry in oracle.items():
-            if abs(coupling.coupling(n, v, w).to_fraction()) != abs(entry):
-                return CheckResult("coupling-vs-oracle", False, f"n={n} |c({v!r},{w!r})| mismatch")
-            signed = coupling.coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y)
-            if signed.to_fraction() != entry:
+        index, table = _signed_table(n)
+        for (v, w), entry in kasteleyn.inverse_coupling_matrix(n).items():
+            if table[v.x, v.y][index[w.x, w.y]] * entry.denominator != entry.numerator << n:
                 return CheckResult("coupling-vs-oracle", False, f"n={n} signed c({v!r},{w!r}) mismatch")
             pairs += 1
     return CheckResult("coupling-vs-oracle", True, f"{pairs} pairs up to order {top}")
@@ -88,27 +103,16 @@ def _coupling_vs_oracle(full: bool) -> CheckResult:
 def _local_inverse(full: bool) -> CheckResult:
     # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
     # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n,
-    # as coupling_signed_row returns each entry.  Every entry of an order comes from one
-    # kernel row per (d0, w1, d1), over all w0 whose white (w0, w1+d1) and black
-    # (w0+d0, w1) are on the board, so both branches are checked at every offset.
+    # as the table holds each entry.
     top = 16 if full else 8
     cases = 0
     for n in range(1, top + 1):
         board = build_diamond(n)
-        blacks = board.black_vertices
-        index = {(b.x, b.y): j for j, b in enumerate(blacks)}
-        scaled = {(v.x, v.y): [0] * len(blacks) for v in board.white_vertices}
-        for d0 in range(1 - n, n + 1):
-            w0s = range(max(1, 1 - d0), min(n, n + 1 - d0) + 1)
-            for w1 in range(1, n + 1):
-                for d1 in range(1 - w1, n + 2 - w1):
-                    row = coupling.coupling_signed_row(n, w0s, d0, w1, d1)
-                    for w0, entry in zip(w0s, row):
-                        scaled[w0, w1 + d1][index[w0 + d0, w1]] = entry
+        index, table = _signed_table(n)
         k_rows = [(v, [(kasteleyn.edge_sign(v, b), index[b.x, b.y]) for b in board.neighbors(v)])
                   for v in board.white_vertices]
         for v2 in board.white_vertices:
-            entries = scaled[v2.x, v2.y]
+            entries = table[v2.x, v2.y]
             for v, k_row in k_rows:
                 total = sum(sign * entries[j] for sign, j in k_row)
                 if total != (2**n if v == v2 else 0):
@@ -118,33 +122,36 @@ def _local_inverse(full: bool) -> CheckResult:
 
 
 def _normalization(full: bool) -> CheckResult:
+    # One domino covers each vertex, so the |c| of the dominoes at a white or a black sum to 1:
+    # 2^n on the table's integers.
     top = 10 if full else 6
     for n in range(1, top + 1):
         board = build_diamond(n)
-        for v in board.white_vertices:
-            total = sum(abs(coupling.coupling(n, v, w).to_fraction()) for w in board.neighbors(v))
-            if total != 1:
-                return CheckResult("normalization", False, f"n={n} {v!r}: sum {total} != 1")
-    return CheckResult("normalization", True, f"every white vertex up to order {top}")
+        index, table = _signed_table(n)
+        sums = [(v, sum(abs(table[v.x, v.y][index[b.x, b.y]]) for b in board.neighbors(v)))
+                for v in board.white_vertices]
+        sums += [(b, sum(abs(table[v.x, v.y][index[b.x, b.y]]) for v in board.neighbors(b)))
+                 for b in board.black_vertices]
+        for u, total in sums:
+            if total != 2**n:
+                return CheckResult("normalization", False, f"n={n} {u!r}: sum {total} / 2^{n} != 1")
+    return CheckResult("normalization", True, f"every vertex up to order {top}")
 
 
 def _sign_relation(full: bool) -> CheckResult:
     top = 6 if full else 3
     cases = 0
     for n in range(1, top + 1):
-        for w0 in range(1, n + 1):
-            for d0 in range(1, n + 2 - w0):
-                for w1 in range(1, n + 1):
-                    for d1 in range(1, n + 2 - w1):
-                        spec = enum.HoleSpec(w0, d0, w1, d1)
-                        lhs = enum.weighted_count(n, spec)
-                        cof = kasteleyn.signed_hole_cofactor(n, spec.white_hole, spec.black_hole)
-                        rhs = cof if (d0 + d1 + 1) % 2 == 0 else -cof
-                        if lhs != rhs:
-                            return CheckResult(
-                                "sign-relation", False, f"n={n} {spec}: {lhs} != {rhs}"
-                            )
-                        cases += 1
+        for d0, d1 in product(range(1, n + 1), repeat=2):
+            w0s, w1s = coupling.hole_ranges(n, d0, d1)
+            for w0, w1 in product(w0s, w1s):
+                spec = enum.HoleSpec(w0, d0, w1, d1)
+                lhs = enum.weighted_count(n, spec)
+                cof = kasteleyn.signed_hole_cofactor(n, spec.white_hole, spec.black_hole)
+                rhs = cof if (d0 + d1 + 1) % 2 == 0 else -cof
+                if lhs != rhs:
+                    return CheckResult("sign-relation", False, f"n={n} {spec}: {lhs} != {rhs}")
+                cases += 1
     return CheckResult("sign-relation", True, f"{cases} hole pairs up to order {top}")
 
 

@@ -58,21 +58,26 @@ def test_count_stops_at_the_int_to_str_limit(capsys, str_digits_limit, limit):
         assert err == "error: 2^(n(n+1)/2) has more than 4300 digits, the int-to-str limit\n"
 
 
-def test_coupling_and_prob_stop_at_the_int_to_str_limit(tmp_path, capsys, str_digits_limit):
+def test_coupling_and_prob_stop_at_the_int_to_str_limit(tmp_path, capsys):
     # The numerator of this n = 2400 entry, and the reduced denominator of an
     # 8-domino probability at n = 300, both have more than 640 digits.
-    str_digits_limit(640)
     dominoes = [[["white", x, 150], ["black", x, 150]] for x in range(150, 166, 2)]
     doc = {"format": 1, "n": 300, "dominoes": dominoes}
     path = tmp_path / "row.json"
     path.write_text(json.dumps(doc))
-    for argv in (
-        ("coupling", "--n", "2400", "--white", "1200", "1200", "--black", "1201", "1200"),
-        ("prob", str(path)),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and "640 digits" in err and "Traceback" not in err
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, what in (
+            (("coupling", "--n", "2400", "--white", "1200", "1200", "--black", "1201", "1200"),
+             "the coupling value's numerator"),
+            (("prob", str(path)), "the probability's denominator"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: {what} has more than 640 digits, the int-to-str limit\n"
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_count_rejects_nonpositive_order(capsys):
@@ -504,8 +509,10 @@ def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
     assert out.count("PASS") == 7
-    assert "PASS  sign-relation (46 hole pairs up to order 3)" in out
+    assert "PASS  coupling-vs-oracle (184 pairs up to order 3)" in out
     assert "PASS  local-inverse (11568 identities up to order 8)" in out
+    assert "PASS  normalization (every vertex up to order 6)" in out
+    assert "PASS  sign-relation (46 hole pairs up to order 3)" in out
     assert "all 7 checks passed" in out
 
 
@@ -513,8 +520,10 @@ def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
     assert out.count("PASS") == 7
-    assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
+    assert "PASS  coupling-vs-oracle (73528 pairs up to order 12)" in out
     assert "PASS  local-inverse (282336 identities up to order 16)" in out
+    assert "PASS  normalization (every vertex up to order 10)" in out
+    assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
     assert "all 7 checks passed" in out
 
 

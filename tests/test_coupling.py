@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aztecdimers import coupling as coupling_mod
-from aztecdimers.cli import _heatmap_rows
 from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
 from aztecdimers.coupling import (
     DyadicRational,
     coupling,
     coupling_signed,
     coupling_signed_row,
+    hole_ranges,
     pattern_probability,
 )
 from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
@@ -93,9 +93,20 @@ def test_kernel_matches_the_per_term_sum_on_sampled_pairs(data):
     assert coupling(n, v, w) == DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
 
 
-def _on_board(n, shift):
-    """The white columns ``x`` whose black partner ``x + shift`` is on the order-``n`` diamond."""
-    return range(max(1, 1 - shift), min(n, n + 1 - shift) + 1)
+def test_hole_ranges_are_the_positions_on_the_diamond():
+    # Every offset in [-n-1, n+1], so the ranges that fit nowhere are tested too.  Row y = 1 and
+    # column x = 1 hold whites and blacks alike, so each range is read off the membership test alone.
+    for n in range(1, 7):
+        board = build_diamond(n)
+        near = range(-n - 2, 2 * n + 4)
+        for d0, d1 in product(range(-n - 1, n + 2), repeat=2):
+            w0s, w1s = hole_ranges(n, d0, d1)
+            assert w0s.step == w1s.step == 1
+            assert list(w0s) == [w0 for w0 in near if white(w0, 1) in board and black(w0 + d0, 1) in board]
+            assert list(w1s) == [w1 for w1 in near if white(1, w1 + d1) in board and black(1, w1) in board]
+            cells = {(w0, w1) for w0, w1 in product(near, near)
+                     if white(w0, w1 + d1) in board and black(w0 + d0, w1) in board}
+            assert set(product(w0s, w1s)) == cells, (n, d0, d1)
 
 
 def _branch_sign(y, y2, shift):
@@ -109,7 +120,7 @@ def test_range_kernel_matches_the_per_term_sum_on_every_range():
     # contiguous range of x, the single columns included.
     for n in range(1, 9):
         for shift in range(1 - n, n + 1):
-            cols = _on_board(n, shift)
+            cols = hole_ranges(n, shift, 0)[0]
             for y in range(1, n + 2):
                 for y2 in range(1, n + 1):
                     sign = _branch_sign(y, y2, shift)
@@ -124,7 +135,7 @@ def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
     n = data.draw(st.integers(1, 30), label="n")
     shift = data.draw(st.integers(1 - n, n), label="shift")
     y, y2 = data.draw(st.integers(1, n + 1), label="y"), data.draw(st.integers(1, n), label="y2")
-    cols = _on_board(n, shift)
+    cols = hole_ranges(n, shift, 0)[0]
     lo = data.draw(st.integers(0, len(cols) - 1), label="lo")
     xs = cols[lo:data.draw(st.integers(lo + 1, len(cols)), label="hi")]
     want = [_branch_sign(y, y2, shift) * _branch_sum_per_term(n, x, y, x + shift, y2) for x in xs]
@@ -137,7 +148,7 @@ def test_signed_row_equals_its_cells():
     # and stops at every x; above that, the whole row.
     for n in range(1, 13):
         for d0 in range(1 - n, n + 1):
-            w0s = _on_board(n, d0)
+            w0s = hole_ranges(n, d0, 0)[0]
             for w1 in range(1, n + 1):
                 for d1 in range(1 - w1, n + 2 - w1):
                     cells = [coupling_signed(n, w0, d0, w1, d1) for w0 in w0s]
@@ -168,7 +179,7 @@ def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
         d0 = rng.randint(1, n) if i % 2 else rng.randint(1 - n, 0)
         w1 = rng.randint(1, n)
         d1 = rng.randint(1 - w1, n + 1 - w1)
-        cols = _on_board(n, d0)
+        cols = hole_ranges(n, d0, 0)[0]
         lo = rng.randrange(len(cols))
         w0s = cols[lo:rng.randint(lo + 1, min(len(cols), lo + 8))]
         sign = -1 if (d0 + d1 + w1) % 2 else 1
@@ -401,7 +412,7 @@ def test_transpose_orientation_defines_the_same_values():
                 assert abs(coupling(n, v, w).to_fraction()) == abs(transposed.to_fraction())
     # Whole kernel rows, as the heatmap reads them: the rows over w0s, transposed, are the rows over w1s.
     for n, d0, d1 in product(range(1, 13), range(-4, 5), range(-4, 5)):
-        w0s, w1s = _heatmap_rows(n, d0, d1)
+        w0s, w1s = hole_ranges(n, d0, d1)
         if w0s and w1s:
             rows = [coupling_signed_row(n, w0s, d0, w1, d1) for w1 in w1s]
             assert [list(c) for c in zip(*rows)] == [coupling_signed_row(n, w1s, d1, w0, d0) for w0 in w0s]

@@ -116,7 +116,8 @@ def test_off_by_one_crossing_weight_is_caught(monkeypatch, clause):
 
 
 def test_local_inverse_reads_kernel_integers(monkeypatch):
-    # The identities are checked on the kernel's integers times 2^n; no DyadicRational is built.
+    # The three coupling checks read the kernel's integers times 2^n from one table per order;
+    # none of them builds a DyadicRational.
     built, post_init = [], coupling_mod.DyadicRational.__post_init__
 
     def spy(self):
@@ -124,8 +125,12 @@ def test_local_inverse_reads_kernel_integers(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(coupling_mod.DyadicRational, "__post_init__", spy)
-    result = verify._local_inverse(False)
-    assert result.ok and result.detail == "11568 identities up to order 8"
+    results = [check(False) for check in (verify._coupling_vs_oracle, verify._local_inverse, verify._normalization)]
+    assert [(r.ok, r.detail) for r in results] == [
+        (True, "184 pairs up to order 3"),
+        (True, "11568 identities up to order 8"),
+        (True, "every vertex up to order 6"),
+    ]
     assert built == []
 
 
