@@ -40,7 +40,6 @@ against the exact inverse-Kasteleyn oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from operator import mul
@@ -58,20 +57,32 @@ def lowest_terms(num: int, scale: int) -> tuple[int, int]:
     return num >> shift, scale - shift
 
 
-@dataclass(frozen=True)
 class DyadicRational:
     """Exact ``numerator / 2^scale`` in lowest terms: the numerator is odd
-    whenever ``scale > 0``, and zero has scale 0."""
+    whenever ``scale > 0``, and zero has scale 0.  Read-only, equal by value."""
 
-    numerator: int
-    scale: int
+    __slots__ = ("numerator", "scale")
 
-    def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError(f"negative scale {self.scale}")
-        num, scale = lowest_terms(self.numerator, self.scale)
+    def __init__(self, numerator: int, scale: int) -> None:
+        if scale < 0:
+            raise ValueError(f"negative scale {scale}")
+        num, scale = lowest_terms(numerator, scale)
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "scale", scale)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{name!r} is read-only: DyadicRational is immutable")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return (self.numerator, self.scale) == (other.numerator, other.scale) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.numerator, self.scale))
+
+    def __repr__(self) -> str:
+        return f"DyadicRational(numerator={self.numerator!r}, scale={self.scale!r})"
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.numerator, 2**self.scale)

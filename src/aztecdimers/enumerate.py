@@ -23,8 +23,7 @@ the holes; see :func:`crossing_weight`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .lattice import Board, Color, Edge, Vertex, black, build_diamond, remove_vertices, white
 
@@ -133,8 +132,7 @@ def _canonical(matched: dict[Vertex, Vertex]) -> tuple[Edge, ...]:
     return tuple(edges)
 
 
-@dataclass(frozen=True)
-class HoleSpec:
+class HoleSpec(NamedTuple):
     """Hole pair of a diamond: black at ``(w0+d0, w1)``, white at ``(w0, w1+d1)``."""
 
     w0: int

@@ -30,7 +30,8 @@ other kind (the test suite builds the paper's Aztec rectangles this way)
 supplies the same three members: ``v in kind``, and the bounding box
 ``1 <= x <= kind.n + 1``, ``1 <= y <= kind.rows + 1`` that holds all of
 its vertices.  Boards are immutable; removing vertices returns a new
-board with the holes recorded.
+board with the holes recorded.  Vertices and diamonds are named tuples; a
+:class:`Board` refuses ``setattr`` and fills its cached tuples through ``__dict__``.
 
 An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
 (:data:`Edge`), and a pattern is a sequence of them, such as a matching from
@@ -39,10 +40,9 @@ An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Color(Enum):
@@ -58,8 +58,7 @@ class PatternError(ValueError):
     """A pattern does not fit on the board."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A colored lattice vertex in diagonal coordinates."""
 
     color: Color
@@ -103,8 +102,7 @@ def check_diamond_pair(n: int, v: Vertex, w: Vertex) -> None:
         raise BoardError(f"{w!r} is not a black vertex of the order-{n} diamond")
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(NamedTuple):
     n: int
 
     @property
@@ -115,16 +113,29 @@ class Diamond:
         return _in_diamond(self.n, v)
 
 
-@dataclass(frozen=True)
 class Board:
     """An immutable board: ``v in board`` means ``v in board.kind and v not
     in board.holes``.  Each color's vertex tuple is generated from that test
     over the kind's bounding box once per board, in row-major order (by
     ``y``, then ``x``), the row and column order of every matrix built from
-    the board."""
+    the board.  Boards compare and hash by ``(kind, holes)``."""
 
-    kind: Diamond
-    holes: frozenset[Vertex] = frozenset()
+    def __init__(self, kind: Diamond, holes: frozenset[Vertex] = frozenset()) -> None:
+        self.__dict__.update(kind=kind, holes=holes)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{name!r} is read-only: boards are immutable")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return (self.kind, self.holes) == (other.kind, other.holes) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.holes))
+
+    def __repr__(self) -> str:
+        return f"Board(kind={self.kind!r}, holes={self.holes!r})"
 
     def _generate(self, color: Color) -> tuple[Vertex, ...]:
         kind = self.kind
@@ -177,7 +188,7 @@ def remove_vertices(board: Board, holes: Iterable[Vertex]) -> Board:
         if v in new_holes:
             raise BoardError(f"{v!r} removed twice")
         new_holes.add(v)
-    return replace(board, holes=frozenset(new_holes))
+    return Board(board.kind, frozenset(new_holes))
 
 
 def validate_pattern(board: Board, pattern: Sequence[Edge]) -> tuple[list[Vertex], list[Vertex]]:

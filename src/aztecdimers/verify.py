@@ -26,18 +26,16 @@ nonzero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
 from . import coupling, kasteleyn
 from .lattice import Board, Edge, build_diamond, remove_vertices
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -1,19 +1,23 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from decimal import Context, Decimal, ROUND_HALF_EVEN
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztecdimers import cli
 from aztecdimers import coupling as coupling_mod
+from aztecdimers import verify
 from aztecdimers.cli import load_pattern_file, main
 from aztecdimers.coupling import DyadicRational, coupling_signed, lowest_terms
 
@@ -463,13 +467,13 @@ def test_heatmap_approx_rounds_the_unreduced_value_half_even(num, scale):
 @pytest.fixture
 def dyadic_constructions(monkeypatch):
     """A list that grows by one for every :class:`DyadicRational` built during one test."""
-    built, post_init = [], DyadicRational.__post_init__
+    built, init = [], DyadicRational.__init__
 
-    def spy(self):
+    def spy(self, numerator, scale):
         built.append(None)
-        post_init(self)
+        init(self, numerator, scale)
 
-    monkeypatch.setattr(DyadicRational, "__post_init__", spy)
+    monkeypatch.setattr(DyadicRational, "__init__", spy)
     return built
 
 
@@ -525,6 +529,30 @@ def test_verify_full_exits_zero(capsys):
     assert "PASS  normalization (every vertex up to order 10)" in out
     assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
     assert "all 7 checks passed" in out
+
+
+def test_verify_level_choices_are_verify_levels(capsys):
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    level = next(a for a in sub.choices["verify"]._actions if "--level" in a.option_strings)
+    assert tuple(level.choices) == verify.LEVELS
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "bogus"])
+    assert exc.value.code == 2
+    assert "argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_oracle_and_no_dataclasses():
+    # Every command pays for this import, so it holds only what the product commands use:
+    # verify's oracles load in the verify command, and dataclasses would bring inspect and ast.
+    probe = ("import sys; before = set(sys.modules); import aztecdimers.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                                check=True).stdout.split())
+    assert "aztecdimers.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
+    assert sorted(loaded & unwanted) == []
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

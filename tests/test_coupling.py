@@ -46,6 +46,18 @@ def test_dyadic_rejects_negative_scale():
         DyadicRational(1, -1)
 
 
+def test_dyadic_is_a_read_only_value():
+    value = DyadicRational(2, 3)
+    with pytest.raises(AttributeError):
+        value.numerator = 3
+    with pytest.raises(AttributeError):
+        value.scale = 0
+    with pytest.raises(AttributeError):
+        del value.scale
+    assert hash(value) == hash(DyadicRational(1, 2)) and value != DyadicRational(1, 3)
+    assert value != (1, 2) and repr(value) == "DyadicRational(numerator=1, scale=2)"
+
+
 # ---------------------------------------------------------------------------
 # Oracle equivalence
 # ---------------------------------------------------------------------------

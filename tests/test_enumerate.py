@@ -102,6 +102,11 @@ def test_crossing_weight_two_transcriptions_agree(n):
                         assert crossing_weight(m, spec) == _literal_weight(m, spec)
 
 
+def test_hole_spec_repr_names_its_fields():
+    assert repr(HoleSpec(1, 1, 1, 1)) == "HoleSpec(w0=1, d0=1, w1=1, d1=1)"
+    assert str(HoleSpec(2, -1, 3, 0)) == "HoleSpec(w0=2, d0=-1, w1=3, d1=0)"
+
+
 def test_crossing_weight_zero_away_from_holes():
     spec = HoleSpec(1, 1, 1, 1)
     # An edge in row 3 touches neither weighted row of this spec.

@@ -146,6 +146,33 @@ def test_invalid_order_rejected():
         build_diamond(-2)
 
 
+def test_vertices_are_read_only_values_with_short_reprs():
+    v = white(1, 2)
+    with pytest.raises(AttributeError):
+        v.x = 3
+    assert white(1, 1) != black(1, 1)
+    assert white(2, 3) == Vertex(Color.WHITE, 2, 3)
+    assert hash(white(2, 3)) == hash(Vertex(Color.WHITE, 2, 3))
+    assert repr(v) == "W(1,2)" and repr(black(3, 1)) == "B(3,1)"
+
+
+def test_boards_are_read_only_and_equal_by_kind_and_holes():
+    holes = [white(1, 1), black(1, 1)]
+    a = remove_vertices(build_diamond(2), holes)
+    b = remove_vertices(build_diamond(2), holes[::-1])
+    with pytest.raises(AttributeError):
+        a.holes = frozenset()
+    with pytest.raises(AttributeError):
+        a.kind = Diamond(3)
+    with pytest.raises(AttributeError):
+        del a.kind
+    assert a.white_vertices  # the cached vertex tuples take no part in equality
+    assert a == b == Board(Diamond(2), frozenset(holes)) and hash(a) == hash(b)
+    assert a != build_diamond(2) and build_diamond(2) != build_diamond(3)
+    assert build_diamond(2) == Board(Diamond(2)) and hash(build_diamond(2)) == hash(Board(Diamond(2)))
+    assert len({a, b, build_diamond(2), build_diamond(3)}) == 3
+
+
 @given(
     color=st.sampled_from([Color.WHITE, Color.BLACK]),
     x=st.integers(-30, 30),

@@ -18,6 +18,12 @@ def test_quick_level_passes():
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
 
+def test_check_result_repr_names_its_fields():
+    assert repr(verify.CheckResult("normalization", True, "every vertex up to order 6")) == (
+        "CheckResult(name='normalization', ok=True, detail='every vertex up to order 6')"
+    )
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         verify.run_checks("paranoid")
@@ -118,13 +124,13 @@ def test_off_by_one_crossing_weight_is_caught(monkeypatch, clause):
 def test_local_inverse_reads_kernel_integers(monkeypatch):
     # The three coupling checks read the kernel's integers times 2^n from one table per order;
     # none of them builds a DyadicRational.
-    built, post_init = [], coupling_mod.DyadicRational.__post_init__
+    built, init = [], coupling_mod.DyadicRational.__init__
 
-    def spy(self):
+    def spy(self, numerator, scale):
         built.append(None)
-        post_init(self)
+        init(self, numerator, scale)
 
-    monkeypatch.setattr(coupling_mod.DyadicRational, "__post_init__", spy)
+    monkeypatch.setattr(coupling_mod.DyadicRational, "__init__", spy)
     results = [check(False) for check in (verify._coupling_vs_oracle, verify._local_inverse, verify._normalization)]
     assert [(r.ok, r.detail) for r in results] == [
         (True, "184 pairs up to order 3"),
