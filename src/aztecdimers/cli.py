@@ -63,13 +63,13 @@ from typing import Optional, Sequence
 
 # Signed kernel rows, integer numerators over 2^n, are the heatmap's one source of entries.  The
 # name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
-from .coupling import (coupling, coupling_signed_row as coupling_signed, hole_ranges, lowest_terms,
-                       pattern_probability)
+from .coupling import coupling, coupling_signed_row as coupling_signed, hole_ranges, pattern_probability
 from .lattice import Color, Edge, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 400
 
 _APPROX_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
+_COLORS = {color.value: color for color in Color}
 
 
 def _approx(numerator: int, denominator: Decimal) -> str:
@@ -140,15 +140,13 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
             if not (isinstance(cell, list) and len(cell) == 3):
                 raise ValueError(f"{path}: domino {k}: cell must be [color, x, y]")
             color_name, x, y = cell
-            try:
-                color = Color(color_name)
-            except ValueError:
-                raise ValueError(f"{path}: domino {k}: unknown color {color_name!r}") from None
+            color = _COLORS.get(color_name) if isinstance(color_name, str) else None
+            if color is None:
+                raise ValueError(f"{path}: domino {k}: unknown color {color_name!r}")
             if not _is_int(x) or not _is_int(y):
                 raise ValueError(f"{path}: domino {k}: coordinates must be integers")
             cells.append(Vertex(color, x, y))
-        colors = {c.color for c in cells}
-        if colors != {Color.WHITE, Color.BLACK}:
+        if cells[0].color is cells[1].color:
             raise ValueError(f"{path}: domino {k} needs one white and one black cell")
         w, b = (cells[0], cells[1]) if cells[0].color is Color.WHITE else (cells[1], cells[0])
         dominoes.append((w, b))
@@ -177,12 +175,13 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         fh.write("w0,w1,numerator,scale,approx\n")
         # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b), so
         # entry (w0, d0, w1, d1) is entry (w1, d1, w0, d0): the cells of one w0 are the kernel row over w1s.
-        pow2 = [Decimal(1 << k) for k in range(n + 1)]
+        # A cell is s / 2^n for its row sum s: approx divides s itself, and the exact columns drop
+        # the k <= n trailing zero bits of s (zero is 0 / 2^0).
+        denominator = Decimal(2**n)
         for w0 in w0s:
-            cells = (lowest_terms(s, n) for s in coupling_signed(n, w1s, d1, w0, d0))
-            fh.writelines(
-                f"{w0},{w1},{num},{scale},{_approx(num, pow2[scale])}\n" for w1, (num, scale) in zip(w1s, cells)
-            )
+            for w1, s in zip(w1s, coupling_signed(n, w1s, d1, w0, d0)):
+                k = min(n, (s & -s).bit_length() - 1) if s else n
+                fh.write(f"{w0},{w1},{s >> k},{n - k},{_approx(s, denominator)}\n")
     print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0
 

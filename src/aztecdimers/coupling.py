@@ -15,20 +15,23 @@ given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
 so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
 while a row and the pattern determinant use the numerators over ``2^n`` as they
-are, and :func:`lowest_terms` is the one rule that reduces such a numerator.
+are; :func:`lowest_terms` reduces a lone value, and the heatmap strips the same
+trailing zero bits from each cell of a row itself.
 
-Both branches sum terms that depend on ``y``, ``y'`` and ``x' - x`` only, so
-one range kernel with no cache (:func:`_branch_sums`) serves any run of
-consecutive ``x`` as forward prefix sums over one white row ``Kr(., n, y-1)``
-and one black column ``Kr(y'-1, n-1, .)``, each built by
-:mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations.  A lone
-entry is a run of one ``x``; a heatmap row is one call.
+Each branch sums terms ``row[j] * column[j + offset]`` of one white row
+``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built by
+:mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations; which
+terms are summed and the sign depend on ``y``, ``y'`` and ``x' - x`` only.
+:func:`_branch_terms` is the one branch rule and :func:`_negated` the one sign
+rule, and two evaluators with no cache of their own read them: prefix sums
+along a row of consecutive ``x`` (:func:`_branch_sums`, one call per heatmap
+or ``verify`` row), and scattered direct sums (:func:`_entry`), one per lone
+value or pattern entry, over lines built once per value or pattern.
 
 The signed inverse-Kasteleyn entry at hole offsets ``(w0, d0, w1, d1)`` pairs the
-white ``(w0, w1+d1)`` with the black ``(w0+d0, w1)``.  Its rows over a range of
-``w0``, :func:`coupling_signed_row`, are the kernel's one caller and apply one
-sign, the kernel's branch sign times ``(-1)^{d0+d1+w1}``.  Every other value is
-read from them: ``c(v, w) = (-1)^{x'-x+y}`` times the signed entry at
+white ``(w0, w1+d1)`` with the black ``(w0+d0, w1)``; its sign is the branch sign
+times ``(-1)^{d0+d1+w1}``.  Every other value is read from it:
+``c(v, w) = (-1)^{x'-x+y}`` times the signed entry at
 ``(x, x'-x, y', y-y')``.  That sign is a row sign ``(-1)^{y-x}`` times a column
 sign ``(-1)^{x'}``, so a determinant over signed entries has the ``|det|`` of one
 over ``c``, as in Kenyon's local statistics over inverse-Kasteleyn entries.
@@ -91,34 +94,45 @@ class DyadicRational:
         return f"{self.numerator} / 2^{self.scale}"
 
 
+def _branch_terms(row: Sequence[int], column: Sequence[int], x: int, shift: int) -> tuple[Sequence[int], ...]:
+    """The built row ``Kr(., n, y-1)`` and column ``Kr(y2-1, n-1, .)`` cut to the factors of the
+    branch sum at ``x`` and ``shift = x' - x``, paired term by term and without the branch sign.
+
+    The column reflection ``Kr(a, b, b-c) = (-1)^a Kr(a, b, c)`` (for ``shift > 0``) or the row
+    reflection ``Kr(b-a, b, c) = (-1)^c Kr(a, b, c)`` (for ``shift <= 0``, with ``j`` read as
+    ``n - j``) turns both branches into forward prefix sums of ``t_j = row[j] * column[j + offset]``:
+
+    * ``shift > 0``: ``sum_{j<x} t_j`` with ``offset = shift-1``, the branch sum times ``(-1)^(y2-1)``;
+    * ``shift <= 0``: ``sum_{j<=n-x} t_j`` with ``offset = -shift``, the branch sum times ``(-1)^y``.
+    """
+    if shift > 0:
+        return row[:x], column[shift - 1:]
+    return row[:len(row) - x], column[-shift:]
+
+
+def _negated(d0: int, d1: int) -> bool:
+    """Whether the signed entry is minus its reflected sum: the branch sign times ``(-1)^{d0+d1+w1}``."""
+    return bool((d0 + d1 + 1 if d0 > 0 else d0) % 2)
+
+
+def _entry(row: Sequence[int], column: Sequence[int], x: int, d0: int, d1: int) -> int:
+    """The signed entry at ``w0 = x`` times ``2^n``: one direct sum over its built row and column."""
+    s = sum(map(mul, *_branch_terms(row, column, x, d0)))
+    return -s if _negated(d0, d1) else s
+
+
 def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
-    """The branch sums at each white column ``x`` of ``xs``, without the
-    branch sign, which the caller applies.
+    """The branch sums at each white column ``x`` of a nonempty step-1 range ``xs`` of pairs on
+    the diamond, without the branch sign, which the caller applies.
 
-    With ``y``, ``y2`` and ``shift = x' - x`` fixed, the terms
-    ``Kr(j, n, y-1) * Kr(y2-1, n-1, n-j-shift)`` do not depend on ``x``.  The
-    column reflection ``Kr(a, b, b-c) = (-1)^a Kr(a, b, c)`` (for ``shift > 0``)
-    or the row reflection ``Kr(b-a, b, c) = (-1)^c Kr(a, b, c)`` (for
-    ``shift <= 0``, with ``j`` read as ``n - j``) turns both branches into
-    forward prefix sums of ``t_j = row[j] * column[j + offset]``:
-
-    * ``shift > 0``: ``sum_{j<x} t_j`` with ``offset = shift-1``, the branch
-      sum times ``(-1)^(y2-1)``;
-    * ``shift <= 0``: ``sum_{j<=n-x} t_j`` with ``offset = -shift``, the
-      branch sum times ``(-1)^y``.
-
-    The terms before the range's first prefix are summed directly, so a lone
-    entry builds no list of partial sums.  ``xs`` is a nonempty step-1 range
-    of pairs on the diamond, so every such term exists.
+    The terms of :func:`_branch_terms` do not depend on ``x``, and its prefix grows with ``x`` for
+    ``shift > 0`` and shrinks otherwise.  So the terms of the range's longest prefix are read once:
+    those of its shortest prefix are summed directly, and each later term gives the next sum.
     """
     row, column = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
-    if shift > 0:
-        offset, lo, hi = shift - 1, xs[0], xs[-1]
-    else:
-        offset, lo, hi = -shift, n + 1 - xs[-1], n + 1 - xs[0]
-    terms = map(mul, row, column[offset:])
-    head = sum(islice(terms, lo))
-    sums = list(accumulate(islice(terms, hi - lo), initial=head))
+    lines = _branch_terms(row, column, xs[-1] if shift > 0 else xs[0], shift)
+    terms = map(mul, *lines)
+    sums = list(accumulate(terms, initial=sum(islice(terms, len(lines[0]) - len(xs) + 1))))
     if shift <= 0:
         sums.reverse()
     return sums
@@ -132,40 +146,48 @@ def hole_ranges(n: int, d0: int, d1: int) -> tuple[range, range]:
     return w0s, range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
 
 
-def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[int]:
-    """:func:`coupling_signed` at each ``w0`` of a nonempty step-1 range, in one
-    kernel call, as integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``,
-    not reduced.  Each color class of the diamond is an x-range times a y-range,
-    so the row lies on the diamond when both of its ends do; that is checked on
-    integers, and only a failure builds the vertices that word the error."""
-    first, last = w0s[0], w0s[-1]
+def _check_pairs(n: int, first: int, last: int, d0: int, w1: int, d1: int) -> None:
+    """Raise ``BoardError`` unless the pairs at ``w0`` from ``first`` to ``last`` lie on the diamond.
+    Each color class is an x-range times a y-range, so they do when both ends do; that is checked
+    on integers, and only a failure builds the vertices that word the error."""
     if not (1 <= first and last <= n and 1 <= first + d0 and last + d0 <= n + 1
             and 1 <= w1 <= n and 1 <= w1 + d1 <= n + 1):
         for w0 in (first, last):
             check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
+
+
+def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[int]:
+    """:func:`coupling_signed` at each ``w0`` of a nonempty step-1 range, in one kernel call, as
+    integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``, not reduced."""
+    _check_pairs(n, w0s[0], w0s[-1], d0, w1, d1)
     sums = _branch_sums(n, w1 + d1, w1, d0, w0s)
-    return [-s for s in sums] if (d0 + d1 + 1 if d0 > 0 else d0) % 2 else sums
+    return [-s for s in sums] if _negated(d0, d1) else sums
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
     ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
-    return DyadicRational(coupling_signed_row(n, range(w0, w0 + 1), d0, w1, d1)[0], n)
+    _check_pairs(n, w0, w0, d0, w1, d1)
+    row, column = krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1)
+    return DyadicRational(_entry(row, column, w0, d0, d1), n)
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     """The coupling function ``c(v, w)`` on the order-``n`` diamond, ``(-1)^{x'-x+y}`` times the
     signed entry; its absolute value is the probability of the domino ``(v, w)``."""
     check_diamond_pair(n, v, w)
-    signed = coupling_signed_row(n, range(v.x, v.x + 1), w.x - v.x, w.y, v.y - w.y)[0]
-    return DyadicRational(-signed if (w.x - v.x + v.y) % 2 else signed, n)
+    d0 = w.x - v.x
+    signed = _entry(krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1), v.x, d0, v.y - w.y)
+    return DyadicRational(-signed if (d0 + v.y) % 2 else signed, n)
 
 
 def pattern_probability(n: int, pattern: Sequence[Edge]) -> Fraction:
     """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``, taken exactly over the
     signed entries, which have the same ``|det|``, as integers over a common power of two.  The pattern
-    is validated by the diamond's membership test, at a cost that does not grow with ``n``."""
+    is validated by the diamond's membership test, at a cost that does not grow with ``n``; then each
+    distinct white row and black column is built once, and each entry is one direct sum over them."""
     whites, blacks = validate_pattern(build_diamond(n), pattern)
-    d = det([[coupling_signed_row(n, range(v.x, v.x + 1), w.x - v.x, w.y, v.y - w.y)[0] for w in blacks]
-             for v in whites])
+    rows = {y: krawtchouk_row(n, y - 1) for y in {v.y for v in whites}}
+    columns = {y: krawtchouk_column(y - 1, n - 1) for y in {w.y for w in blacks}}
+    d = det([[_entry(rows[v.y], columns[w.y], v.x, w.x - v.x, v.y - w.y) for w in blacks] for v in whites])
     return Fraction(abs(d), 2 ** (n * len(whites)))

@@ -199,14 +199,16 @@ def validate_pattern(board: Board, pattern: Sequence[Edge]) -> tuple[list[Vertex
     """
     whites: list[Vertex] = []
     blacks: list[Vertex] = []
-    seen: set[Vertex] = set()
+    # Keyed on (x, y) per color: hashing a Vertex hashes its Color in Python code.
+    seen_whites: set[tuple[int, int]] = set()
+    seen_blacks: set[tuple[int, int]] = set()
     for w, b in pattern:
         if not board.is_edge(w, b):
             raise PatternError(f"({w!r}, {b!r}) is not a domino of the board")
-        for v in (w, b):
-            if v in seen:
+        for v, seen in ((w, seen_whites), (b, seen_blacks)):
+            if (v.x, v.y) in seen:
                 raise PatternError(f"vertex {v!r} covered twice")
-            seen.add(v)
+            seen.add((v.x, v.y))
         whites.append(w)
         blacks.append(b)
     return whites, blacks

@@ -175,6 +175,43 @@ def test_prob_rejects_malformed_documents(tmp_path, capsys, doc):
     assert err
 
 
+@pytest.mark.parametrize("color", ["WHITE", "red", ["white"], {"c": 1}, None, 1, True])
+def test_prob_names_an_unknown_color_exactly(tmp_path, capsys, color):
+    # Color names are exact lowercase JSON strings; any other value, hashable
+    # or not, is named by its repr, ahead of the coordinates of its own cell.
+    path = tmp_path / "color.json"
+    path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [
+        [["white", 1, 1], ["black", 1, 1]], [[color, "x", 2], ["black", 2, 2]]]}))
+    assert run(capsys, "prob", str(path)) == (2, "", f"error: {path}: domino 1: unknown color {color!r}\n")
+
+
+@pytest.mark.parametrize("color", ["white", "black"])
+def test_prob_names_a_domino_with_two_cells_of_one_color(tmp_path, capsys, color):
+    path = tmp_path / "same.json"
+    path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [[[color, 1, 1], [color, 1, 2]]]}))
+    assert run(capsys, "prob", str(path)) == (2, "", f"error: {path}: domino 0 needs one white and one black cell\n")
+
+
+@pytest.mark.parametrize(
+    "dominoes,message",
+    [
+        ([[["white", 1, 1], ["black", 1, 1]], [["black", 2, 1], ["white", 1, 1]],
+          [["white", 0, 1], ["black", 1, 1]]], "vertex W(1,1) covered twice"),
+        ([[["white", 1, 1], ["black", 1, 1]], [["black", 1, 1], ["white", 1, 2]]], "vertex B(1,1) covered twice"),
+        ([[["white", 1, 1], ["black", 1, 1]], [["white", 1, 1], ["black", 3, 1]]],
+         "(W(1,1), B(3,1)) is not a domino of the board"),
+        ([[["white", 2, 2], ["black", 2, 2]], [["white", 0, 1], ["black", 1, 1]]],
+         "(W(0,1), B(1,1)) is not a domino of the board"),
+    ],
+    ids=["repeat-before-off-board", "black-repeat", "off-board-and-repeat", "off-board"],
+)
+def test_prob_reports_the_first_bad_domino_in_file_order(tmp_path, capsys, dominoes, message):
+    # Dominoes are checked in file order, each for its edge before its repeats.
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": dominoes}))
+    assert run(capsys, "prob", str(path)) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "doc",
     [

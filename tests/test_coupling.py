@@ -1,5 +1,6 @@
 """The coupling function against the matrix oracles."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aztecdimers import coupling as coupling_mod
+from aztecdimers.cli import load_pattern_file
 from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
 from aztecdimers.coupling import (
     DyadicRational,
@@ -197,6 +199,112 @@ def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
         sign = -1 if (d0 + d1 + w1) % 2 else 1
         want = [sign * _branch_sum_from_lines(n, w0, w1 + d1, w0 + d0, w1) for w0 in w0s]
         assert coupling_signed_row(n, w0s, d0, w1, d1) == want, (n, w0s, d0, w1, d1)
+
+
+def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
+    """The direct sum over built lines, ``coupling_signed`` and ``coupling`` at ``(v, w)``
+    against the cell of ``v.x`` in the kernel row over ``row_range``."""
+    w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
+    cell = coupling_signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
+    lines = krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1)
+    assert coupling_mod._entry(*lines, w0, d0, d1) == cell, (n, v, w)
+    assert coupling_signed(n, w0, d0, w1, d1) == DyadicRational(cell, n), (n, v, w)
+    assert coupling(n, v, w) == DyadicRational(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
+
+
+def test_direct_sums_equal_the_row_cells_on_every_pair():
+    # Both branches meet every x, the board's edges included, at every order to 9.
+    for n in range(1, 10):
+        board = build_diamond(n)
+        for v in board.white_vertices:
+            for w in board.black_vertices:
+                _check_direct_sums_against_the_row_cell(n, v, w, range(v.x, v.x + 1))
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_direct_sums_equal_the_row_cells_at_large_order(n):
+    # Seeded pairs, alternately with d0 > 0 and d0 <= 0, each against its cell in
+    # the whole kernel row of its offsets.
+    rng = random.Random(n)
+    for i in range(40):
+        v = white(rng.randint(1, n), rng.randint(1, n + 1))
+        x2 = rng.randint(v.x + 1, n + 1) if i % 2 else rng.randint(1, v.x)
+        w = black(x2, rng.randint(1, n))
+        _check_direct_sums_against_the_row_cell(n, v, w, hole_ranges(n, w.x - v.x, 0)[0])
+
+
+@pytest.fixture
+def line_builds(monkeypatch):
+    """Every line build and kernel-row call, by kind, during one test."""
+    calls = {"row": [], "column": [], "branch_sums": []}
+    for name, key in (("krawtchouk_row", "row"), ("krawtchouk_column", "column"), ("_branch_sums", "branch_sums")):
+        def spy(*args, real=getattr(coupling_mod, name), key=key):
+            calls[key].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(coupling_mod, name, spy)
+    return calls
+
+
+def _bench_shaped_pattern(rng, n, k):
+    """``k`` disjoint dominoes whose whites lie in a 4x4 window, each listed white
+    first or black first at random, as the benchmark's ``prob`` patterns are."""
+    x0, y0 = rng.randint(1, n - 3), rng.randint(1, n - 2)
+    board = build_diamond(n)
+    edges = [(v, w) for x in range(x0, x0 + 4) for y in range(y0, y0 + 4)
+             if (v := white(x, y)) in board for w in board.neighbors(v)]
+    rng.shuffle(edges)
+    used, chosen = set(), []
+    for v, w in edges:
+        if v not in used and w not in used and len(chosen) < k:
+            used.update((v, w))
+            chosen.append((v, w))
+    cells = [[[v.color.value, v.x, v.y], [w.color.value, w.x, w.y]][::rng.choice((1, -1))] for v, w in chosen]
+    return tuple(chosen), {"format": 1, "n": n, "dominoes": cells}
+
+
+def test_a_pattern_builds_each_distinct_line_once(line_builds):
+    # Eight dominoes with whites on four rows and blacks on five: 64 entries from 9 lines.
+    n = 24
+    pattern, _ = _bench_shaped_pattern(random.Random(3), n, 8)
+    rows, columns = {(n, v.y - 1) for v, _ in pattern}, {(w.y - 1, n - 1) for _, w in pattern}
+    assert (len(pattern), len(rows), len(columns)) == (8, 4, 5)
+    assert pattern_probability(n, pattern) > 0
+    assert sorted(line_builds["row"]) == sorted(rows) and sorted(line_builds["column"]) == sorted(columns)
+    assert line_builds["branch_sums"] == []
+    line_builds["row"].clear()
+    line_builds["column"].clear()
+    coupling(n, white(10, 10), black(11, 9))
+    assert line_builds == {"row": [(n, 9)], "column": [(8, n - 1)], "branch_sums": []}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
+    board = build_diamond(n)
+    total = weighted_matchings(board, lambda w, b: 1)
+    rng = random.Random(n)
+    for k in range(1, 9):
+        for _ in range(2):
+            pattern, doc = _bench_shaped_pattern(rng, n, k)
+            path = tmp_path / "pattern.json"
+            path.write_text(json.dumps(doc))
+            assert load_pattern_file(str(path)) == (n, pattern)
+            rest = remove_vertices(board, [v for edge in pattern for v in edge])
+            assert pattern_probability(n, pattern) == Fraction(weighted_matchings(rest, lambda w, b: 1), total)
+
+
+def test_an_eight_domino_pattern_keeps_only_its_lines():
+    # At n = 1200 each line holds n integers of up to about n bits: the four white
+    # rows and four black columns of a pattern in a 4x4 window fit well under 8 MiB.
+    pattern, _ = _bench_shaped_pattern(random.Random(1200), 1200, 8)
+    assert len(pattern) == 8
+    tracemalloc.start()
+    try:
+        pattern_probability(1200, pattern)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("w0s", [range(0, 3), range(1, 5), range(4, 5)])
