@@ -15,7 +15,8 @@ Commands
 
 ``prob FILE``
     Probability of the pattern described by ``FILE`` (format below), as an
-    exact reduced fraction plus a decimal approximation.
+    exact reduced fraction plus a decimal approximation.  Only this command
+    loads :mod:`json`; only it and ``verify`` load :mod:`fractions` and ``det``.
 
 ``heatmap --n N --d0 D0 --d1 D1 --out FILE``
     Signed inverse-Kasteleyn entries for every hole position ``(w0, w1)``
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from decimal import Context, Decimal, ROUND_HALF_EVEN
@@ -109,6 +109,7 @@ def _is_int(value: object) -> bool:
 def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
     """Parse a pattern file into its diamond order and its dominoes, a tuple of
     ``(white, black)`` vertex pairs in file order, whichever cell each lists first."""
+    import json  # only prob reads JSON
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

@@ -16,7 +16,8 @@ given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
 while a row and the pattern determinant use the numerators over ``2^n`` as they
 are; :func:`lowest_terms` reduces a lone value, and the heatmap strips the same
-trailing zero bits from each cell of a row itself.
+trailing zero bits from each cell of a row itself.  Importing this module loads neither :mod:`fractions`,
+bound by :func:`_fraction` on first use, nor ``det``, imported by :func:`pattern_probability` when it runs.
 
 Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built by
@@ -43,14 +44,15 @@ against the exact inverse-Kasteleyn oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, islice
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .combinatorics import krawtchouk_column, krawtchouk_row
-from .exactlinalg import det
 from .lattice import Edge, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def lowest_terms(num: int, scale: int) -> tuple[int, int]:
@@ -58,6 +60,13 @@ def lowest_terms(num: int, scale: int) -> tuple[int, int]:
     odd whenever the scale is positive, and zero has scale 0."""
     shift = min(scale, (num & -num).bit_length() - 1) if num else scale
     return num >> shift, scale - shift
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)``; the first call rebinds this name to the class itself."""
+    global _fraction
+    from fractions import Fraction as _fraction
+    return _fraction(numerator, denominator)
 
 
 class DyadicRational:
@@ -88,7 +97,7 @@ class DyadicRational:
         return f"DyadicRational(numerator={self.numerator!r}, scale={self.scale!r})"
 
     def to_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 2**self.scale)
+        return _fraction(self.numerator, 2**self.scale)
 
     def __str__(self) -> str:
         return f"{self.numerator} / 2^{self.scale}"
@@ -186,8 +195,9 @@ def pattern_probability(n: int, pattern: Sequence[Edge]) -> Fraction:
     signed entries, which have the same ``|det|``, as integers over a common power of two.  The pattern
     is validated by the diamond's membership test, at a cost that does not grow with ``n``; then each
     distinct white row and black column is built once, and each entry is one direct sum over them."""
+    from .exactlinalg import det  # here, so that commands without a pattern never load it
     whites, blacks = validate_pattern(build_diamond(n), pattern)
     rows = {y: krawtchouk_row(n, y - 1) for y in {v.y for v in whites}}
     columns = {y: krawtchouk_column(y - 1, n - 1) for y in {w.y for w in blacks}}
     d = det([[_entry(rows[v.y], columns[w.y], v.x, w.x - v.x, v.y - w.y) for w in blacks] for v in whites])
-    return Fraction(abs(d), 2 ** (n * len(whites)))
+    return _fraction(abs(d), 2 ** (n * len(whites)))

@@ -6,7 +6,8 @@ oracles need: integer determinants and whole inverses.  A matrix is plain
 data, a sequence of equal-length int rows (lists and tuples alike).  Both
 operations run through one forward fraction-free (Bareiss) elimination over
 integer rows, so intermediate values stay integers; ``invert`` finishes by
-integer back substitution and returns the determinant with the inverse.
+integer back substitution and returns the determinant with the inverse, as
+:class:`~fractions.Fraction` entries that it alone imports, once per call.
 
 Rows are stored dense, but each elimination step touches only the rows with
 a nonzero in its pivot column.  A Kasteleyn matrix has at most four nonzeros
@@ -16,9 +17,10 @@ Everything is single-threaded.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 class ShapeError(ValueError):
     """Operation applied to a matrix of the wrong shape."""
@@ -110,6 +112,7 @@ def invert(m: Matrix) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
     ``x_r = (d*y_r - sum_{j>r, U[r][j] != 0} U[r][j]*x_j) // U[r][r]``.
     Each entry is returned as ``Fraction(x, d)``, alongside ``d`` itself.
     """
+    from fractions import Fraction
     k = _order(m)
     a = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(m)]
     d = _bareiss(a)

@@ -152,7 +152,8 @@ class Board:
         return self._generate(Color.BLACK)
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.kind and v not in self.holes
+        # A hole lookup hashes v, and with it its Color in Python code: skip it on a holeless board.
+        return v in self.kind and not (self.holes and v in self.holes)
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """Adjacent opposite-color vertices, holes excluded."""

@@ -578,18 +578,72 @@ def test_verify_level_choices_are_verify_levels(capsys):
     assert "argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')" in capsys.readouterr().err
 
 
-def test_importing_the_cli_loads_no_oracle_and_no_dataclasses():
-    # Every command pays for this import, so it holds only what the product commands use:
-    # verify's oracles load in the verify command, and dataclasses would bring inspect and ast.
-    probe = ("import sys; before = set(sys.modules); import aztecdimers.cli; "
-             "print(*sorted(set(sys.modules) - before))")
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a new interpreter that imports the package from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    loaded = set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                                check=True).stdout.split())
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+# Loaded only by the commands that need them: verify's oracles by verify; json, fractions and
+# exactlinalg by prob.  dataclasses would bring inspect and ast into every command.
+_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
+_PROB_ONLY = {"json", "fractions", "aztecdimers.exactlinalg"}
+
+
+def test_importing_the_cli_loads_no_oracle_dataclasses_json_fractions_or_exactlinalg():
+    # Every command pays for this import, so it holds only what every command uses.
+    probe = ("import sys; before = set(sys.modules); import aztecdimers.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = _fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
     assert "aztecdimers.cli" in loaded
-    unwanted = {"dataclasses", "inspect", "aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
-    assert sorted(loaded & unwanted) == []
+    assert sorted(loaded & ({"dataclasses", "inspect"} | _ORACLES | _PROB_ONLY)) == []
+
+
+def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg(tmp_path):
+    commands = [["count", "--n", "5"], ["coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"],
+                ["heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")]]
+    probe = ("import sys; from aztecdimers.cli import main; "
+             f"print([main(argv) for argv in {commands!r}]); print(*sorted(sys.modules))")
+    proc = _fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    *_, codes, modules = proc.stdout.splitlines()
+    assert codes == "[0, 0, 0]"
+    assert sorted(set(modules.split()) & (_ORACLES | _PROB_ONLY)) == []
+
+
+@pytest.mark.parametrize(
+    "content, first_line",
+    [
+        (b'{"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]], '
+         b'[["black", 3, 2], ["white", 2, 2]]]}', "7/32 (0.21875)"),
+        (b'{"format": 1,\n "n": 3,\n "dominoes": [[\n}', "error: {path}: parse error at line 4"),
+        (b'{"format": 1, "n": 1, "dominoes": [], "note": "\xff"}', "error: {path}: not UTF-8"),
+    ],
+    ids=["valid", "parse-error", "not-utf8"],
+)
+def test_prob_prints_the_same_bytes_in_a_fresh_interpreter(tmp_path, capsys, content, first_line):
+    # A fresh interpreter loads json, fractions and exactlinalg on first use, inside the command.
+    path = tmp_path / "pattern.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "prob", str(path))
+    proc = _fresh_python("import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))",
+                         "prob", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert (out or err).startswith(first_line.format(path=path))
+
+
+def test_exact_results_are_fractions_when_fractions_loads_on_first_use():
+    probe = ("from aztecdimers import coupling, exactlinalg; from aztecdimers.lattice import black, white; "
+             "v = coupling.coupling(2, white(1, 1), black(1, 1)); "
+             "r = [v.to_fraction(), v.to_fraction(), coupling.pattern_probability(2, [(white(1, 1), black(1, 1))]), "
+             "exactlinalg.invert([[2]])[1][0][0]]; "
+             "import fractions; print(all(type(f) is fractions.Fraction for f in r), *r)")
+    proc = _fresh_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True -3/4 -3/4 3/4 1/2\n"
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
