@@ -32,6 +32,9 @@ Commands
     Run the oracle self-checks; exit 1 on any mismatch.  Only this command
     imports :mod:`~aztecdimers.verify` and the oracles it runs.
 
+Only ``coupling``, ``prob`` and ``heatmap`` print a decimal, so ``count`` loads no
+:mod:`decimal`; ``verify`` loads it only because :mod:`fractions` imports it.
+
 Pattern files are JSON, one object::
 
     {"format": 1,
@@ -58,23 +61,31 @@ import argparse
 import functools
 import math
 import sys
-from decimal import Context, Decimal, ROUND_HALF_EVEN
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # Signed kernel rows, integer numerators over 2^n, are the heatmap's one source of entries.  The
 # name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
-from .coupling import coupling, coupling_signed_row as coupling_signed, hole_ranges, pattern_probability
+from .coupling import (coupling, coupling_signed_row as coupling_signed, hole_ranges, lowest_terms,
+                       pattern_probability)
 from .lattice import Color, Edge, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 400
 
-_APPROX_CONTEXT = Context(prec=12, rounding=ROUND_HALF_EVEN)
 _COLORS = {color.value: color for color in Color}
 
 
-def _approx(numerator: int, denominator: Decimal) -> str:
-    """12-significant-digit decimal string, round-half-even."""
-    return str(_APPROX_CONTEXT.divide(Decimal(numerator), denominator))
+def _approx(denominator: int) -> Callable[[int], str]:
+    """The divider by ``denominator``: it maps an integer numerator to the quotient as a
+    12-significant-digit decimal string, round-half-even.  The first call loads :mod:`decimal`
+    and rebinds this name to a function that reuses its one context."""
+    global _approx
+    from decimal import Context, Decimal, ROUND_HALF_EVEN
+    divide = Context(prec=12, rounding=ROUND_HALF_EVEN).divide
+
+    def _approx(denominator: int) -> Callable[[int], str]:
+        divisor = Decimal(denominator)
+        return lambda numerator: str(divide(numerator, divisor))
+    return _approx(denominator)
 
 
 def _past_str_limit(what: str, limit: int) -> int:
@@ -95,7 +106,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_coupling(args: argparse.Namespace) -> int:
     value = coupling(args.n, white(*args.white), black(*args.black))
     try:
-        print(f"{value} ({_approx(value.numerator, Decimal(2 ** value.scale))})")
+        print(f"{value} ({_approx(2 ** value.scale)(value.numerator)})")
     except ValueError:  # str() of the numerator, before anything is printed
         return _past_str_limit("the coupling value's numerator", sys.get_int_max_str_digits())
     return 0
@@ -158,7 +169,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     n, pattern = load_pattern_file(args.pattern_file)
     p = pattern_probability(n, pattern)
     try:
-        print(f"{p.numerator}/{p.denominator} ({_approx(p.numerator, Decimal(p.denominator))})")
+        print(f"{p.numerator}/{p.denominator} ({_approx(p.denominator)(p.numerator)})")
     except ValueError:  # str() of the denominator, which p <= 1 makes the longer, or the numerator
         return _past_str_limit("the probability's denominator", sys.get_int_max_str_digits())
     return 0
@@ -176,13 +187,14 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         fh.write("w0,w1,numerator,scale,approx\n")
         # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b), so
         # entry (w0, d0, w1, d1) is entry (w1, d1, w0, d0): the cells of one w0 are the kernel row over w1s.
-        # A cell is s / 2^n for its row sum s: approx divides s itself, and the exact columns drop
-        # the k <= n trailing zero bits of s (zero is 0 / 2^0).
-        denominator = Decimal(2**n)
+        # A cell is s / 2^n for its row sum s: approx divides s itself, and the exact columns are
+        # s / 2^n in lowest terms.  One writelines call per row: a joined row string would raise
+        # peak memory and write no faster.
+        approx = _approx(2**n)
         for w0 in w0s:
-            for w1, s in zip(w1s, coupling_signed(n, w1s, d1, w0, d0)):
-                k = min(n, (s & -s).bit_length() - 1) if s else n
-                fh.write(f"{w0},{w1},{s >> k},{n - k},{_approx(s, denominator)}\n")
+            row = zip(w1s, coupling_signed(n, w1s, d1, w0, d0))
+            fh.writelines(f"{w0},{w1},{num},{scale},{approx(s)}\n"
+                          for w1, s in row for num, scale in [lowest_terms(s, n)])
     print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0
 

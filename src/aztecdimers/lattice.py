@@ -32,6 +32,7 @@ supplies the same three members: ``v in kind``, and the bounding box
 its vertices.  Boards are immutable; removing vertices returns a new
 board with the holes recorded.  Vertices and diamonds are named tuples; a
 :class:`Board` refuses ``setattr`` and fills its cached tuples through ``__dict__``.
+:class:`Color` hashes by identity, so hashing a :class:`Vertex` costs a tuple hash.
 
 An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
 (:data:`Edge`), and a pattern is a sequence of them, such as a matching from
@@ -48,6 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 class Color(Enum):
     WHITE = "white"
     BLACK = "black"
+    __hash__ = object.__hash__
 
 
 class BoardError(ValueError):
@@ -152,8 +154,7 @@ class Board:
         return self._generate(Color.BLACK)
 
     def __contains__(self, v: Vertex) -> bool:
-        # A hole lookup hashes v, and with it its Color in Python code: skip it on a holeless board.
-        return v in self.kind and not (self.holes and v in self.holes)
+        return v in self.kind and v not in self.holes
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
         """Adjacent opposite-color vertices, holes excluded."""
@@ -200,16 +201,14 @@ def validate_pattern(board: Board, pattern: Sequence[Edge]) -> tuple[list[Vertex
     """
     whites: list[Vertex] = []
     blacks: list[Vertex] = []
-    # Keyed on (x, y) per color: hashing a Vertex hashes its Color in Python code.
-    seen_whites: set[tuple[int, int]] = set()
-    seen_blacks: set[tuple[int, int]] = set()
+    seen: set[Vertex] = set()
     for w, b in pattern:
         if not board.is_edge(w, b):
             raise PatternError(f"({w!r}, {b!r}) is not a domino of the board")
-        for v, seen in ((w, seen_whites), (b, seen_blacks)):
-            if (v.x, v.y) in seen:
+        for v in (w, b):
+            if v in seen:
                 raise PatternError(f"vertex {v!r} covered twice")
-            seen.add((v.x, v.y))
+            seen.add(v)
         whites.append(w)
         blacks.append(b)
     return whites, blacks

@@ -74,7 +74,7 @@ def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
     ``index`` numbers the blacks ``(x', y')`` in board order, and ``table[x, y][index[x', y']]``
     is the entry of white ``(x, y)`` and black ``(x', y')``.  One kernel row per ``(d0, w1, d1)``
     over :func:`coupling.hole_ranges`, so both branches are read at every offset.  Keyed by
-    integers, because hashing a ``Vertex`` runs in Python."""
+    integer pairs, not vertices, so that filling the table builds no ``Vertex`` per entry."""
     index = {(b.x, b.y): j for j, b in enumerate(build_diamond(n).black_vertices)}
     table = {(x, y): [0] * len(index) for y in range(1, n + 2) for x in range(1, n + 1)}
     for d0 in range(1 - n, n + 1):

@@ -488,7 +488,7 @@ def test_heatmap_output_bytes_are_pinned(tmp_path, capsys, n, d0, d1):
     ],
 )
 def test_dyadic_approx_fixed_cases(num, scale, text):
-    assert cli._approx(num, Decimal(2**scale)) == text
+    assert cli._approx(2**scale)(num) == text
 
 
 @settings(max_examples=300, deadline=None)
@@ -498,7 +498,7 @@ def test_heatmap_approx_rounds_the_unreduced_value_half_even(num, scale):
     # be that of the unreduced value at 12 digits, half-even.
     want = str(Context(prec=12, rounding=ROUND_HALF_EVEN).divide(Decimal(num), Decimal(2**scale)))
     reduced, reduced_scale = lowest_terms(num, scale)
-    assert cli._approx(reduced, Decimal(2**reduced_scale)) == want
+    assert cli._approx(2**reduced_scale)(reduced) == want
 
 
 @pytest.fixture
@@ -578,17 +578,20 @@ def test_verify_level_choices_are_verify_levels(capsys):
     assert "argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')" in capsys.readouterr().err
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` with ``args`` in a new interpreter that imports the package from this checkout."""
+def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run ``code`` with ``args`` in a new interpreter that imports the package from this checkout,
+    with ``env`` added to its environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
 # Loaded only by the commands that need them: verify's oracles by verify; json, fractions and
-# exactlinalg by prob.  dataclasses would bring inspect and ast into every command.
+# exactlinalg by prob; decimal by the commands that print one.  dataclasses would bring inspect
+# and ast into every command.
 _ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
 _PROB_ONLY = {"json", "fractions", "aztecdimers.exactlinalg"}
+_MAIN = "import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 def test_importing_the_cli_loads_no_oracle_dataclasses_json_fractions_or_exactlinalg():
@@ -599,19 +602,46 @@ def test_importing_the_cli_loads_no_oracle_dataclasses_json_fractions_or_exactli
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "aztecdimers.cli" in loaded
-    assert sorted(loaded & ({"dataclasses", "inspect"} | _ORACLES | _PROB_ONLY)) == []
+    assert sorted(loaded & ({"dataclasses", "inspect", "decimal"} | _ORACLES | _PROB_ONLY)) == []
 
 
 def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg(tmp_path):
-    commands = [["count", "--n", "5"], ["coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"],
-                ["heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")]]
-    probe = ("import sys; from aztecdimers.cli import main; "
-             f"print([main(argv) for argv in {commands!r}]); print(*sorted(sys.modules))")
-    proc = _fresh_python(probe)
-    assert proc.returncode == 0, proc.stderr
-    *_, codes, modules = proc.stdout.splitlines()
-    assert codes == "[0, 0, 0]"
-    assert sorted(set(modules.split()) & (_ORACLES | _PROB_ONLY)) == []
+    # Nor does count load decimal; verify does, only because fractions, which its oracles
+    # need, imports it.  One fresh interpreter per command.
+    unwanted = {
+        ("count", "--n", "5"): _ORACLES | _PROB_ONLY | {"decimal"},
+        ("coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"): _ORACLES | _PROB_ONLY,
+        ("heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")): _ORACLES | _PROB_ONLY,
+        ("verify", "--level", "quick"): {"json"},
+    }
+    probe = "import sys; from aztecdimers.cli import main; print(main(sys.argv[1:])); print(*sorted(sys.modules))"
+    for argv, modules in unwanted.items():
+        proc = _fresh_python(probe, *argv)
+        assert proc.returncode == 0, proc.stderr
+        *_, code, loaded = proc.stdout.splitlines()
+        assert code == "0", argv
+        assert sorted(set(loaded.split()) & modules) == [], argv
+
+
+def test_outputs_do_not_depend_on_hash_values(tmp_path):
+    # Vertex hashes come from the Color members' addresses and str hashes from the seed, so
+    # no output may depend on the iteration order of a set.
+    pattern = tmp_path / "pattern.json"
+    pattern.write_text(json.dumps({"format": 1, "n": 6, "dominoes": [
+        [["white", 3, 3], ["black", 3, 3]], [["white", 4, 4], ["black", 5, 4]], [["black", 2, 6], ["white", 2, 7]]]}))
+    out = tmp_path / "h.csv"
+    commands = [("heatmap", "--n", "12", "--d0", "1", "--d1", "-1", "--out", str(out)), ("prob", str(pattern)),
+                ("verify", "--level", "quick")]
+
+    def outputs(seed):
+        procs = [_fresh_python(_MAIN, *argv, PYTHONHASHSEED=seed) for argv in commands]
+        csv = out.read_bytes()
+        out.unlink()
+        return [(p.returncode, p.stdout, p.stderr) for p in procs], csv
+
+    first, second = outputs("1"), outputs("2")
+    assert [code for code, _, _ in first[0]] == [0, 0, 0], first[0]
+    assert first == second
 
 
 @pytest.mark.parametrize(
@@ -629,8 +659,7 @@ def test_prob_prints_the_same_bytes_in_a_fresh_interpreter(tmp_path, capsys, con
     path = tmp_path / "pattern.json"
     path.write_bytes(content)
     code, out, err = run(capsys, "prob", str(path))
-    proc = _fresh_python("import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))",
-                         "prob", str(path))
+    proc = _fresh_python(_MAIN, "prob", str(path))
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
     assert (out or err).startswith(first_line.format(path=path))
 

@@ -1,5 +1,9 @@
 """Board construction, coordinates, and pattern validation."""
 
+import copy
+import pickle
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -154,6 +158,21 @@ def test_vertices_are_read_only_values_with_short_reprs():
     assert white(2, 3) == Vertex(Color.WHITE, 2, 3)
     assert hash(white(2, 3)) == hash(Vertex(Color.WHITE, 2, 3))
     assert repr(v) == "W(1,2)" and repr(black(3, 1)) == "B(3,1)"
+
+
+def test_hashing_a_vertex_runs_no_python_function():
+    # Color hashes by identity, so a vertex hash is a tuple hash of C-level hashes.
+    v = white(1, 2)
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        hash(v)
+    finally:
+        sys.setprofile(None)
+    assert "call" not in events
+    seen = {v, black(1, 2)}
+    assert pickle.loads(pickle.dumps(white(1, 2))) in seen and copy.deepcopy(black(1, 2)) in seen
+    assert Color.WHITE != "white" and Color("white") is Color.WHITE
 
 
 def test_boards_are_read_only_and_equal_by_kind_and_holes():
