@@ -18,7 +18,10 @@ uses Kasteleyn signs or Krawtchouk sums.  Two counters:
 Besides plain counting, this module evaluates the signed counts
 ``sum_T (-1)^{w(T)}`` over matchings of a two-hole diamond, where ``w(T)``
 counts the matched edges that descend into the two hole rows to the left of
-the holes; see :func:`crossing_weight`.
+the holes; see :func:`crossing_weight`.  They serve the paper's sign lemma,
+not the product: only the tests and the benchmark read :class:`HoleSpec`,
+:func:`crossing_weight` and :func:`weighted_count`, and they move into
+``tests/`` once the benchmark stops reading them (ROADMAP item 1b).
 """
 
 from __future__ import annotations

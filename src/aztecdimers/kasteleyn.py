@@ -99,7 +99,9 @@ def signed_hole_cofactor(n: int, v: Vertex, w: Vertex) -> int:
     the sign of ``det K`` so that the value does not depend on the chosen
     vertex ordering.  Both factors are read from the cached elimination.
     Raises :class:`ValueError` unless ``v`` is a white and ``w`` a black
-    vertex of the order-``n`` diamond.
+    vertex of the order-``n`` diamond.  Only the tests and the benchmark
+    read it, for the two-hole sign lemma; it moves into ``tests/`` once the
+    benchmark stops reading it (ROADMAP item 1b).
     """
     check_diamond_pair(n, v, w)
     d, entries = _diamond_inverse(n)

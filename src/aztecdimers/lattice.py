@@ -137,7 +137,9 @@ class Board:
         return hash((self.kind, self.holes))
 
     def __repr__(self) -> str:
-        return f"Board(kind={self.kind!r}, holes={self.holes!r})"
+        # Holes in a fixed order, whites then blacks, each by (y, x): a set's order follows hashes.
+        holes = ", ".join(map(repr, sorted(self.holes, key=lambda v: (v.color is Color.BLACK, v.y, v.x))))
+        return f"Board(kind={self.kind!r}, holes=frozenset({'{' + holes + '}' if holes else ''}))"
 
     def _generate(self, color: Color) -> tuple[Vertex, ...]:
         kind = self.kind

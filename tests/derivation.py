@@ -7,7 +7,10 @@ determinants, the annihilator, Laplace and delta-symbol identities, and the
 scalar Krawtchouk coefficients they read.  Nothing in ``aztecdimers`` calls
 them; ``test_acceptance`` criteria 2-7 and 13 and ``test_combinatorics``
 certify them against enumeration, and ``test_enumerate`` holds the
-rectangle counts to the transfer matrix and ``|det K|``.  Two references
+rectangle counts to the transfer matrix and ``|det K|``.  The two-hole sign
+lemma, signed two-hole counts against the Kasteleyn cofactors, is one sweep
+over every hole pair (:func:`sign_relation_sweep`), which criterion 11 runs
+to order 6 and ``test_verify``'s mutants must fail.  Two references
 the tests share close the file: the Cartesian coordinates of the tilted
 drawing (:func:`cart`, :func:`from_cart`) and matrix minors, the cofactor
 route to single inverse entries.  Pytest does not collect this file; tests
@@ -18,12 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from aztecdimers.combinatorics import krawtchouk_row
-from aztecdimers.enumerate import enumerate_matchings
+from aztecdimers.coupling import hole_ranges
+from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count
 from aztecdimers.exactlinalg import det
+from aztecdimers.kasteleyn import signed_hole_cofactor
 from aztecdimers.lattice import Board, BoardError, Color, Edge, Vertex, remove_vertices
 
 
@@ -575,6 +581,34 @@ def delta_symbol_coefficient(n: int, w1: int, d0: int) -> Fraction:
         if 0 <= j < len(series):
             acc += p * series[j]
     return acc
+
+
+# ---------------------------------------------------------------------------
+# The two-hole sign lemma
+# ---------------------------------------------------------------------------
+
+
+def sign_relation_sweep(top: int) -> tuple[tuple[int, HoleSpec] | None, int]:
+    """Hold every signed two-hole count of the diamonds of order 1 to ``top`` to its
+    Kasteleyn cofactor: ``weighted_count(n, spec)`` must be ``(-1)^(d0+d1+1)`` times
+    ``signed_hole_cofactor`` at the spec's two holes, that is ``(K^{-1})^T[v, w] |det K|``.
+
+    Returns ``(first, checked)``: ``first`` is ``(n, spec)`` for the first pair that
+    fails, or ``None``, and ``checked`` counts the pairs compared, that one included.
+    Pairs run by order, then ``(d0, d1)`` with both at least 1, then the positions that
+    :func:`aztecdimers.coupling.hole_ranges` gives.
+    """
+    checked = 0
+    for n in range(1, top + 1):
+        for d0, d1 in product(range(1, n + 1), repeat=2):
+            w0s, w1s = hole_ranges(n, d0, d1)
+            for w0, w1 in product(w0s, w1s):
+                spec = HoleSpec(w0, d0, w1, d1)
+                cofactor = signed_hole_cofactor(n, spec.white_hole, spec.black_hole)
+                checked += 1
+                if weighted_count(n, spec) != (cofactor if (d0 + d1) % 2 else -cofactor):
+                    return (n, spec), checked
+    return None, checked
 
 
 # ---------------------------------------------------------------------------

@@ -549,23 +549,21 @@ def test_heatmap_impossible_offsets(tmp_path, capsys):
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 6
     assert "PASS  coupling-vs-oracle (184 pairs up to order 3)" in out
     assert "PASS  local-inverse (11568 identities up to order 8)" in out
     assert "PASS  normalization (every vertex up to order 6)" in out
-    assert "PASS  sign-relation (46 hole pairs up to order 3)" in out
-    assert "all 7 checks passed" in out
+    assert "all 6 checks passed" in out
 
 
 def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
-    assert out.count("PASS") == 7
+    assert out.count("PASS") == 6
     assert "PASS  coupling-vs-oracle (73528 pairs up to order 12)" in out
     assert "PASS  local-inverse (282336 identities up to order 16)" in out
     assert "PASS  normalization (every vertex up to order 10)" in out
-    assert "PASS  sign-relation (812 hole pairs up to order 6)" in out
-    assert "all 7 checks passed" in out
+    assert "all 6 checks passed" in out
 
 
 def test_verify_level_choices_are_verify_levels(capsys):
@@ -702,7 +700,7 @@ def test_verify_records_a_raising_check_and_exits_one(capsys, monkeypatch):
         kasteleyn._diamond_inverse.cache_clear()
     assert code == 1 and err == ""
     assert "FAIL  coupling-vs-oracle (raised SingularMatrixError: matrix is singular)" in out
-    assert out.count("PASS") + out.count("FAIL") == 7
+    assert out.count("PASS") + out.count("FAIL") == 6
     assert "checks failed" in out.splitlines()[-1]
 
 

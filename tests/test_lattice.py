@@ -192,6 +192,15 @@ def test_boards_are_read_only_and_equal_by_kind_and_holes():
     assert len({a, b, build_diamond(2), build_diamond(3)}) == 3
 
 
+def test_board_repr_lists_holes_in_a_fixed_order():
+    # Whites then blacks, each by (y, x), whatever order the holes were punched in.
+    holes = [black(2, 2), white(2, 2), black(3, 1), white(1, 1)]
+    want = "Board(kind=Diamond(n=3), holes=frozenset({W(1,1), W(2,2), B(3,1), B(2,2)}))"
+    assert repr(remove_vertices(build_diamond(3), holes)) == want
+    assert repr(remove_vertices(build_diamond(3), holes[::-1])) == want
+    assert repr(build_diamond(2)) == "Board(kind=Diamond(n=2), holes=frozenset())"
+
+
 @given(
     color=st.sampled_from([Color.WHITE, Color.BLACK]),
     x=st.integers(-30, 30),
