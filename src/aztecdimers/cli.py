@@ -65,8 +65,7 @@ from typing import Callable, Optional, Sequence
 
 # Signed kernel rows, integer numerators over 2^n, are the heatmap's one source of entries.  The
 # name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
-from .coupling import (coupling, coupling_signed_row as coupling_signed, hole_ranges, lowest_terms,
-                       pattern_probability)
+from .coupling import coupling, coupling_signed_row as coupling_signed, hole_ranges, pattern_probability
 from .lattice import Color, Edge, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 400
@@ -74,18 +73,17 @@ HEATMAP_ORDER_LIMIT = 400
 _COLORS = {color.value: color for color in Color}
 
 
-def _approx(denominator: int) -> Callable[[int], str]:
-    """The divider by ``denominator``: it maps an integer numerator to the quotient as a
-    12-significant-digit decimal string, round-half-even.  The first call loads :mod:`decimal`
-    and rebinds this name to a function that reuses its one context."""
-    global _approx
+def _divider(denominator: int) -> tuple[Callable, object]:
+    """``divide`` of the one 12-significant-digit round-half-even decimal context, and ``denominator``
+    as a ``Decimal``: ``str(divide(numerator, divisor))`` is the quotient's text.  The first call loads
+    :mod:`decimal` and rebinds this name to a function that reuses that one context."""
+    global _divider
     from decimal import Context, Decimal, ROUND_HALF_EVEN
     divide = Context(prec=12, rounding=ROUND_HALF_EVEN).divide
 
-    def _approx(denominator: int) -> Callable[[int], str]:
-        divisor = Decimal(denominator)
-        return lambda numerator: str(divide(numerator, divisor))
-    return _approx(denominator)
+    def _divider(denominator: int) -> tuple[Callable, object]:
+        return divide, Decimal(denominator)
+    return _divider(denominator)
 
 
 def _past_str_limit(what: str, limit: int) -> int:
@@ -105,8 +103,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_coupling(args: argparse.Namespace) -> int:
     value = coupling(args.n, white(*args.white), black(*args.black))
+    divide, divisor = _divider(2**value.scale)
     try:
-        print(f"{value} ({_approx(2 ** value.scale)(value.numerator)})")
+        print(f"{value} ({divide(value.numerator, divisor)!s})")
     except ValueError:  # str() of the numerator, before anything is printed
         return _past_str_limit("the coupling value's numerator", sys.get_int_max_str_digits())
     return 0
@@ -168,8 +167,9 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
 def _cmd_prob(args: argparse.Namespace) -> int:
     n, pattern = load_pattern_file(args.pattern_file)
     p = pattern_probability(n, pattern)
+    divide, divisor = _divider(p.denominator)
     try:
-        print(f"{p.numerator}/{p.denominator} ({_approx(p.denominator)(p.numerator)})")
+        print(f"{p.numerator}/{p.denominator} ({divide(p.numerator, divisor)!s})")
     except ValueError:  # str() of the denominator, which p <= 1 makes the longer, or the numerator
         return _past_str_limit("the probability's denominator", sys.get_int_max_str_digits())
     return 0
@@ -188,13 +188,15 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b), so
         # entry (w0, d0, w1, d1) is entry (w1, d1, w0, d0): the cells of one w0 are the kernel row over w1s.
         # A cell is s / 2^n for its row sum s: approx divides s itself, and the exact columns are
-        # s / 2^n in lowest terms.  One writelines call per row: a joined row string would raise
-        # peak memory and write no faster.
-        approx = _approx(2**n)
+        # lowest_terms(s, n), inlined.  Setting bit n caps the shift z at n and takes s = 0 to 0 / 2^0;
+        # |s| can exceed 2^n, so nothing else keeps z <= n.  Each row is one joined string and one
+        # write, with no Python call per cell: per-cell calls would cost more than the kernel does.
+        divide, divisor = _divider(2**n)
+        cap = 1 << n
         for w0 in w0s:
-            row = zip(w1s, coupling_signed(n, w1s, d1, w0, d0))
-            fh.writelines(f"{w0},{w1},{num},{scale},{approx(s)}\n"
-                          for w1, s in row for num, scale in [lowest_terms(s, n)])
+            fh.write("".join([f"{w0},{w1},{s >> z},{n - z},{divide(s, divisor)!s}\n"
+                              for w1, s in zip(w1s, coupling_signed(n, w1s, d1, w0, d0))
+                              for low in [s | cap] for z in [(low & -low).bit_length() - 1]]))
     print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0
 

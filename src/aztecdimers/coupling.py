@@ -15,9 +15,9 @@ given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
 so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
 while a row and the pattern determinant use the numerators over ``2^n`` as they
-are; :func:`lowest_terms` reduces a lone value and each heatmap cell.  Importing this
-module loads neither :mod:`fractions`, bound by :func:`_fraction` on first use, nor ``det``,
-imported by :func:`pattern_probability` when it runs.
+are; :func:`lowest_terms` reduces a lone value, and ``heatmap`` inlines it per
+cell.  Importing this module loads neither :mod:`fractions`, bound by :func:`_fraction`
+on first use, nor ``det``, imported by :func:`pattern_probability` when it runs.
 
 Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built by

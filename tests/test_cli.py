@@ -19,7 +19,7 @@ from aztecdimers import cli
 from aztecdimers import coupling as coupling_mod
 from aztecdimers import verify
 from aztecdimers.cli import load_pattern_file, main
-from aztecdimers.coupling import DyadicRational, coupling_signed, lowest_terms
+from aztecdimers.coupling import DyadicRational, coupling_signed, coupling_signed_row, hole_ranges, lowest_terms
 
 
 def run(capsys, *argv):
@@ -465,6 +465,8 @@ HEATMAP_SHA256 = {
     (160, -3, 2): "171a790a6facc63043124939ea1c1049155541dce71de8db98abc428a7a790d2",
     (200, 1, -3): "cc4605bc93c19eef4517ce3d5b0fad18ee97e06849835e4ce7470a91a79c0f08",
     (200, -2, -1): "c72df773251865dab12dc65e54935e77787da552ec6ec15ad5d82cd376711b46",
+    # Cells with |c| up to 82, recorded before heatmap inlined the capped cell reduction.
+    (12, -6, -6): "dec037ec015380306f21e09d61b5513065e61c3a1c5becc5005398bca01492bd",
 }
 
 
@@ -475,6 +477,53 @@ def test_heatmap_output_bytes_are_pinned(tmp_path, capsys, n, d0, d1):
     assert (code, err) == (0, "")
     assert stdout == f"wrote {out.read_text().count(chr(10)) - 1} entries to {out}\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HEATMAP_SHA256[n, d0, d1]
+
+
+def heatmap_lines(capsys, tmp_path, n, d0, d1):
+    out = tmp_path / "h.csv"
+    code, _, _ = run(capsys, "heatmap", "--n", str(n), "--d0", str(d0), "--d1", str(d1), "--out", str(out))
+    assert code == 0
+    return out.read_text().splitlines()[1:]
+
+
+def test_heatmap_pin_past_the_unit_bound_has_cells_over_one():
+    # The (12, -6, -6) pin has |s| > 2^n: no bound |s| <= 2^n backs the heatmap's capped reduction.
+    n, d0, d1 = 12, -6, -6
+    w0s, w1s = hole_ranges(n, d0, d1)
+    assert max(abs(s) for w0 in w0s for s in coupling_signed_row(n, w1s, d1, w0, d0)) > 82 * 2**n
+
+
+def test_heatmap_caps_the_reduction_at_the_scale(tmp_path, capsys, monkeypatch):
+    # Row sums with n, more than n, and no trailing zero bits, and zero, which has scale 0.
+    n = 7
+    sums = [0, 1, -1, 2**n, -(2**n), 3 * 2**n, 2 ** (n + 3)]
+    monkeypatch.setattr(cli, "coupling_signed", lambda n, w0s, d0, w1, d1: sums)
+    row = ["0,0,0", "1,7,0.0078125", "-1,7,-0.0078125", "1,0,1", "-1,0,-1", "3,0,3", "8,0,8"]
+    want = [f"{w0},{w1},{cell}" for w0 in range(1, n + 1) for w1, cell in zip(range(1, n + 1), row)]
+    assert heatmap_lines(capsys, tmp_path, n, 0, 0) == want
+
+
+def test_heatmap_makes_no_python_call_per_cell(tmp_path, capsys):
+    # Python-level calls per sweep grow with the rows, not the cells: a call per cell would add
+    # at least 79 for each row from n = 40 to n = 80.
+    def python_calls(n):
+        calls = []
+        argv = ["heatmap", "--n", str(n), "--d0", "1", "--d1", "2", "--out", str(tmp_path / "h.csv")]
+        sys.setprofile(lambda frame, event, arg: calls.append(None) if event == "call" else None)
+        try:
+            assert main(argv) == 0
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    python_calls(40)  # the parser and decimal load once per process
+    at_40, at_80 = python_calls(40), python_calls(80)
+    assert at_80 - at_40 < 20 * (80 - 40), (at_40, at_80)
+
+
+def approx(numerator, denominator):
+    divide, divisor = cli._divider(denominator)
+    return str(divide(numerator, divisor))
 
 
 @pytest.mark.parametrize(
@@ -488,17 +537,17 @@ def test_heatmap_output_bytes_are_pinned(tmp_path, capsys, n, d0, d1):
     ],
 )
 def test_dyadic_approx_fixed_cases(num, scale, text):
-    assert cli._approx(2**scale)(num) == text
+    assert approx(num, 2**scale) == text
 
 
 @settings(max_examples=300, deadline=None)
 @given(num=st.integers(-(2**420), 2**420), scale=st.integers(0, 400))
 def test_heatmap_approx_rounds_the_unreduced_value_half_even(num, scale):
-    # The heatmap divides the reduced numerator by a power of two; the text must
-    # be that of the unreduced value at 12 digits, half-even.
+    # The heatmap divides the raw row sum by 2^n, and coupling divides the reduced numerator by its
+    # own power of two: both must give the same text, the exact value at 12 digits, half-even.
     want = str(Context(prec=12, rounding=ROUND_HALF_EVEN).divide(Decimal(num), Decimal(2**scale)))
     reduced, reduced_scale = lowest_terms(num, scale)
-    assert cli._approx(2**reduced_scale)(reduced) == want
+    assert approx(num, 2**scale) == approx(reduced, 2**reduced_scale) == want
 
 
 @pytest.fixture
