@@ -24,9 +24,11 @@ Commands
     The exact columns are never rounded; ``approx`` is a 12-significant-
     digit round-half-even decimal and is not authoritative.  Output rows
     are sorted by ``w0`` then ``w1`` and byte-identical across runs.  The
-    cells of one ``w0`` are one kernel row, written as soon as it returns,
-    so the sweep costs ``O(N^2)`` big-integer operations and holds one row
-    of output at a time; ``N`` above 400 needs ``--force``.
+    cells of one ``w0`` are one kernel row, written as soon as it returns.
+    Its two Krawtchouk lines are one step, two subtractions per entry, from
+    those of the row before, so the sweep costs ``O(N^2)`` big-integer
+    operations and holds one row of output at a time; ``N`` above 400 needs
+    ``--force``.
 
 ``verify --level quick|full``
     Run the oracle self-checks; exit 1 on any mismatch.  Only this command
@@ -63,9 +65,11 @@ import math
 import sys
 from typing import Callable, Optional, Sequence
 
-# Signed kernel rows, integer numerators over 2^n, are the heatmap's one source of entries.  The
-# name stays coupling_signed because bench/test_smoke.py replaces the heatmap's values by it.
-from .coupling import coupling, coupling_signed_row as coupling_signed, hole_ranges, pattern_probability
+# The sweep of signed kernel rows, integer numerators over 2^n, is the heatmap's one source of
+# entries.  It keeps the name coupling_signed because bench/test_smoke.py patches that name with a
+# five-argument function that negates its result: negating the sweep raises, so the patched heatmap
+# fails every operation of the benchmark's gate, as negating a single row did before.
+from .coupling import coupling, coupling_signed_rows as coupling_signed, hole_ranges, pattern_probability
 from .lattice import Color, Edge, Vertex, black, white
 
 HEATMAP_ORDER_LIMIT = 400
@@ -186,16 +190,20 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("w0,w1,numerator,scale,approx\n")
         # s: white (x, y) <-> black (y, x) maps the diamond onto itself with K(s b, s v) = K(v, b), so
-        # entry (w0, d0, w1, d1) is entry (w1, d1, w0, d0): the cells of one w0 are the kernel row over w1s.
-        # A cell is s / 2^n for its row sum s: approx divides s itself, and the exact columns are
-        # lowest_terms(s, n), inlined.  Setting bit n caps the shift z at n and takes s = 0 to 0 / 2^0;
-        # |s| can exceed 2^n, so nothing else keeps z <= n.  Each row is one joined string and one
-        # write, with no Python call per cell: per-cell calls would cost more than the kernel does.
+        # entry (w0, d0, w1, d1) is entry (w1, d1, w0, d0): the cells of one w0 are the kernel row over
+        # w1s, and the rows of consecutive w0 are one walk.  A cell is s / 2^n for its row sum s: approx
+        # divides s itself, and the exact columns are lowest_terms(s, n), inlined.  Setting bit n caps
+        # the shift z at n and takes s = 0 to 0 / 2^0; |s| can exceed 2^n, so nothing else keeps z <= n.
+        # Each row is one joined string and one write, with no Python call per cell: per-cell calls
+        # would cost more than the kernel does.  The w0 text is made once per row and the ",w1," and
+        # ",scale," pieces come from tables built here, so no small integer is formatted per cell.
         divide, divisor = _divider(2**n)
         cap = 1 << n
-        for w0 in w0s:
-            fh.write("".join([f"{w0},{w1},{s >> z},{n - z},{divide(s, divisor)!s}\n"
-                              for w1, s in zip(w1s, coupling_signed(n, w1s, d1, w0, d0))
+        w1_texts = [f",{w1}," for w1 in w1s]
+        scale_texts = [f",{n - z}," for z in range(n + 1)]
+        for w0_text, sums in zip(map(str, w0s), coupling_signed(n, w1s, d1, w0s, d0)):
+            fh.write("".join([f"{w0_text}{w1_text}{s >> z}{scale_texts[z]}{divide(s, divisor)!s}\n"
+                              for w1_text, s in zip(w1_texts, sums)
                               for low in [s | cap] for z in [(low & -low).bit_length() - 1]]))
     print(f"wrote {len(w0s) * len(w1s)} entries to {args.out}")
     return 0

@@ -18,11 +18,22 @@ give
 so the entries past the middle index ``floor(b/2)`` are their mirrors'
 entries times a known sign.  Each recurrence therefore runs ``floor(b/2)``
 steps, up to the middle, and the line is completed by reflection.
+
+A sweep over consecutive lines needs no recurrence per line.  Multiplying
+``P_c = (1-x)^c (1+x)^{b-c}`` by ``1-x`` or ``1+x`` gives the one-step identity
+``(1+x) P_{c+1} = (1-x) P_c``, whose coefficient of ``x^a`` reads
+
+    Kr(a, b, c+1) + Kr(a-1, b, c+1) = Kr(a, b, c) - Kr(a-1, b, c).
+
+So :func:`next_krawtchouk_row` builds row ``c+1`` from row ``c``, and, read at
+``x^{a+1}``, :func:`next_krawtchouk_column` builds column ``a+1`` from column
+``a``, with two subtractions per entry and no division; neither is cached.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 
@@ -70,3 +81,32 @@ def krawtchouk_column(a: int, b: int) -> tuple[int, ...]:
         prev, cur = cur, (slope * cur - c * prev) // (b - c)
         f.append(cur)
     return _mirrored(f, b, a % 2)
+
+
+def next_krawtchouk_row(p: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """``Kr(., b, c+1)`` from the row ``p = Kr(., b, c)`` of :func:`krawtchouk_row`:
+    ``q[a] = p[a] - p[a-1] - q[a-1]``, with entries at ``a = -1`` read as 0, up to the
+    middle index, and the row reflection for ``c+1`` fills in the rest."""
+    b = len(p) - 1
+    if not 0 <= c < b:
+        raise ValueError(f"need 0 <= c < b, got b={b}, c={c}")
+    q, last, cur = [], 0, 0
+    for v in islice(p, b // 2 + 1):
+        last, cur = v, v - last - cur
+        q.append(cur)
+    return _mirrored(q, b, (c + 1) % 2)
+
+
+def next_krawtchouk_column(f: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """``Kr(a+1, b, .)`` from the column ``f = Kr(a, b, .)`` of :func:`krawtchouk_column`:
+    ``g[c+1] = g[c] - f[c] - f[c+1]`` with ``g[0] = comb(b, a+1)``, up to the middle index,
+    and the column reflection for ``a+1`` fills in the rest."""
+    b = len(f) - 1
+    if not 0 <= a < b:
+        raise ValueError(f"need 0 <= a < b, got a={a}, b={b}")
+    cur = comb(b, a + 1)
+    g, last = [cur], f[0]
+    for v in islice(f, 1, b // 2 + 1):
+        last, cur = v, cur - last - v
+        g.append(cur)
+    return _mirrored(g, b, (a + 1) % 2)

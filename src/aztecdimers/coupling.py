@@ -24,10 +24,16 @@ Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 :mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations; which
 terms are summed and the sign depend on ``y``, ``y'`` and ``x' - x`` only.
 :func:`_branch_terms` is the one branch rule and :func:`_negated` the one sign
-rule, and two evaluators with no cache of their own read them: prefix sums
-along a row of consecutive ``x`` (:func:`_branch_sums`, one call per heatmap
-or ``verify`` row), and scattered direct sums (:func:`_entry`), one per lone
-value or pattern entry, over lines built once per value or pattern.
+rule, and two evaluators with no cache of their own read them.  Prefix sums
+along a row of consecutive ``x`` (:func:`_branch_sums`) serve sweeps: at fixed
+offsets, consecutive ``w1`` read consecutive lines, so :func:`line_walk` takes
+only the first pair from the cached builders and steps to each next pair by
+the one-step identity of :mod:`~aztecdimers.combinatorics`, and
+:func:`signed_rows` turns each walked pair into one signed row.  ``heatmap``
+reads one such sweep per command and ``verify`` one walk per ``d1``, reused
+for every ``d0``.  Scattered direct sums (:func:`_entry`), one per lone value
+or pattern entry, read lines built by the cached builders once per value or
+pattern.
 
 The signed inverse-Kasteleyn entry at hole offsets ``(w0, d0, w1, d1)`` pairs the
 white ``(w0, w1+d1)`` with the black ``(w0+d0, w1)``; its sign is the branch sign
@@ -46,9 +52,9 @@ from __future__ import annotations
 
 from itertools import accumulate, islice
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .combinatorics import krawtchouk_column, krawtchouk_row
+from .combinatorics import krawtchouk_column, krawtchouk_row, next_krawtchouk_column, next_krawtchouk_row
 from .lattice import Edge, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
 
 if TYPE_CHECKING:
@@ -130,15 +136,15 @@ def _entry(row: Sequence[int], column: Sequence[int], x: int, d0: int, d1: int) 
     return -s if _negated(d0, d1) else s
 
 
-def _branch_sums(n: int, y: int, y2: int, shift: int, xs: range) -> list[int]:
-    """The branch sums at each white column ``x`` of a nonempty step-1 range ``xs`` of pairs on
-    the diamond, without the branch sign, which the caller applies.
+def _branch_sums(row: Sequence[int], column: Sequence[int], shift: int, xs: range) -> list[int]:
+    """The branch sums over a built white row ``Kr(., n, y-1)`` and black column ``Kr(y2-1, n-1, .)``
+    at each white column ``x`` of a nonempty step-1 range ``xs`` of pairs on the diamond, without
+    the branch sign, which the caller applies.
 
     The terms of :func:`_branch_terms` do not depend on ``x``, and its prefix grows with ``x`` for
     ``shift > 0`` and shrinks otherwise.  So the terms of the range's longest prefix are read once:
     those of its shortest prefix are summed directly, and each later term gives the next sum.
     """
-    row, column = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
     lines = _branch_terms(row, column, xs[-1] if shift > 0 else xs[0], shift)
     terms = map(mul, *lines)
     sums = list(accumulate(terms, initial=sum(islice(terms, len(lines[0]) - len(xs) + 1))))
@@ -165,12 +171,38 @@ def _check_pairs(n: int, first: int, last: int, d0: int, w1: int, d1: int) -> No
             check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
 
 
-def coupling_signed_row(n: int, w0s: range, d0: int, w1: int, d1: int) -> list[int]:
-    """:func:`coupling_signed` at each ``w0`` of a nonempty step-1 range, in one kernel call, as
-    integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``, not reduced."""
-    _check_pairs(n, w0s[0], w0s[-1], d0, w1, d1)
-    sums = _branch_sums(n, w1 + d1, w1, d0, w0s)
-    return [-s for s in sums] if _negated(d0, d1) else sums
+def line_walk(n: int, w1s: range, d1: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The white row ``Kr(., n, w1+d1-1)`` and black column ``Kr(w1-1, n-1, .)`` of the signed entries
+    at each ``w1`` of a nonempty step-1 range, in order.  Only the first pair comes from the cached
+    builders; each later pair is one step of :func:`~aztecdimers.combinatorics.next_krawtchouk_row`
+    and :func:`~aztecdimers.combinatorics.next_krawtchouk_column` from the pair before it."""
+    c, a = w1s[0] + d1 - 1, w1s[0] - 1
+    row, column = krawtchouk_row(n, c), krawtchouk_column(a, n - 1)
+    yield row, column
+    for k in range(len(w1s) - 1):
+        row, column = next_krawtchouk_row(row, c + k), next_krawtchouk_column(column, a + k)
+        yield row, column
+
+
+def signed_rows(lines: Iterable[tuple[Sequence[int], Sequence[int]]], w0s: range, d0: int, d1: int
+                ) -> Iterator[list[int]]:
+    """For each ``(row, column)`` pair of :func:`line_walk`, the signed entries at each ``w0`` of a
+    nonempty step-1 range, as integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``, not
+    reduced.  The pairs are not checked; the sign is taken once."""
+    negated = _negated(d0, d1)
+    for row, column in lines:
+        sums = _branch_sums(row, column, d0, w0s)
+        yield [-s for s in sums] if negated else sums
+
+
+def coupling_signed_rows(n: int, w0s: range, d0: int, w1s: range, d1: int) -> Iterator[list[int]]:
+    """:func:`coupling_signed` at each ``(w0, w1)`` of two nonempty step-1 ranges, one row over
+    ``w0s`` per ``w1`` in order, each row one kernel call over walked lines: entry ``i`` of a row is
+    the value at ``w0s[i]`` times ``2^n``, not reduced.  The four corners are checked before the
+    sweep starts, so an off-board sweep raises ``BoardError`` here, not at its first row."""
+    for w1 in (w1s[0], w1s[-1]):
+        _check_pairs(n, w0s[0], w0s[-1], d0, w1, d1)
+    return signed_rows(line_walk(n, w1s, d1), w0s, d0, d1)
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:

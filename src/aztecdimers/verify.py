@@ -14,7 +14,8 @@ counts of the diamond with the pattern removed.  The paper's two-hole sign
 lemma is a proof step, not the product: the tier-1 tests certify it
 (acceptance criterion 11, on every hole pair to order 6).
 The three coupling checks read one table per order, every signed entry as an
-integer times ``2^n``, built from kernel rows, one per ``(d0, w1, d1)``.
+integer times ``2^n``, built from kernel rows, one per ``(d0, w1, d1)``, over
+Krawtchouk lines walked once per ``d1``.
 ``coupling-vs-oracle`` (3/12) holds it to the exact inverse Kasteleyn matrix.
 ``local-inverse`` (8/16) needs no oracle matrix: it checks ``K C^T = I`` one
 sparse row of ``K`` at a time.  ``normalization`` (6/10) checks that the
@@ -72,16 +73,19 @@ def _counts_power_of_two(full: bool) -> CheckResult:
 def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[int]]]:
     """Every signed entry of the order-``n`` diamond times ``2^n``, as ``(index, table)``:
     ``index`` numbers the blacks ``(x', y')`` in board order, and ``table[x, y][index[x', y']]``
-    is the entry of white ``(x, y)`` and black ``(x', y')``.  One kernel row per ``(d0, w1, d1)``
-    over :func:`coupling.hole_ranges`, so both branches are read at every offset.  Keyed by
-    integer pairs, not vertices, so that filling the table builds no ``Vertex`` per entry."""
+    is the entry of white ``(x, y)`` and black ``(x', y')``.  One :func:`coupling.line_walk` per
+    ``d1`` over its :func:`coupling.hole_ranges`, and each walked pair of lines gives the kernel
+    row of every ``d0``, so both branches are read at every offset.  Keyed by integer pairs, not
+    vertices, so that filling the table builds no ``Vertex`` per entry."""
     index = {(b.x, b.y): j for j, b in enumerate(build_diamond(n).black_vertices)}
     table = {(x, y): [0] * len(index) for y in range(1, n + 2) for x in range(1, n + 1)}
-    for d0 in range(1 - n, n + 1):
-        for d1 in range(1 - n, n + 1):
-            w0s, w1s = coupling.hole_ranges(n, d0, d1)
-            for w1 in w1s:
-                for w0, entry in zip(w0s, coupling.coupling_signed_row(n, w0s, d0, w1, d1)):
+    for d1 in range(1 - n, n + 1):
+        w1s = coupling.hole_ranges(n, 0, d1)[1]
+        lines = list(coupling.line_walk(n, w1s, d1))
+        for d0 in range(1 - n, n + 1):
+            w0s = coupling.hole_ranges(n, d0, d1)[0]
+            for w1, row in zip(w1s, coupling.signed_rows(lines, w0s, d0, d1)):
+                for w0, entry in zip(w0s, row):
                     table[w0, w1 + d1][index[w0 + d0, w1]] = entry
     return index, table
 

@@ -16,10 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztecdimers import cli
+from aztecdimers import combinatorics
 from aztecdimers import coupling as coupling_mod
 from aztecdimers import verify
 from aztecdimers.cli import load_pattern_file, main
-from aztecdimers.coupling import DyadicRational, coupling_signed, coupling_signed_row, hole_ranges, lowest_terms
+from aztecdimers.coupling import DyadicRational, coupling_signed, coupling_signed_rows, hole_ranges, lowest_terms
 
 
 def run(capsys, *argv):
@@ -383,9 +384,9 @@ def kernel_calls(monkeypatch):
     """The ``xs`` range of every call of the coupling kernel during one test."""
     calls, kernel = [], coupling_mod._branch_sums
 
-    def spy(n, y, y2, shift, xs):
+    def spy(row, column, shift, xs):
         calls.append(xs)
-        return kernel(n, y, y2, shift, xs)
+        return kernel(row, column, shift, xs)
 
     monkeypatch.setattr(coupling_mod, "_branch_sums", spy)
     return calls
@@ -398,6 +399,18 @@ def test_heatmap_builds_each_kernel_row_once(tmp_path, capsys, kernel_calls):
     code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "h.csv"))
     assert code == 0
     assert kernel_calls == [range(1, 40)] * 40
+
+
+@pytest.mark.parametrize("d0,d1", [(1, 2), (-3, -1)])
+def test_heatmap_sweep_misses_each_line_cache_at_most_once(tmp_path, capsys, d0, d1):
+    # The first row reads its two lines from the cached builders; every later row's lines are one
+    # step from the row before, so a 40-row sweep does not miss either cache again.
+    combinatorics.krawtchouk_row.cache_clear()
+    combinatorics.krawtchouk_column.cache_clear()
+    argv = ["heatmap", "--n", "40", "--d0", str(d0), "--d1", str(d1), "--out", str(tmp_path / "h.csv")]
+    assert run(capsys, *argv)[0] == 0
+    assert combinatorics.krawtchouk_row.cache_info().misses == 1
+    assert combinatorics.krawtchouk_column.cache_info().misses == 1
 
 
 def test_heatmap_cost_guard(tmp_path, capsys):
@@ -490,14 +503,14 @@ def test_heatmap_pin_past_the_unit_bound_has_cells_over_one():
     # The (12, -6, -6) pin has |s| > 2^n: no bound |s| <= 2^n backs the heatmap's capped reduction.
     n, d0, d1 = 12, -6, -6
     w0s, w1s = hole_ranges(n, d0, d1)
-    assert max(abs(s) for w0 in w0s for s in coupling_signed_row(n, w1s, d1, w0, d0)) > 82 * 2**n
+    assert max(abs(s) for row in coupling_signed_rows(n, w1s, d1, w0s, d0) for s in row) > 82 * 2**n
 
 
 def test_heatmap_caps_the_reduction_at_the_scale(tmp_path, capsys, monkeypatch):
     # Row sums with n, more than n, and no trailing zero bits, and zero, which has scale 0.
     n = 7
     sums = [0, 1, -1, 2**n, -(2**n), 3 * 2**n, 2 ** (n + 3)]
-    monkeypatch.setattr(cli, "coupling_signed", lambda n, w0s, d0, w1, d1: sums)
+    monkeypatch.setattr(cli, "coupling_signed", lambda n, w0s, d0, w1s, d1: [sums] * len(w1s))
     row = ["0,0,0", "1,7,0.0078125", "-1,7,-0.0078125", "1,0,1", "-1,0,-1", "3,0,3", "8,0,8"]
     want = [f"{w0},{w1},{cell}" for w0 in range(1, n + 1) for w1, cell in zip(range(1, n + 1), row)]
     assert heatmap_lines(capsys, tmp_path, n, 0, 0) == want

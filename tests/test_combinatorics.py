@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
+from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row, next_krawtchouk_column, next_krawtchouk_row
 from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count
 from aztecdimers.exactlinalg import det
 from aztecdimers.lattice import black
@@ -107,6 +107,24 @@ def test_krawtchouk_lines_match_convolution_at_large_order(b):
         for j in indices:
             assert row[j] == krawtchouk_convolution(j, b, i), (b, j, i)
             assert column[j] == krawtchouk_convolution(i, b, j), (b, i, j)
+
+
+def test_one_step_builders_equal_the_recurrences():
+    # Every step between lines of order b <= 40, then steps at b = 200 and 400 from both ends and
+    # across both middle indices, where an off-by-one in the run to the middle would show.
+    steps = [(b, i) for b in range(41) for i in range(b)]
+    for b in (200, 400):
+        rng = random.Random(b)
+        steps += [(b, i) for i in sorted({0, 1, b // 2 - 1, b // 2, b - 2, b - 1, *rng.sample(range(b), 8)})]
+    for b, i in steps:
+        assert next_krawtchouk_row(krawtchouk_row(b, i), i) == krawtchouk_row(b, i + 1), (b, i)
+        assert next_krawtchouk_column(krawtchouk_column(i, b), i) == krawtchouk_column(i + 1, b), (b, i)
+    # No step leaves the last line, or starts from an index the line does not have.
+    for b, i in ((0, 0), (3, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            next_krawtchouk_row(krawtchouk_row(b, min(max(i, 0), b)), i)
+        with pytest.raises(ValueError):
+            next_krawtchouk_column(krawtchouk_column(min(max(i, 0), b), b), i)
 
 
 def test_krawtchouk_row_sums():

@@ -16,7 +16,7 @@ from aztecdimers.coupling import (
     DyadicRational,
     coupling,
     coupling_signed,
-    coupling_signed_row,
+    coupling_signed_rows,
     hole_ranges,
     pattern_probability,
 )
@@ -138,9 +138,10 @@ def test_range_kernel_matches_the_per_term_sum_on_every_range():
             for y in range(1, n + 2):
                 for y2 in range(1, n + 1):
                     sign = _branch_sign(y, y2, shift)
+                    lines = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
                     want = [sign * _branch_sum_per_term(n, x, y, x + shift, y2) for x in cols]
                     for lo, hi in combinations(range(len(cols) + 1), 2):
-                        got = coupling_mod._branch_sums(n, y, y2, shift, cols[lo:hi])
+                        got = coupling_mod._branch_sums(*lines, shift, cols[lo:hi])
                         assert got == want[lo:hi], (n, y, y2, shift, cols[lo:hi])
 
 
@@ -153,7 +154,14 @@ def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
     lo = data.draw(st.integers(0, len(cols) - 1), label="lo")
     xs = cols[lo:data.draw(st.integers(lo + 1, len(cols)), label="hi")]
     want = [_branch_sign(y, y2, shift) * _branch_sum_per_term(n, x, y, x + shift, y2) for x in xs]
-    assert coupling_mod._branch_sums(n, y, y2, shift, xs) == want
+    lines = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
+    assert coupling_mod._branch_sums(*lines, shift, xs) == want
+
+
+def _signed_row(n, w0s, d0, w1, d1):
+    """The one row of the sweep over the single ``w1``."""
+    (row,) = coupling_signed_rows(n, w0s, d0, range(w1, w1 + 1), d1)
+    return row
 
 
 def test_signed_row_equals_its_cells():
@@ -169,8 +177,38 @@ def test_signed_row_equals_its_cells():
                     scaled = [c.numerator << (n - c.scale) for c in cells]
                     spans = combinations(range(len(w0s) + 1), 2) if n <= 9 else [(0, len(w0s))]
                     for lo, hi in spans:
-                        row = coupling_signed_row(n, w0s[lo:hi], d0, w1, d1)
+                        row = _signed_row(n, w0s[lo:hi], d0, w1, d1)
                         assert row == scaled[lo:hi], (n, w0s[lo:hi], d0, w1, d1)
+
+
+def _scaled_cells(n, w0s, d0, w1, d1):
+    return [c.numerator << (n - c.scale) for c in (coupling_signed(n, w0, d0, w1, d1) for w0 in w0s)]
+
+
+def test_walked_rows_equal_the_lone_entries_on_every_offset_pair():
+    # Every offset pair that fits, so both branches, at every order to 10: each row of the sweep
+    # over all of w1s, the first from the cached lines and the rest walked, against its lone entries.
+    for n in range(1, 11):
+        for d0, d1 in product(range(1 - n, n + 1), repeat=2):
+            w0s, w1s = hole_ranges(n, d0, d1)
+            rows = list(coupling_signed_rows(n, w0s, d0, w1s, d1))
+            assert rows == [_scaled_cells(n, w0s, d0, w1, d1) for w1 in w1s], (n, d0, d1)
+
+
+def test_walked_rows_equal_the_lone_entries_at_large_order():
+    # Seeded offsets at n = 200, alternately with d0 > 0 and d0 <= 0, and d1 at both extremes,
+    # where the walk's row reaches c = n or its column a = n - 1; sampled rows and the last row,
+    # which has taken the most steps.
+    n = 200
+    rng = random.Random(n)
+    d1s = [1 - n, n, *(rng.randint(1 - n, n) for _ in range(8))]
+    for i, d1 in enumerate(d1s):
+        d0 = rng.randint(1, n) if i % 2 else rng.randint(1 - n, 0)
+        w0s, w1s = hole_ranges(n, d0, d1)
+        picks = {0, len(w1s) - 1, *rng.sample(range(len(w1s)), min(3, len(w1s)))}
+        for k, row in enumerate(coupling_signed_rows(n, w0s, d0, w1s, d1)):
+            if k in picks:
+                assert row == _scaled_cells(n, w0s, d0, w1s[k], d1), (n, d0, w1s[k], d1)
 
 
 def _branch_sum_from_lines(n, x, y, x2, y2):
@@ -198,14 +236,14 @@ def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
         w0s = cols[lo:rng.randint(lo + 1, min(len(cols), lo + 8))]
         sign = -1 if (d0 + d1 + w1) % 2 else 1
         want = [sign * _branch_sum_from_lines(n, w0, w1 + d1, w0 + d0, w1) for w0 in w0s]
-        assert coupling_signed_row(n, w0s, d0, w1, d1) == want, (n, w0s, d0, w1, d1)
+        assert _signed_row(n, w0s, d0, w1, d1) == want, (n, w0s, d0, w1, d1)
 
 
 def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
     """The direct sum over built lines, ``coupling_signed`` and ``coupling`` at ``(v, w)``
     against the cell of ``v.x`` in the kernel row over ``row_range``."""
     w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
-    cell = coupling_signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
+    cell = _signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
     lines = krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1)
     assert coupling_mod._entry(*lines, w0, d0, d1) == cell, (n, v, w)
     assert coupling_signed(n, w0, d0, w1, d1) == DyadicRational(cell, n), (n, v, w)
@@ -310,27 +348,27 @@ def test_an_eight_domino_pattern_keeps_only_its_lines():
 @pytest.mark.parametrize("w0s", [range(0, 3), range(1, 5), range(4, 5)])
 def test_signed_row_rejects_an_end_off_the_board(w0s):
     with pytest.raises(BoardError):
-        coupling_signed_row(3, w0s, 0, 1, 0)
+        _signed_row(3, w0s, 0, 1, 0)
 
 
 def test_signed_row_checks_its_ends_like_check_diamond_pair():
-    # The integer bounds test rejects exactly the rows check_diamond_pair rejects,
-    # with its message.
+    # The integer bounds test rejects exactly the sweeps check_diamond_pair rejects at one of
+    # their corners, with its message, before the first row is asked for.
     for n in range(0, 4):
         for w0, d0, w1, d1 in product(range(-1, 6), range(-5, 6), range(-1, 6), range(-5, 6)):
-            for w0s in (range(w0, w0 + 1), range(w0, w0 + 2)):
+            for w0s, w1s in product((range(w0, w0 + 1), range(w0, w0 + 2)), (range(w1, w1 + 1), range(w1, w1 + 2))):
                 try:
-                    for x in (w0s[0], w0s[-1]):
-                        check_diamond_pair(n, white(x, w1 + d1), black(x + d0, w1))
+                    for y, x in product((w1s[0], w1s[-1]), (w0s[0], w0s[-1])):
+                        check_diamond_pair(n, white(x, y + d1), black(x + d0, y))
                     want = None
                 except BoardError as exc:
                     want = str(exc)
                 try:
-                    coupling_signed_row(n, w0s, d0, w1, d1)
+                    coupling_signed_rows(n, w0s, d0, w1s, d1)
                     got = None
                 except BoardError as exc:
                     got = str(exc)
-                assert got == want, (n, w0s, d0, w1, d1)
+                assert got == want, (n, w0s, d0, w1s, d1)
 
 
 def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
@@ -341,7 +379,7 @@ def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
     monkeypatch.setattr(coupling_mod, "white", no_vertex)
     monkeypatch.setattr(coupling_mod, "black", no_vertex)
     assert coupling_signed(5, 2, 1, 3, -1) == want
-    assert coupling_signed_row(5, range(1, 5), 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
+    assert _signed_row(5, range(1, 5), 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
 
 
 def test_pattern_entries_are_not_rechecked(monkeypatch):
@@ -534,8 +572,8 @@ def test_transpose_orientation_defines_the_same_values():
     for n, d0, d1 in product(range(1, 13), range(-4, 5), range(-4, 5)):
         w0s, w1s = hole_ranges(n, d0, d1)
         if w0s and w1s:
-            rows = [coupling_signed_row(n, w0s, d0, w1, d1) for w1 in w1s]
-            assert [list(c) for c in zip(*rows)] == [coupling_signed_row(n, w1s, d1, w0, d0) for w0 in w0s]
+            rows = list(coupling_signed_rows(n, w0s, d0, w1s, d1))
+            assert [list(c) for c in zip(*rows)] == list(coupling_signed_rows(n, w1s, d1, w0s, d0))
 
 
 def test_mistranscribed_formula_fails_calibration():
