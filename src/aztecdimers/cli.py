@@ -54,7 +54,8 @@ diamond and no cell may repeat.
 Exit codes: 0 success, 1 verification failure, 2 usage error: a bad
 argument or pattern file (malformed, too deeply nested, off the board), an
 unreadable input or unwritable output path, or an exact value past the
-int-to-str limit, which ``count``, ``coupling`` and ``prob`` name.
+int-to-str limit, which ``count``, ``coupling`` and ``prob`` name.  :func:`main`
+prints every exit-2 message: argparse's, or an ``error:`` line for what a command raises.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ def _divider(denominator: int) -> tuple[Callable, object]:
     return _divider(denominator)
 
 
-def _past_str_limit(what: str, limit: int) -> int:
-    print(f"error: {what} has more than {limit} digits, the int-to-str limit", file=sys.stderr)
-    return 2
+def _past_str_limit(what: str, limit: int) -> ValueError:
+    return ValueError(f"{what} has more than {limit} digits, the int-to-str limit")
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -100,7 +100,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     limit = sys.get_int_max_str_digits() or 4300
     if e > 4 * limit or math.floor(e * math.log10(2)) + 1 > limit:  # 2^e has over e/4 digits
         # Not 2^{e}: past about 2150-digit orders e itself is over the int-to-str limit.
-        return _past_str_limit("2^(n(n+1)/2)", limit)
+        raise _past_str_limit("2^(n(n+1)/2)", limit)
     print(f"{2 ** e} (= 2^{e})")
     return 0
 
@@ -111,7 +111,7 @@ def _cmd_coupling(args: argparse.Namespace) -> int:
     try:
         print(f"{value} ({divide(value.numerator, divisor)!s})")
     except ValueError:  # str() of the numerator, before anything is printed
-        return _past_str_limit("the coupling value's numerator", sys.get_int_max_str_digits())
+        raise _past_str_limit("the coupling value's numerator", sys.get_int_max_str_digits()) from None
     return 0
 
 
@@ -175,7 +175,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     try:
         print(f"{p.numerator}/{p.denominator} ({divide(p.numerator, divisor)!s})")
     except ValueError:  # str() of the denominator, which p <= 1 makes the longer, or the numerator
-        return _past_str_limit("the probability's denominator", sys.get_int_max_str_digits())
+        raise _past_str_limit("the probability's denominator", sys.get_int_max_str_digits()) from None
     return 0
 
 
@@ -183,9 +183,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     n, d0, d1 = args.n, args.d0, args.d1
     w0s, w1s = hole_ranges(n, d0, d1)
     if not (w0s and w1s):
-        print(f"error: offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond")
     # Opened first, so that a bad path fails before any cell is computed.
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("w0,w1,numerator,scale,approx\n")
@@ -212,7 +210,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify  # the oracles, which no other command needs
 
-    results = verify.run_checks(args.level)
+    results = verify.run_checks(args.level == "full")
     failed = 0
     for r in results:
         status = "PASS" if r.ok else "FAIL"
@@ -277,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"n={args.n} exceeds the cost guard ({HEATMAP_ORDER_LIMIT}); pass --force")
     try:
         return args.run(args)
-    except (OSError, ValueError) as exc:  # BoardError, PatternError, str() past the int-to-str limit
+    except (OSError, ValueError) as exc:  # BoardError, PatternError, the int-to-str limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,10 +78,11 @@ def _diamond_inverse(n: int) -> tuple[int, Mapping[tuple[Vertex, Vertex], Fracti
     shares them."""
     board = build_diamond(n)
     d, inv = exactlinalg.invert(kasteleyn_matrix(board))
+    blacks = board.black_vertices
     return d, MappingProxyType({
         (v, w): inv[j][i]
         for i, v in enumerate(board.white_vertices)
-        for j, w in enumerate(board.black_vertices)
+        for j, w in enumerate(blacks)
     })
 
 

@@ -25,13 +25,13 @@ stays the link to the tilted drawing; boards themselves never use it.
 
 A board's kind decides which vertices it has, by a few range comparisons
 in ``v in kind``, so building a board costs O(1); its vertex tuples are
-built on first use.  The product's one kind is :class:`Diamond`.  Any
-other kind (the test suite builds the paper's Aztec rectangles this way)
-supplies the same three members: ``v in kind``, and the bounding box
-``1 <= x <= kind.n + 1``, ``1 <= y <= kind.rows + 1`` that holds all of
-its vertices.  Boards are immutable; removing vertices returns a new
-board with the holes recorded.  Vertices and diamonds are named tuples; a
-:class:`Board` refuses ``setattr`` and fills its cached tuples through ``__dict__``.
+built from that test on each read.  The product's one kind is :class:`Diamond`,
+whose ``__contains__`` states the diamond's bounds once.  Any other kind (the test
+suite builds the paper's Aztec rectangles this way) supplies the same three
+members: ``v in kind``, and the bounding box ``1 <= x <= kind.n + 1``,
+``1 <= y <= kind.rows + 1`` that holds all of its vertices.  Vertices, diamonds
+and boards are named tuples, so they are immutable and compare and hash as
+their fields; removing vertices returns a new board with the holes recorded.
 :class:`Color` hashes by identity, so hashing a :class:`Vertex` costs a tuple hash.
 
 An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
@@ -42,7 +42,6 @@ An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -87,23 +86,6 @@ def black(x: int, y: int) -> Vertex:
 _WHITE_TO_BLACK = ((0, 0), (1, 0), (0, -1), (1, -1))
 
 
-def _in_diamond(n: int, v: Vertex) -> bool:
-    """Whether ``v`` is a vertex of the order-``n`` diamond."""
-    if v.color is Color.WHITE:
-        return 1 <= v.x <= n and 1 <= v.y <= n + 1
-    return 1 <= v.x <= n + 1 and 1 <= v.y <= n
-
-
-def check_diamond_pair(n: int, v: Vertex, w: Vertex) -> None:
-    """Raise ``BoardError`` unless white ``v`` and black ``w`` are on the order-``n`` diamond."""
-    if n < 1:
-        raise BoardError(f"diamond order must be positive, got {n}")
-    if v.color is not Color.WHITE or not _in_diamond(n, v):
-        raise BoardError(f"{v!r} is not a white vertex of the order-{n} diamond")
-    if w.color is not Color.BLACK or not _in_diamond(n, w):
-        raise BoardError(f"{w!r} is not a black vertex of the order-{n} diamond")
-
-
 class Diamond(NamedTuple):
     n: int
 
@@ -112,29 +94,34 @@ class Diamond(NamedTuple):
         return self.n
 
     def __contains__(self, v: Vertex) -> bool:
-        return _in_diamond(self.n, v)
+        """Whether ``v`` is a vertex of the order-``n`` diamond."""
+        n = self.n
+        if v.color is Color.WHITE:
+            return 1 <= v.x <= n and 1 <= v.y <= n + 1
+        return 1 <= v.x <= n + 1 and 1 <= v.y <= n
 
 
-class Board:
-    """An immutable board: ``v in board`` means ``v in board.kind and v not
-    in board.holes``.  Each color's vertex tuple is generated from that test
-    over the kind's bounding box once per board, in row-major order (by
+def check_diamond_pair(n: int, v: Vertex, w: Vertex) -> None:
+    """Raise ``BoardError`` unless white ``v`` and black ``w`` are on the order-``n`` diamond."""
+    if n < 1:
+        raise BoardError(f"diamond order must be positive, got {n}")
+    diamond = Diamond(n)
+    if v.color is not Color.WHITE or v not in diamond:
+        raise BoardError(f"{v!r} is not a white vertex of the order-{n} diamond")
+    if w.color is not Color.BLACK or w not in diamond:
+        raise BoardError(f"{w!r} is not a black vertex of the order-{n} diamond")
+
+
+class Board(NamedTuple):
+    """A board: ``v in board`` means ``v in board.kind and v not in
+    board.holes``.  Each color's vertex tuple is generated from that test
+    over the kind's bounding box on each read, in row-major order (by
     ``y``, then ``x``), the row and column order of every matrix built from
-    the board.  Boards compare and hash by ``(kind, holes)``."""
+    the board.  A named tuple, so boards are immutable and compare and hash
+    as the tuple ``(kind, holes)``."""
 
-    def __init__(self, kind: Diamond, holes: frozenset[Vertex] = frozenset()) -> None:
-        self.__dict__.update(kind=kind, holes=holes)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{name!r} is read-only: boards are immutable")
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        same = other.__class__ is self.__class__
-        return (self.kind, self.holes) == (other.kind, other.holes) if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.holes))
+    kind: Diamond
+    holes: frozenset[Vertex] = frozenset()
 
     def __repr__(self) -> str:
         # Holes in a fixed order, whites then blacks, each by (y, x): a set's order follows hashes.
@@ -146,12 +133,12 @@ class Board:
         cands = (Vertex(color, x, y) for y in range(1, kind.rows + 2) for x in range(1, kind.n + 2))
         return tuple(v for v in cands if v in self)
 
-    @cached_property
+    @property
     def white_vertices(self) -> tuple[Vertex, ...]:
         """White vertices on the board, holes excluded, in row-major order."""
         return self._generate(Color.WHITE)
 
-    @cached_property
+    @property
     def black_vertices(self) -> tuple[Vertex, ...]:
         return self._generate(Color.BLACK)
 

@@ -3,7 +3,8 @@
 Backs the ``verify`` CLI command, which runs six checks, each of the product
 or of the oracle that certifies it.  ``quick`` keeps most boards small and
 runs in a few seconds; ``full`` pushes each check to the largest size the
-oracles handle comfortably.  Orders are ``quick``/``full``.
+oracles handle comfortably, and reaches :func:`run_checks` as ``full=True``.
+Orders below are ``quick``/``full``.
 Ground truth is the transfer-matrix count :func:`enumerate.weighted_matchings`,
 which uses neither Kasteleyn signs nor Krawtchouk sums:
 ``counts-vs-enumeration`` (3/8) holds ``|det K|`` to it on diamonds, so the one
@@ -17,12 +18,13 @@ The three coupling checks read one table per order, every signed entry as an
 integer times ``2^n``, built from kernel rows, one per ``(d0, w1, d1)``, over
 Krawtchouk lines walked once per ``d1``.
 ``coupling-vs-oracle`` (3/12) holds it to the exact inverse Kasteleyn matrix.
-``local-inverse`` (8/16) needs no oracle matrix: it checks ``K C^T = I`` one
-sparse row of ``K`` at a time.  ``normalization`` (6/10) checks that the
+``local-inverse`` (8/16) needs no inverse: it checks ``K C^T = I`` on the
+nonzeros of one row of :func:`kasteleyn.kasteleyn_matrix` at a time.  ``normalization`` (6/10) checks that the
 dominoes at every white and every black have weights summing to 1.
-Each check returns a :class:`CheckResult`; a check that raises is recorded
-as a failure naming the exception, and any failure makes the command exit
-nonzero.
+Each check returns ``(ok, detail)``; the runner names its :class:`CheckResult`
+after the function, ``_local_inverse`` as ``local-inverse``, records a check
+that raises as a failure naming the exception, and any failure makes the
+command exit nonzero.
 """
 
 from __future__ import annotations
@@ -42,32 +44,29 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-LEVELS = ("quick", "full")
-
-
 def _count(board: Board) -> int:
     """Perfect matchings of ``board``, by transfer matrix."""
     return enum.weighted_matchings(board, lambda w, b: 1)
 
 
-def _counts_vs_enumeration(full: bool) -> CheckResult:
+def _counts_vs_enumeration(full: bool) -> tuple[bool, str]:
     top = 8 if full else 3
     for n in range(1, top + 1):
         board = build_diamond(n)
         got, want = kasteleyn.count_matchings_det(board), _count(board)
         if got != want:
-            return CheckResult("counts-vs-enumeration", False, f"n={n}: det {got} != transfer matrix {want}")
-    return CheckResult("counts-vs-enumeration", True, f"diamonds up to order {top}")
+            return False, f"n={n}: det {got} != transfer matrix {want}"
+    return True, f"diamonds up to order {top}"
 
 
-def _counts_power_of_two(full: bool) -> CheckResult:
+def _counts_power_of_two(full: bool) -> tuple[bool, str]:
     top = 10 if full else 5
     for n in range(1, top + 1):
         want = 2 ** (n * (n + 1) // 2)
         got = kasteleyn.count_matchings_det(build_diamond(n))
         if got != want:
-            return CheckResult("counts-power-of-two", False, f"n={n}: {got} != 2^{n*(n+1)//2}")
-    return CheckResult("counts-power-of-two", True, f"diamonds up to order {top}")
+            return False, f"n={n}: {got} != 2^{n*(n+1)//2}"
+    return True, f"diamonds up to order {top}"
 
 
 def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], list[int]]]:
@@ -90,40 +89,40 @@ def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
     return index, table
 
 
-def _coupling_vs_oracle(full: bool) -> CheckResult:
+def _coupling_vs_oracle(full: bool) -> tuple[bool, str]:
     top = 12 if full else 3
     pairs = 0
     for n in range(1, top + 1):
         index, table = _signed_table(n)
         for (v, w), entry in kasteleyn.inverse_coupling_matrix(n).items():
             if table[v.x, v.y][index[w.x, w.y]] * entry.denominator != entry.numerator << n:
-                return CheckResult("coupling-vs-oracle", False, f"n={n} signed c({v!r},{w!r}) mismatch")
+                return False, f"n={n} signed c({v!r},{w!r}) mismatch"
             pairs += 1
-    return CheckResult("coupling-vs-oracle", True, f"{pairs} pairs up to order {top}")
+    return True, f"{pairs} pairs up to order {top}"
 
 
-def _local_inverse(full: bool) -> CheckResult:
+def _local_inverse(full: bool) -> tuple[bool, str]:
     # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
-    # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n,
-    # as the table holds each entry.
+    # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n, as
+    # the table holds each entry, whose blacks are numbered in board order, as K's columns are.
     top = 16 if full else 8
     cases = 0
     for n in range(1, top + 1):
         board = build_diamond(n)
-        index, table = _signed_table(n)
-        k_rows = [(v, [(kasteleyn.edge_sign(v, b), index[b.x, b.y]) for b in board.neighbors(v)])
-                  for v in board.white_vertices]
+        _, table = _signed_table(n)
+        k_rows = [(v, [(sign, j) for j, sign in enumerate(row) if sign])
+                  for v, row in zip(board.white_vertices, kasteleyn.kasteleyn_matrix(board))]
         for v2 in board.white_vertices:
             entries = table[v2.x, v2.y]
             for v, k_row in k_rows:
                 total = sum(sign * entries[j] for sign, j in k_row)
                 if total != (2**n if v == v2 else 0):
-                    return CheckResult("local-inverse", False, f"n={n} {v!r},{v2!r}: {total} / 2^{n}")
+                    return False, f"n={n} {v!r},{v2!r}: {total} / 2^{n}"
                 cases += 1
-    return CheckResult("local-inverse", True, f"{cases} identities up to order {top}")
+    return True, f"{cases} identities up to order {top}"
 
 
-def _normalization(full: bool) -> CheckResult:
+def _normalization(full: bool) -> tuple[bool, str]:
     # One domino covers each vertex, so the |c| of the dominoes at a white or a black sum to 1:
     # 2^n on the table's integers.
     top = 10 if full else 6
@@ -136,8 +135,8 @@ def _normalization(full: bool) -> CheckResult:
                  for b in board.black_vertices]
         for u, total in sums:
             if total != 2**n:
-                return CheckResult("normalization", False, f"n={n} {u!r}: sum {total} / 2^{n} != 1")
-    return CheckResult("normalization", True, f"every vertex up to order {top}")
+                return False, f"n={n} {u!r}: sum {total} / 2^{n} != 1"
+    return True, f"every vertex up to order {top}"
 
 
 def _random_pattern(rng: random.Random, board: Board, size: int) -> list[Edge]:
@@ -153,7 +152,7 @@ def _random_pattern(rng: random.Random, board: Board, size: int) -> list[Edge]:
     return pattern
 
 
-def _pattern_vs_transfer(full: bool) -> CheckResult:
+def _pattern_vs_transfer(full: bool) -> tuple[bool, str]:
     # P(pattern) = #matchings of the diamond minus the pattern's cells / 2^{n(n+1)/2}.
     top, per_order = (8, 20) if full else (8, 5)
     rng = random.Random(12)
@@ -166,12 +165,12 @@ def _pattern_vs_transfer(full: bool) -> CheckResult:
                             2 ** (n * (n + 1) // 2))
             got = coupling.pattern_probability(n, pattern)
             if got != want:
-                return CheckResult("pattern-vs-transfer", False, f"n={n} {pattern}: {got} != {want}")
+                return False, f"n={n} {pattern}: {got} != {want}"
             cases += 1
-    return CheckResult("pattern-vs-transfer", True, f"{cases} seeded patterns up to order {top}")
+    return True, f"{cases} seeded patterns up to order {top}"
 
 
-_CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
+_CHECKS: tuple[Callable[[bool], tuple[bool, str]], ...] = (
     _counts_vs_enumeration,
     _counts_power_of_two,
     _coupling_vs_oracle,
@@ -181,18 +180,15 @@ _CHECKS: tuple[Callable[[bool], CheckResult], ...] = (
 )
 
 
-def _run(check: Callable[[bool], CheckResult], full: bool) -> CheckResult:
+def _run(check: Callable[[bool], tuple[bool, str]], full: bool) -> CheckResult:
     # A check that raises fails alone; the rest of the suite still runs.
+    name = check.__name__.lstrip("_").replace("_", "-")
     try:
-        return check(full)
+        return CheckResult(name, *check(full))
     except Exception as exc:
-        name = check.__name__.lstrip("_").replace("_", "-")
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
-def run_checks(level: str = "quick") -> list[CheckResult]:
-    """Run the oracle suite; ``level`` is ``"quick"`` or ``"full"``."""
-    if level not in LEVELS:
-        raise ValueError(f"unknown level {level!r}; expected one of {LEVELS}")
-    full = level == "full"
+def run_checks(full: bool = False) -> list[CheckResult]:
+    """Run the oracle suite, at the ``full`` sizes or the quick ones."""
     return [_run(check, full) for check in _CHECKS]

@@ -1,6 +1,5 @@
 """Command-line surface: formats, exit codes, determinism."""
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -18,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 from aztecdimers import cli
 from aztecdimers import combinatorics
 from aztecdimers import coupling as coupling_mod
-from aztecdimers import verify
 from aztecdimers.cli import load_pattern_file, main
 from aztecdimers.coupling import DyadicRational, coupling_signed, coupling_signed_rows, hole_ranges, lowest_terms
 
@@ -603,35 +601,41 @@ def test_main_builds_the_parser_once_and_keeps_no_parsed_state(tmp_path, capsys)
 
 
 def test_heatmap_impossible_offsets(tmp_path, capsys):
-    code, _, err = run(capsys, "heatmap", "--n", "2", "--d0", "5", "--d1", "1", "--out", str(tmp_path / "x.csv"))
-    assert code == 2
-    assert "fit" in err
+    code, out, err = run(capsys, "heatmap", "--n", "2", "--d0", "5", "--d1", "1", "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err == "error: offsets d0=5, d1=1 fit nowhere on the order-2 diamond\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
-    assert out.count("PASS") == 6
-    assert "PASS  coupling-vs-oracle (184 pairs up to order 3)" in out
-    assert "PASS  local-inverse (11568 identities up to order 8)" in out
-    assert "PASS  normalization (every vertex up to order 6)" in out
-    assert "all 6 checks passed" in out
+    assert out == (
+        "PASS  counts-vs-enumeration (diamonds up to order 3)\n"
+        "PASS  counts-power-of-two (diamonds up to order 5)\n"
+        "PASS  coupling-vs-oracle (184 pairs up to order 3)\n"
+        "PASS  local-inverse (11568 identities up to order 8)\n"
+        "PASS  normalization (every vertex up to order 6)\n"
+        "PASS  pattern-vs-transfer (40 seeded patterns up to order 8)\n"
+        "all 6 checks passed\n"
+    )
 
 
 def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
-    assert out.count("PASS") == 6
-    assert "PASS  coupling-vs-oracle (73528 pairs up to order 12)" in out
-    assert "PASS  local-inverse (282336 identities up to order 16)" in out
-    assert "PASS  normalization (every vertex up to order 10)" in out
-    assert "all 6 checks passed" in out
+    assert out == (
+        "PASS  counts-vs-enumeration (diamonds up to order 8)\n"
+        "PASS  counts-power-of-two (diamonds up to order 10)\n"
+        "PASS  coupling-vs-oracle (73528 pairs up to order 12)\n"
+        "PASS  local-inverse (282336 identities up to order 16)\n"
+        "PASS  normalization (every vertex up to order 10)\n"
+        "PASS  pattern-vs-transfer (160 seeded patterns up to order 8)\n"
+        "all 6 checks passed\n"
+    )
 
 
 def test_verify_level_choices_are_verify_levels(capsys):
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    level = next(a for a in sub.choices["verify"]._actions if "--level" in a.option_strings)
-    assert tuple(level.choices) == verify.LEVELS
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--level", "bogus"])
     assert exc.value.code == 2
@@ -738,14 +742,13 @@ def test_exact_results_are_fractions_when_fractions_loads_on_first_use():
 def test_verify_reports_failures(capsys, monkeypatch):
     from aztecdimers import verify as verify_mod
 
-    monkeypatch.setattr(
-        verify_mod,
-        "_CHECKS",
-        (lambda full: verify_mod.CheckResult("doomed", False, "planted failure"),),
-    )
+    def _doomed(full):
+        return False, "planted failure"
+
+    monkeypatch.setattr(verify_mod, "_CHECKS", (_doomed,))
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 1
-    assert "FAIL" in out
+    assert out == "FAIL  doomed (planted failure)\n1 of 1 checks failed\n"
 
 
 def test_verify_records_a_raising_check_and_exits_one(capsys, monkeypatch):

@@ -108,7 +108,7 @@ def _boards(draw):
     if shape in ("diamond", "holed"):
         board = build_diamond(n)
         if shape == "holed":
-            # Reading the parent's lists first builds them, so the holed board must not reuse them.
+            # Holes drawn from the parent's vertices.
             vertices = board.white_vertices + board.black_vertices
             return board, remove_vertices(board, draw(st.lists(st.sampled_from(vertices), unique=True,
                                                                min_size=1, max_size=4)))
@@ -128,9 +128,9 @@ def test_membership_is_the_vertex_set(boards, data):
     assert set(listed) == present and len(listed) == len(present)
     for vs in (board.white_vertices, board.black_vertices):
         assert list(vs) == sorted(vs, key=lambda v: (v.y, v.x))
-    # Each list is built once per board.
-    assert board.white_vertices is board.white_vertices
-    assert board.black_vertices is board.black_vertices
+    # Each read builds the list afresh, and every read gives the same list.
+    assert board.white_vertices == board.white_vertices
+    assert board.black_vertices == board.black_vertices
     if board is not parent:
         # A holed board's lists are its parent's, holes dropped, order kept.
         parent_listed = parent.white_vertices + parent.black_vertices
@@ -185,11 +185,23 @@ def test_boards_are_read_only_and_equal_by_kind_and_holes():
         a.kind = Diamond(3)
     with pytest.raises(AttributeError):
         del a.kind
-    assert a.white_vertices  # the cached vertex tuples take no part in equality
+    assert a.white_vertices
     assert a == b == Board(Diamond(2), frozenset(holes)) and hash(a) == hash(b)
     assert a != build_diamond(2) and build_diamond(2) != build_diamond(3)
     assert build_diamond(2) == Board(Diamond(2)) and hash(build_diamond(2)) == hash(Board(Diamond(2)))
     assert len({a, b, build_diamond(2), build_diamond(3)}) == 3
+
+
+def test_board_is_the_tuple_of_kind_and_holes():
+    holes = frozenset({white(1, 1), black(1, 1)})
+    board = remove_vertices(build_diamond(2), holes)
+    assert board == (Diamond(2), holes) and hash(board) == hash((Diamond(2), holes))
+    assert build_diamond(3) == (Diamond(3), frozenset()) and tuple(build_diamond(3)) == (Diamond(3), frozenset())
+    for attack in (lambda: setattr(board, "holes", frozenset()), lambda: delattr(board, "kind"),
+                   lambda: setattr(board, "extra", 1)):
+        with pytest.raises(AttributeError):
+            attack()
+    assert board == (Diamond(2), holes) and not hasattr(board, "extra")
 
 
 def test_board_repr_lists_holes_in_a_fixed_order():

@@ -14,7 +14,7 @@ from derivation import sign_relation_sweep
 
 
 def test_quick_level_passes():
-    results = verify.run_checks("quick")
+    results = verify.run_checks()
     assert results, "suite must run at least one check"
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
@@ -26,7 +26,7 @@ def test_verify_runs_no_two_hole_count(monkeypatch):
 
     monkeypatch.setattr(enum, "weighted_count", refuse)
     monkeypatch.setattr(kasteleyn, "signed_hole_cofactor", refuse)
-    results = verify.run_checks("quick")
+    results = verify.run_checks()
     assert len(results) == 6
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
@@ -35,11 +35,6 @@ def test_check_result_repr_names_its_fields():
     assert repr(verify.CheckResult("normalization", True, "every vertex up to order 6")) == (
         "CheckResult(name='normalization', ok=True, detail='every vertex up to order 6')"
     )
-
-
-def test_unknown_level_rejected():
-    with pytest.raises(ValueError):
-        verify.run_checks("paranoid")
 
 
 # Each mutation maps the real (row, column) builders to mutated ones.
@@ -65,7 +60,7 @@ def test_seeded_mutation_is_caught():
             row, column = mutation(*real)
             mp.setattr(coupling_mod, "krawtchouk_row", row)
             mp.setattr(coupling_mod, "krawtchouk_column", column)
-            results = verify.run_checks("quick")
+            results = verify.run_checks()
         failed = [r.name for r in results if not r.ok]
         assert "coupling-vs-oracle" in failed, mutation.__name__
         assert "local-inverse" in failed, mutation.__name__
@@ -92,7 +87,7 @@ def test_wrong_edge_sign_is_caught():
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _all_plus)
-            results = {r.name: r for r in verify.run_checks("quick")}
+            results = {r.name: r for r in verify.run_checks()}
         assert len(results) == len(verify._CHECKS)
         for name in ("counts-vs-enumeration", "counts-power-of-two", "coupling-vs-oracle"):
             assert not results[name].ok, name
@@ -101,7 +96,7 @@ def test_wrong_edge_sign_is_caught():
         _clear_oracle_cache()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
-            results = {r.name: r.ok for r in verify.run_checks("quick")}
+            results = {r.name: r.ok for r in verify.run_checks()}
             first_failure, _ = sign_relation_sweep(3)
         assert results["counts-vs-enumeration"]
         for name in ("coupling-vs-oracle", "local-inverse"):
@@ -149,7 +144,7 @@ def test_local_inverse_reads_kernel_integers(monkeypatch):
 
     monkeypatch.setattr(coupling_mod.DyadicRational, "__init__", spy)
     results = [check(False) for check in (verify._coupling_vs_oracle, verify._local_inverse, verify._normalization)]
-    assert [(r.ok, r.detail) for r in results] == [
+    assert results == [
         (True, "184 pairs up to order 3"),
         (True, "11568 identities up to order 8"),
         (True, "every vertex up to order 6"),
