@@ -15,8 +15,9 @@ Commands
 
 ``prob FILE``
     Probability of the pattern described by ``FILE`` (format below), as an
-    exact reduced fraction plus a decimal approximation.  Only this command
-    loads :mod:`json`; only it and ``verify`` load :mod:`fractions` and ``det``.
+    exact reduced fraction ``p/2^s`` plus a decimal approximation.  Only this
+    command loads :mod:`json`; only it and ``verify`` load ``det``, and only
+    ``verify`` loads :mod:`fractions`, for the inverse-Kasteleyn oracle.
 
 ``heatmap --n N --d0 D0 --d1 D1 --out FILE``
     Signed inverse-Kasteleyn entries for every hole position ``(w0, w1)``
@@ -170,10 +171,11 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
 
 def _cmd_prob(args: argparse.Namespace) -> int:
     n, pattern = load_pattern_file(args.pattern_file)
-    p = pattern_probability(n, pattern)
-    divide, divisor = _divider(p.denominator)
+    num, scale = pattern_probability(n, pattern)
+    denominator = 2**scale
+    divide, divisor = _divider(denominator)
     try:
-        print(f"{p.numerator}/{p.denominator} ({divide(p.numerator, divisor)!s})")
+        print(f"{num}/{denominator} ({divide(num, divisor)!s})")
     except ValueError:  # str() of the denominator, which p <= 1 makes the longer, or the numerator
         raise _past_str_limit("the probability's denominator", sys.get_int_max_str_digits()) from None
     return 0

@@ -14,10 +14,11 @@ indices contribute 0).  The probability that a random tiling contains a
 given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
 so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
-while a row and the pattern determinant use the numerators over ``2^n`` as they
-are; :func:`lowest_terms` reduces a lone value, and ``heatmap`` inlines it per
-cell.  Importing this module loads neither :mod:`fractions`, bound by :func:`_fraction`
-on first use, nor ``det``, imported by :func:`pattern_probability` when it runs.
+a row as its numerators over ``2^n`` as they are, and a ``k``-domino probability
+as the :func:`lowest_terms` pair of its numerator over ``2^{nk}``; ``heatmap``
+inlines that one reduction rule per cell.  Importing this module loads neither
+:mod:`fractions`, imported by :meth:`DyadicRational.to_fraction` alone, nor ``det``,
+imported by :func:`pattern_probability` when it runs.
 
 Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built by
@@ -68,13 +69,6 @@ def lowest_terms(num: int, scale: int) -> tuple[int, int]:
     return num >> shift, scale - shift
 
 
-def _fraction(numerator: int, denominator: int) -> Fraction:
-    """``Fraction(numerator, denominator)``; the first call rebinds this name to the class itself."""
-    global _fraction
-    from fractions import Fraction as _fraction
-    return _fraction(numerator, denominator)
-
-
 class DyadicRational:
     """Exact ``numerator / 2^scale`` in lowest terms: the numerator is odd
     whenever ``scale > 0``, and zero has scale 0.  Read-only, equal by value."""
@@ -103,7 +97,8 @@ class DyadicRational:
         return f"DyadicRational(numerator={self.numerator!r}, scale={self.scale!r})"
 
     def to_fraction(self) -> Fraction:
-        return _fraction(self.numerator, 2**self.scale)
+        import fractions  # only the benchmark and the tests read a Fraction; "from" is slower per call
+        return fractions.Fraction(self.numerator, 2**self.scale)
 
     def __str__(self) -> str:
         return f"{self.numerator} / 2^{self.scale}"
@@ -222,14 +217,15 @@ def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
     return DyadicRational(-signed if (d0 + v.y) % 2 else signed, n)
 
 
-def pattern_probability(n: int, pattern: Sequence[Edge]) -> Fraction:
-    """Probability of a pattern in a uniform tiling: ``|det[c(v_i, w_j)]|``, taken exactly over the
-    signed entries, which have the same ``|det|``, as integers over a common power of two.  The pattern
-    is validated by the diamond's membership test, at a cost that does not grow with ``n``; then each
-    distinct white row and black column is built once, and each entry is one direct sum over them."""
+def pattern_probability(n: int, pattern: Sequence[Edge]) -> tuple[int, int]:
+    """Probability of a ``k``-domino pattern in a uniform tiling, ``|det[c(v_i, w_j)]|``, as the
+    :func:`lowest_terms` pair of an integer over ``2^{nk}``: the determinant is taken exactly over the
+    signed entries, which have the same ``|det|``, as integers over ``2^n``.  The pattern is validated
+    by the diamond's membership test, at a cost that does not grow with ``n``; then each distinct white
+    row and black column is built once, and each entry is one direct sum over them."""
     from .exactlinalg import det  # here, so that commands without a pattern never load it
     whites, blacks = validate_pattern(build_diamond(n), pattern)
     rows = {y: krawtchouk_row(n, y - 1) for y in {v.y for v in whites}}
     columns = {y: krawtchouk_column(y - 1, n - 1) for y in {w.y for w in blacks}}
     d = det([[_entry(rows[v.y], columns[w.y], v.x, w.x - v.x, v.y - w.y) for w in blacks] for v in whites])
-    return _fraction(abs(d), 2 ** (n * len(whites)))
+    return lowest_terms(abs(d), n * len(whites))

@@ -46,16 +46,15 @@ def enumerate_matchings(board: Board, visitor: Optional[Callable[[tuple[Edge, ..
     (white, black) edges sorted by white vertex, itself a pattern.
     Unmatchable boards (including color-unbalanced ones) yield 0.
     """
-    if board.vertex_count() > MAX_ENUMERATION_VERTICES:
+    whites, blacks = board.white_vertices, board.black_vertices
+    vertices = whites + blacks
+    if len(vertices) > MAX_ENUMERATION_VERTICES:
         raise EnumerationLimitError(
-            f"{board.vertex_count()} vertices exceeds the enumeration limit ({MAX_ENUMERATION_VERTICES})"
+            f"{len(vertices)} vertices exceeds the enumeration limit ({MAX_ENUMERATION_VERTICES})"
         )
-    whites = board.white_vertices
-    blacks = board.black_vertices
     if len(whites) != len(blacks):
         return 0
-    adjacency = {v: board.neighbors(v) for v in whites + blacks}
-    vertices = whites + blacks
+    adjacency = {v: board.neighbors(v) for v in vertices}
     matched: dict[Vertex, Vertex] = {}
     count = 0
 

@@ -64,10 +64,12 @@ def kasteleyn_matrix(board: Board) -> tuple[tuple[int, ...], ...]:
 
 
 def count_matchings_det(board: Board) -> int:
-    """Number of perfect matchings, as ``|det K|``; 0 on an unbalanced board."""
-    if len(board.white_vertices) != len(board.black_vertices):
+    """Number of perfect matchings, as ``|det K|``; 0 on an unbalanced board, which has no ``K``."""
+    try:
+        k = kasteleyn_matrix(board)
+    except ShapeError:
         return 0
-    return abs(exactlinalg.det(kasteleyn_matrix(board)))
+    return abs(exactlinalg.det(k))
 
 
 @lru_cache(maxsize=8)

@@ -159,9 +159,6 @@ class Board(NamedTuple):
         return (w.color is Color.WHITE and b.color is Color.BLACK and w in self and b in self
                 and (b.x - w.x, b.y - w.y) in _WHITE_TO_BLACK)
 
-    def vertex_count(self) -> int:
-        return len(self.white_vertices) + len(self.black_vertices)
-
 
 def build_diamond(n: int) -> Board:
     """Aztec diamond of order ``n``; its vertices are generated on demand."""

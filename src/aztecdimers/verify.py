@@ -11,7 +11,8 @@ which uses neither Kasteleyn signs nor Krawtchouk sums:
 Kasteleyn sign rule is checked against counts, not against a second rule, and
 ``counts-power-of-two`` (5/10) holds it to ``2^{n(n+1)/2}``.
 ``pattern-vs-transfer`` (8) holds the product's pattern probabilities to
-counts of the diamond with the pattern removed.  The paper's two-hole sign
+counts of the diamond with the pattern removed, each side an integer over a
+power of two in :func:`coupling.lowest_terms`.  The paper's two-hole sign
 lemma is a proof step, not the product: the tier-1 tests certify it
 (acceptance criterion 11, on every hole pair to order 6).
 The three coupling checks read one table per order, every signed entry as an
@@ -30,7 +31,6 @@ command exit nonzero.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
@@ -161,8 +161,8 @@ def _pattern_vs_transfer(full: bool) -> tuple[bool, str]:
         board = build_diamond(n)
         for _ in range(per_order):
             pattern = _random_pattern(rng, board, rng.randint(1, 4))
-            want = Fraction(_count(remove_vertices(board, [v for edge in pattern for v in edge])),
-                            2 ** (n * (n + 1) // 2))
+            rest = remove_vertices(board, [v for edge in pattern for v in edge])
+            want = coupling.lowest_terms(_count(rest), n * (n + 1) // 2)
             got = coupling.pattern_probability(n, pattern)
             if got != want:
                 return False, f"n={n} {pattern}: {got} != {want}"

@@ -6,10 +6,9 @@ see the verdict lines.
 """
 
 import time
-from fractions import Fraction
 from itertools import combinations, product
 
-from aztecdimers.coupling import coupling, pattern_probability
+from aztecdimers.coupling import coupling, lowest_terms, pattern_probability
 from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count, weighted_matchings
 from aztecdimers.kasteleyn import count_matchings_det, inverse_coupling_matrix
 from aztecdimers.lattice import black, build_diamond, remove_vertices
@@ -177,10 +176,12 @@ def test_criterion_09_pattern_probabilities():
         n = 3
         board = build_diamond(n)
         total = weighted_matchings(board, lambda w, b: 1)
+        scale = total.bit_length() - 1
+        assert total == 2**scale
 
         def transfer_ratio(p):
             rest = remove_vertices(board, [v for edge in p for v in edge])
-            return Fraction(weighted_matchings(rest, lambda w, b: 1), total)
+            return lowest_terms(weighted_matchings(rest, lambda w, b: 1), scale)
 
         dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
         for d in dominoes:
@@ -194,7 +195,7 @@ def test_criterion_09_pattern_probabilities():
         matchings = []
         enumerate_matchings(build_diamond(2), matchings.append)
         for m in matchings:
-            assert pattern_probability(2, m) == Fraction(1, 8)
+            assert pattern_probability(2, m) == lowest_terms(1, 3)
 
 
 def test_criterion_10_normalization():

@@ -106,7 +106,7 @@ def test_prob_empty_pattern(tmp_path, capsys):
     path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": []}))
     code, out, _ = run(capsys, "prob", str(path))
     assert code == 0
-    assert out.startswith("1/1")
+    assert out == "1/1 (1)\n"
 
 
 def test_prob_single_domino(tmp_path, capsys):
@@ -650,11 +650,11 @@ def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProc
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-# Loaded only by the commands that need them: verify's oracles by verify; json, fractions and
-# exactlinalg by prob; decimal by the commands that print one.  dataclasses would bring inspect
-# and ast into every command.
-_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
-_PROB_ONLY = {"json", "fractions", "aztecdimers.exactlinalg"}
+# Loaded only by the commands that need them: verify's oracles, and fractions for their inverse, by
+# verify; json and exactlinalg by prob; decimal by the commands that print one.  dataclasses would
+# bring inspect and ast into every command.
+_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn", "fractions"}
+_PROB_ONLY = {"json", "aztecdimers.exactlinalg"}
 _MAIN = "import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -671,11 +671,15 @@ def test_importing_the_cli_loads_no_oracle_dataclasses_json_fractions_or_exactli
 
 def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg(tmp_path):
     # Nor does count load decimal; verify does, only because fractions, which its oracles
-    # need, imports it.  One fresh interpreter per command.
+    # need, imports it.  prob loads no oracle and no fractions either.  One fresh interpreter
+    # per command.
+    pattern = tmp_path / "p.json"
+    pattern.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]}))
     unwanted = {
         ("count", "--n", "5"): _ORACLES | _PROB_ONLY | {"decimal"},
         ("coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"): _ORACLES | _PROB_ONLY,
         ("heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")): _ORACLES | _PROB_ONLY,
+        ("prob", str(pattern)): _ORACLES,
         ("verify", "--level", "quick"): {"json"},
     }
     probe = "import sys; from aztecdimers.cli import main; print(main(sys.argv[1:])); print(*sorted(sys.modules))"
@@ -713,13 +717,19 @@ def test_outputs_do_not_depend_on_hash_values(tmp_path):
     [
         (b'{"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]], '
          b'[["black", 3, 2], ["white", 2, 2]]]}', "7/32 (0.21875)"),
+        # Reduced text: zero is 0/1, the empty pattern 1/1, and |det| = 48 over 2^6 is 3/4.
+        (b'{"format": 1, "n": 2, "dominoes": [[["white", 1, 1], ["black", 2, 1]], '
+         b'[["white", 1, 2], ["black", 1, 2]]]}', "0/1 (0)\n"),
+        (b'{"format": 1, "n": 3, "dominoes": []}', "1/1 (1)\n"),
+        (b'{"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]], '
+         b'[["white", 3, 1], ["black", 4, 1]]]}', "3/4 (0.75)\n"),
         (b'{"format": 1,\n "n": 3,\n "dominoes": [[\n}', "error: {path}: parse error at line 4"),
         (b'{"format": 1, "n": 1, "dominoes": [], "note": "\xff"}', "error: {path}: not UTF-8"),
     ],
-    ids=["valid", "parse-error", "not-utf8"],
+    ids=["valid", "zero", "empty", "even-det", "parse-error", "not-utf8"],
 )
 def test_prob_prints_the_same_bytes_in_a_fresh_interpreter(tmp_path, capsys, content, first_line):
-    # A fresh interpreter loads json, fractions and exactlinalg on first use, inside the command.
+    # A fresh interpreter loads json and exactlinalg on first use, inside the command.
     path = tmp_path / "pattern.json"
     path.write_bytes(content)
     code, out, err = run(capsys, "prob", str(path))
@@ -731,12 +741,12 @@ def test_prob_prints_the_same_bytes_in_a_fresh_interpreter(tmp_path, capsys, con
 def test_exact_results_are_fractions_when_fractions_loads_on_first_use():
     probe = ("from aztecdimers import coupling, exactlinalg; from aztecdimers.lattice import black, white; "
              "v = coupling.coupling(2, white(1, 1), black(1, 1)); "
-             "r = [v.to_fraction(), v.to_fraction(), coupling.pattern_probability(2, [(white(1, 1), black(1, 1))]), "
-             "exactlinalg.invert([[2]])[1][0][0]]; "
-             "import fractions; print(all(type(f) is fractions.Fraction for f in r), *r)")
+             "r = [v.to_fraction(), v.to_fraction(), exactlinalg.invert([[2]])[1][0][0]]; "
+             "p = coupling.pattern_probability(2, [(white(1, 1), black(1, 1))]); "
+             "import fractions; print(all(type(f) is fractions.Fraction for f in r), *r, p)")
     proc = _fresh_python(probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True -3/4 -3/4 3/4 1/2\n"
+    assert proc.stdout == "True -3/4 -3/4 1/2 (3, 2)\n"
 
 
 def test_verify_reports_failures(capsys, monkeypatch):

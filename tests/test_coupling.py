@@ -18,6 +18,7 @@ from aztecdimers.coupling import (
     coupling_signed,
     coupling_signed_rows,
     hole_ranges,
+    lowest_terms,
     pattern_probability,
 )
 from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
@@ -307,7 +308,7 @@ def test_a_pattern_builds_each_distinct_line_once(line_builds):
     pattern, _ = _bench_shaped_pattern(random.Random(3), n, 8)
     rows, columns = {(n, v.y - 1) for v, _ in pattern}, {(w.y - 1, n - 1) for _, w in pattern}
     assert (len(pattern), len(rows), len(columns)) == (8, 4, 5)
-    assert pattern_probability(n, pattern) > 0
+    assert pattern_probability(n, pattern)[0] > 0
     assert sorted(line_builds["row"]) == sorted(rows) and sorted(line_builds["column"]) == sorted(columns)
     assert line_builds["branch_sums"] == []
     line_builds["row"].clear()
@@ -320,6 +321,8 @@ def test_a_pattern_builds_each_distinct_line_once(line_builds):
 def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
     board = build_diamond(n)
     total = weighted_matchings(board, lambda w, b: 1)
+    scale = total.bit_length() - 1
+    assert total == 2**scale
     rng = random.Random(n)
     for k in range(1, 9):
         for _ in range(2):
@@ -328,7 +331,7 @@ def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
             path.write_text(json.dumps(doc))
             assert load_pattern_file(str(path)) == (n, pattern)
             rest = remove_vertices(board, [v for edge in pattern for v in edge])
-            assert pattern_probability(n, pattern) == Fraction(weighted_matchings(rest, lambda w, b: 1), total)
+            assert pattern_probability(n, pattern) == lowest_terms(weighted_matchings(rest, lambda w, b: 1), scale)
 
 
 def test_an_eight_domino_pattern_keeps_only_its_lines():
@@ -479,7 +482,7 @@ def test_first_column_reduction(n):
 
 
 def test_empty_pattern_probability():
-    assert pattern_probability(3, ()) == 1
+    assert pattern_probability(3, ()) == lowest_terms(1, 0)
 
 
 def test_complete_matchings_of_order_two():
@@ -487,13 +490,16 @@ def test_complete_matchings_of_order_two():
     enumerate_matchings(build_diamond(2), matchings.append)
     assert len(matchings) == 8
     for m in matchings:
-        assert pattern_probability(2, m) == Fraction(1, 8)
+        assert pattern_probability(2, m) == lowest_terms(1, 3)
 
 
 def _transfer_ratio(board, pattern):
     # Ground truth: matchings of the board minus the pattern's cells over all matchings.
     rest = remove_vertices(board, [v for edge in pattern for v in edge])
-    return Fraction(weighted_matchings(rest, lambda w, b: 1), weighted_matchings(board, lambda w, b: 1))
+    total = weighted_matchings(board, lambda w, b: 1)
+    scale = total.bit_length() - 1
+    assert total == 2**scale
+    return lowest_terms(weighted_matchings(rest, lambda w, b: 1), scale)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -525,9 +531,10 @@ def test_probabilities_bounded_with_dyadic_denominator():
         if d1[0] != d2[0] and d1[1] != d2[1]
     ]
     for d1, d2 in disjoint[:60]:
-        p = pattern_probability(n, (d1, d2))
-        assert 0 <= p <= 1
-        assert 2 ** (n * (n + 1) // 2) % p.denominator == 0
+        num, scale = pattern_probability(n, (d1, d2))
+        assert 0 <= num <= 2**scale
+        assert scale <= n * (n + 1) // 2
+        assert (num, scale) == lowest_terms(num, scale)
 
 
 def test_disjoint_blocks_factorize():
@@ -543,10 +550,8 @@ def test_disjoint_blocks_factorize():
         if coupling(n, v1, w2).numerator or coupling(n, v2, w1).numerator:
             continue
         joint = pattern_probability(n, ((v1, w1), (v2, w2)))
-        split = pattern_probability(n, ((v1, w1),)) * pattern_probability(
-            n, ((v2, w2),)
-        )
-        assert joint == split
+        (a, s), (b, t) = pattern_probability(n, ((v1, w1),)), pattern_probability(n, ((v2, w2),))
+        assert joint == lowest_terms(a * b, s + t)
         found += 1
     assert found > 0
 

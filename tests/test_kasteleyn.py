@@ -17,7 +17,7 @@ from aztecdimers.kasteleyn import (
     kasteleyn_matrix,
     signed_hole_cofactor,
 )
-from aztecdimers.lattice import BoardError, black, build_diamond, remove_vertices, white
+from aztecdimers.lattice import Board, BoardError, Color, black, build_diamond, remove_vertices, white
 from derivation import BlackRect, WhiteRect, build_rectangle, minor
 
 
@@ -63,6 +63,22 @@ def test_unbalanced_board_rejected():
 def test_unbalanced_board_count_is_zero():
     board = remove_vertices(build_diamond(2), [white(1, 1), white(2, 1)])
     assert count_matchings_det(board) == 0
+
+
+def test_counters_read_each_vertex_tuple_once(monkeypatch):
+    # A board builds its vertex tuples on each read, so each counter reads each color once.
+    calls = []
+
+    def spy(self, color, real=Board._generate):
+        calls.append(color)
+        return real(self, color)
+
+    monkeypatch.setattr(Board, "_generate", spy)
+    assert count_matchings_det(build_diamond(6)) == 2**21
+    assert sorted(calls, key=repr) == [Color.BLACK, Color.WHITE]
+    calls.clear()
+    assert enumerate_matchings(remove_vertices(build_diamond(4), [white(1, 2), black(2, 1)])) > 0
+    assert sorted(calls, key=repr) == [Color.BLACK, Color.WHITE]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -289,6 +305,6 @@ def test_edge_sign_satisfies_kasteleyn_condition(board):
     # and the signs around each multiply to -1.
     faces = _faces(board)
     edges = sum(len(board.neighbors(w)) for w in board.white_vertices)
-    assert len(faces) == edges - board.vertex_count() + _components(board)
+    assert len(faces) == edges - len(board.white_vertices) - len(board.black_vertices) + _components(board)
     for face in faces:
         assert prod(edge_sign(w, b) for w, b in face) == -1, sorted(face, key=repr)

@@ -276,7 +276,7 @@ def test_remove_no_vertices_is_identity():
 def test_remove_vertices_counts_and_queries():
     board = build_diamond(2)
     holed = remove_vertices(board, [white(1, 1), black(1, 1)])
-    assert holed.vertex_count() == 10
+    assert len(holed.white_vertices) + len(holed.black_vertices) == 10
     assert white(1, 1) not in holed
     assert all(white(1, 1) not in holed.neighbors(b) for b in holed.black_vertices)
 
