@@ -10,14 +10,13 @@ Commands
     read as 4300 when it is 0), the command exits 2.
 
 ``coupling --n N --white X Y --black X Y``
-    One coupling value as an exact dyadic rational plus a decimal
-    approximation.  It costs ``O(N)`` big-integer operations.
+    One coupling value as an exact ``p / 2^s`` in lowest terms plus a
+    decimal approximation.  It costs ``O(N)`` big-integer operations.
 
 ``prob FILE``
     Probability of the pattern described by ``FILE`` (format below), as an
     exact reduced fraction ``p/2^s`` plus a decimal approximation.  Only this
-    command loads :mod:`json`; only it and ``verify`` load ``det``, and only
-    ``verify`` loads :mod:`fractions`, for the inverse-Kasteleyn oracle.
+    command loads :mod:`json`, and only it and ``verify`` load ``det``.
 
 ``heatmap --n N --d0 D0 --d1 D1 --out FILE``
     Signed inverse-Kasteleyn entries for every hole position ``(w0, w1)``
@@ -35,8 +34,9 @@ Commands
     Run the oracle self-checks; exit 1 on any mismatch.  Only this command
     imports :mod:`~aztecdimers.verify` and the oracles it runs.
 
-Only ``coupling``, ``prob`` and ``heatmap`` print a decimal, so ``count`` loads no
-:mod:`decimal`; ``verify`` loads it only because :mod:`fractions` imports it.
+Only ``coupling``, ``prob`` and ``heatmap`` print a decimal, so only they load
+:mod:`decimal`.  Every exact value is an integer over a power of two, so no
+command loads :mod:`fractions`.
 
 Pattern files are JSON, one object::
 
@@ -107,10 +107,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_coupling(args: argparse.Namespace) -> int:
-    value = coupling(args.n, white(*args.white), black(*args.black))
-    divide, divisor = _divider(2**value.scale)
+    num, scale = coupling(args.n, white(*args.white), black(*args.black))
+    divide, divisor = _divider(2**scale)
     try:
-        print(f"{value} ({divide(value.numerator, divisor)!s})")
+        print(f"{num} / 2^{scale} ({divide(num, divisor)!s})")
     except ValueError:  # str() of the numerator, before anything is printed
         raise _past_str_limit("the coupling value's numerator", sys.get_int_max_str_digits()) from None
     return 0

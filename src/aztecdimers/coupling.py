@@ -13,12 +13,12 @@ for ``x' <= x``, with ``Kr`` the Krawtchouk coefficient (out-of-range
 indices contribute 0).  The probability that a random tiling contains a
 given pattern with whites ``v_1..v_k`` and blacks ``w_1..w_k`` is
 ``|det[c(v_i, w_j)]|``.  Every value is an integer multiple of ``2^{-n}``,
-so sums stay in integers: a lone value is returned as a :class:`DyadicRational`,
-a row as its numerators over ``2^n`` as they are, and a ``k``-domino probability
-as the :func:`lowest_terms` pair of its numerator over ``2^{nk}``; ``heatmap``
-inlines that one reduction rule per cell.  Importing this module loads neither
-:mod:`fractions`, imported by :meth:`DyadicRational.to_fraction` alone, nor ``det``,
-imported by :func:`pattern_probability` when it runs.
+so sums stay in integers: a row is returned as its numerators over ``2^n`` as
+they are, and a lone value or a ``k``-domino probability as the :func:`lowest_terms`
+pair of its numerator over ``2^n`` or ``2^{nk}``; ``heatmap`` inlines that one
+reduction rule per cell.  Importing this module loads neither :mod:`fractions`,
+imported by :meth:`Dyadic.to_fraction` alone, nor ``det``, imported by
+:func:`pattern_probability` when it runs.
 
 Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built by
@@ -45,15 +45,15 @@ sign ``(-1)^{x'}``, so a determinant over signed entries has the ``|det|`` of on
 over ``c``, as in Kenyon's local statistics over inverse-Kasteleyn entries.
 :func:`hole_ranges` gives the hole positions that fit the diamond at fixed offsets.
 All evaluate the same formula in the canonical diagonal labelling of
-:mod:`aztecdimers.lattice`, which the ``verify`` suite and the tests hold
-against the exact inverse-Kasteleyn oracle.
+:mod:`aztecdimers.lattice`, which the ``verify`` suite holds to ``K C^T = I`` and
+the tests to the exact inverse-Kasteleyn oracle.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, islice
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import krawtchouk_column, krawtchouk_row, next_krawtchouk_column, next_krawtchouk_row
 from .lattice import Edge, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
@@ -62,46 +62,23 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def lowest_terms(num: int, scale: int) -> tuple[int, int]:
-    """``num / 2^scale`` as ``(numerator, scale)`` in lowest terms: the numerator is
-    odd whenever the scale is positive, and zero has scale 0."""
-    shift = min(scale, (num & -num).bit_length() - 1) if num else scale
-    return num >> shift, scale - shift
+class Dyadic(NamedTuple):
+    """Exact ``numerator / 2^scale``, as :func:`lowest_terms` builds it: equal to, and hashed
+    as, the plain pair, and read-only."""
 
-
-class DyadicRational:
-    """Exact ``numerator / 2^scale`` in lowest terms: the numerator is odd
-    whenever ``scale > 0``, and zero has scale 0.  Read-only, equal by value."""
-
-    __slots__ = ("numerator", "scale")
-
-    def __init__(self, numerator: int, scale: int) -> None:
-        if scale < 0:
-            raise ValueError(f"negative scale {scale}")
-        num, scale = lowest_terms(numerator, scale)
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"{name!r} is read-only: DyadicRational is immutable")
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        same = other.__class__ is self.__class__
-        return (self.numerator, self.scale) == (other.numerator, other.scale) if same else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.scale))
-
-    def __repr__(self) -> str:
-        return f"DyadicRational(numerator={self.numerator!r}, scale={self.scale!r})"
+    numerator: int
+    scale: int
 
     def to_fraction(self) -> Fraction:
         import fractions  # only the benchmark and the tests read a Fraction; "from" is slower per call
         return fractions.Fraction(self.numerator, 2**self.scale)
 
-    def __str__(self) -> str:
-        return f"{self.numerator} / 2^{self.scale}"
+
+def lowest_terms(num: int, scale: int) -> Dyadic:
+    """``num / 2^scale`` in lowest terms: the numerator is odd whenever the scale is positive, and
+    zero has scale 0.  A negative scale makes the shift negative, which raises ``ValueError``."""
+    shift = min(scale, (num & -num).bit_length() - 1) if num else scale
+    return Dyadic(num >> shift, scale - shift)
 
 
 def _branch_terms(row: Sequence[int], column: Sequence[int], x: int, shift: int) -> tuple[Sequence[int], ...]:
@@ -200,24 +177,24 @@ def coupling_signed_rows(n: int, w0s: range, d0: int, w1s: range, d1: int) -> It
     return signed_rows(line_walk(n, w1s, d1), w0s, d0, d1)
 
 
-def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> DyadicRational:
+def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
     ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
     _check_pairs(n, w0, w0, d0, w1, d1)
     row, column = krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1)
-    return DyadicRational(_entry(row, column, w0, d0, d1), n)
+    return lowest_terms(_entry(row, column, w0, d0, d1), n)
 
 
-def coupling(n: int, v: Vertex, w: Vertex) -> DyadicRational:
+def coupling(n: int, v: Vertex, w: Vertex) -> Dyadic:
     """The coupling function ``c(v, w)`` on the order-``n`` diamond, ``(-1)^{x'-x+y}`` times the
     signed entry; its absolute value is the probability of the domino ``(v, w)``."""
     check_diamond_pair(n, v, w)
     d0 = w.x - v.x
     signed = _entry(krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1), v.x, d0, v.y - w.y)
-    return DyadicRational(-signed if (d0 + v.y) % 2 else signed, n)
+    return lowest_terms(-signed if (d0 + v.y) % 2 else signed, n)
 
 
-def pattern_probability(n: int, pattern: Sequence[Edge]) -> tuple[int, int]:
+def pattern_probability(n: int, pattern: Sequence[Edge]) -> Dyadic:
     """Probability of a ``k``-domino pattern in a uniform tiling, ``|det[c(v_i, w_j)]|``, as the
     :func:`lowest_terms` pair of an integer over ``2^{nk}``: the determinant is taken exactly over the
     signed entries, which have the same ``|det|``, as integers over ``2^n``.  The pattern is validated

@@ -22,21 +22,26 @@ determinant only by a global sign, which every consumer here either takes
 the absolute value of or normalizes away (see :func:`signed_hole_cofactor`).
 
 The oracles are deliberately slow and simple; they certify the closed-form
-coupling layer, which never touches a matrix.  Each diamond order gets one
-cached elimination of ``[K | I]``; ``det K``, every inverse entry and every
-signed cofactor are read from it, and no minor of ``K`` is formed.
+coupling layer, which never touches a matrix.  ``verify`` reads ``K`` and
+``|det K|`` only.  The inverse is read by the tests and the benchmark alone:
+each diamond order gets one cached elimination of ``[K | I]``; ``det K``, every
+inverse entry and every signed cofactor are read from it, and no minor of ``K``
+is formed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 from . import exactlinalg
 from .exactlinalg import ShapeError
 from .lattice import Board, Vertex, build_diamond, check_diamond_pair
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def edge_sign(v: Vertex, b: Vertex) -> int:
@@ -47,8 +52,10 @@ def edge_sign(v: Vertex, b: Vertex) -> int:
 
 def kasteleyn_matrix(board: Board) -> tuple[tuple[int, ...], ...]:
     """Signed adjacency matrix of ``board`` under :func:`edge_sign`, as a tuple of rows."""
-    whites = board.white_vertices
-    blacks = board.black_vertices
+    return _matrix(board, board.white_vertices, board.black_vertices)
+
+
+def _matrix(board: Board, whites: tuple[Vertex, ...], blacks: tuple[Vertex, ...]) -> tuple[tuple[int, ...], ...]:
     if len(whites) != len(blacks):
         raise ShapeError(
             f"board has {len(whites)} white but {len(blacks)} black vertices"
@@ -79,11 +86,11 @@ def _diamond_inverse(n: int) -> tuple[int, Mapping[tuple[Vertex, Vertex], Fracti
     exhaustive sweeps ask for every pair, and read-only because every caller
     shares them."""
     board = build_diamond(n)
-    d, inv = exactlinalg.invert(kasteleyn_matrix(board))
-    blacks = board.black_vertices
+    whites, blacks = board.white_vertices, board.black_vertices
+    d, inv = exactlinalg.invert(_matrix(board, whites, blacks))
     return d, MappingProxyType({
         (v, w): inv[j][i]
-        for i, v in enumerate(board.white_vertices)
+        for i, v in enumerate(whites)
         for j, w in enumerate(blacks)
     })
 

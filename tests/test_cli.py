@@ -18,7 +18,7 @@ from aztecdimers import cli
 from aztecdimers import combinatorics
 from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import load_pattern_file, main
-from aztecdimers.coupling import DyadicRational, coupling_signed, coupling_signed_rows, hole_ranges, lowest_terms
+from aztecdimers.coupling import coupling_signed, coupling_signed_rows, hole_ranges, lowest_terms
 
 
 def run(capsys, *argv):
@@ -563,27 +563,27 @@ def test_heatmap_approx_rounds_the_unreduced_value_half_even(num, scale):
 
 @pytest.fixture
 def dyadic_constructions(monkeypatch):
-    """A list that grows by one for every :class:`DyadicRational` built during one test."""
-    built, init = [], DyadicRational.__init__
+    """A list that grows by one for every :func:`coupling.lowest_terms` pair made during one test."""
+    built, real = [], coupling_mod.lowest_terms
 
-    def spy(self, numerator, scale):
+    def spy(num, scale):
         built.append(None)
-        init(self, numerator, scale)
+        return real(num, scale)
 
-    monkeypatch.setattr(DyadicRational, "__init__", spy)
+    monkeypatch.setattr(coupling_mod, "lowest_terms", spy)
     return built
 
 
-def test_heatmap_and_prob_build_no_dyadic_rational(tmp_path, capsys, dyadic_constructions):
+def test_heatmap_makes_no_pair_and_prob_and_coupling_one_each(tmp_path, capsys, dyadic_constructions):
     code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "-1", "--out", str(tmp_path / "h.csv"))
-    assert code == 0 and dyadic_constructions == []
+    assert code == 0 and dyadic_constructions == []  # cells inline the reduction
     path = tmp_path / "two.json"
     path.write_text(json.dumps({"format": 1, "n": 6, "dominoes": [
         [["white", 3, 3], ["black", 3, 3]], [["white", 4, 4], ["black", 5, 4]]]}))
     code, _, _ = run(capsys, "prob", str(path))
-    assert code == 0 and dyadic_constructions == []
+    assert code == 0 and len(dyadic_constructions) == 1  # the probability, not one per entry
     code, _, _ = run(capsys, "coupling", "--n", "6", "--white", "3", "3", "--black", "3", "3")
-    assert code == 0 and len(dyadic_constructions) == 1  # the spy sees a lone value
+    assert code == 0 and len(dyadic_constructions) == 2
 
 
 def test_main_builds_the_parser_once_and_keeps_no_parsed_state(tmp_path, capsys):
@@ -613,11 +613,10 @@ def test_verify_quick_exits_zero(capsys):
     assert out == (
         "PASS  counts-vs-enumeration (diamonds up to order 3)\n"
         "PASS  counts-power-of-two (diamonds up to order 5)\n"
-        "PASS  coupling-vs-oracle (184 pairs up to order 3)\n"
         "PASS  local-inverse (11568 identities up to order 8)\n"
         "PASS  normalization (every vertex up to order 6)\n"
         "PASS  pattern-vs-transfer (40 seeded patterns up to order 8)\n"
-        "all 6 checks passed\n"
+        "all 5 checks passed\n"
     )
 
 
@@ -627,11 +626,10 @@ def test_verify_full_exits_zero(capsys):
     assert out == (
         "PASS  counts-vs-enumeration (diamonds up to order 8)\n"
         "PASS  counts-power-of-two (diamonds up to order 10)\n"
-        "PASS  coupling-vs-oracle (73528 pairs up to order 12)\n"
         "PASS  local-inverse (282336 identities up to order 16)\n"
         "PASS  normalization (every vertex up to order 10)\n"
         "PASS  pattern-vs-transfer (160 seeded patterns up to order 8)\n"
-        "all 6 checks passed\n"
+        "all 5 checks passed\n"
     )
 
 
@@ -650,11 +648,12 @@ def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProc
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-# Loaded only by the commands that need them: verify's oracles, and fractions for their inverse, by
-# verify; json and exactlinalg by prob; decimal by the commands that print one.  dataclasses would
-# bring inspect and ast into every command.
-_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn", "fractions"}
+# Loaded only by the commands that need them: verify's oracles by verify; json and exactlinalg by
+# prob; decimal by the commands that print one.  fractions by none, since every exact value is an
+# integer over a power of two.  dataclasses would bring inspect and ast into every command.
+_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
 _PROB_ONLY = {"json", "aztecdimers.exactlinalg"}
+_NO_COMMAND = {"fractions"}
 _MAIN = "import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -666,21 +665,21 @@ def test_importing_the_cli_loads_no_oracle_dataclasses_json_fractions_or_exactli
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "aztecdimers.cli" in loaded
-    assert sorted(loaded & ({"dataclasses", "inspect", "decimal"} | _ORACLES | _PROB_ONLY)) == []
+    assert sorted(loaded & ({"dataclasses", "inspect", "decimal"} | _ORACLES | _PROB_ONLY | _NO_COMMAND)) == []
 
 
 def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg(tmp_path):
-    # Nor does count load decimal; verify does, only because fractions, which its oracles
-    # need, imports it.  prob loads no oracle and no fractions either.  One fresh interpreter
-    # per command.
+    # Nor do count and verify, which print no decimal, load decimal.  prob loads no oracle, and
+    # no command loads fractions.  One fresh interpreter per command.
     pattern = tmp_path / "p.json"
     pattern.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]}))
     unwanted = {
-        ("count", "--n", "5"): _ORACLES | _PROB_ONLY | {"decimal"},
-        ("coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"): _ORACLES | _PROB_ONLY,
-        ("heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")): _ORACLES | _PROB_ONLY,
-        ("prob", str(pattern)): _ORACLES,
-        ("verify", "--level", "quick"): {"json"},
+        ("count", "--n", "5"): _ORACLES | _PROB_ONLY | _NO_COMMAND | {"decimal"},
+        ("coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"): _ORACLES | _PROB_ONLY | _NO_COMMAND,
+        ("heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")):
+            _ORACLES | _PROB_ONLY | _NO_COMMAND,
+        ("prob", str(pattern)): _ORACLES | _NO_COMMAND,
+        ("verify", "--level", "quick"): _NO_COMMAND | {"json", "decimal"},
     }
     probe = "import sys; from aztecdimers.cli import main; print(main(sys.argv[1:])); print(*sorted(sys.modules))"
     for argv, modules in unwanted.items():
@@ -746,7 +745,7 @@ def test_exact_results_are_fractions_when_fractions_loads_on_first_use():
              "import fractions; print(all(type(f) is fractions.Fraction for f in r), *r, p)")
     proc = _fresh_python(probe)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True -3/4 -3/4 1/2 (3, 2)\n"
+    assert proc.stdout == "True -3/4 -3/4 1/2 Dyadic(numerator=3, scale=2)\n"
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
@@ -762,21 +761,22 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 
 def test_verify_records_a_raising_check_and_exits_one(capsys, monkeypatch):
-    # Under an all-plus sign rule K is singular and coupling-vs-oracle's dense inverse
-    # raises; the run still prints every check's line and exits 1 with no traceback.
-    from aztecdimers import kasteleyn
+    # A check that raises fails alone: the run still prints every check's line and exits 1 with
+    # no traceback.
+    from aztecdimers import verify as verify_mod
 
-    kasteleyn._diamond_inverse.cache_clear()
-    monkeypatch.setattr(kasteleyn, "edge_sign", lambda v, b: 1)
-    try:
-        code, out, err = run(capsys, "verify", "--level", "quick")
-    finally:
-        monkeypatch.undo()
-        kasteleyn._diamond_inverse.cache_clear()
+    def _broken(full):
+        raise ZeroDivisionError("planted")
+
+    def _fine(full):
+        return True, "planted pass"
+
+    monkeypatch.setattr(verify_mod, "_CHECKS", (_broken, _fine))
+    code, out, err = run(capsys, "verify", "--level", "quick")
     assert code == 1 and err == ""
-    assert "FAIL  coupling-vs-oracle (raised SingularMatrixError: matrix is singular)" in out
-    assert out.count("PASS") + out.count("FAIL") == 6
-    assert "checks failed" in out.splitlines()[-1]
+    assert out == ("FAIL  broken (raised ZeroDivisionError: planted)\n"
+                   "PASS  fine (planted pass)\n"
+                   "1 of 2 checks failed\n")
 
 
 def test_prob_off_board_domino_on_a_huge_diamond(tmp_path, capsys):

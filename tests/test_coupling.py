@@ -13,7 +13,6 @@ from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import load_pattern_file
 from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
 from aztecdimers.coupling import (
-    DyadicRational,
     coupling,
     coupling_signed,
     coupling_signed_rows,
@@ -28,37 +27,40 @@ from derivation import first_column_hole_count, krawtchouk_convolution
 
 
 # ---------------------------------------------------------------------------
-# DyadicRational
+# lowest_terms pairs
 # ---------------------------------------------------------------------------
 
 
 def test_dyadic_normalization():
-    assert DyadicRational(2, 2) == DyadicRational(1, 1)
-    assert DyadicRational(0, 7) == DyadicRational(0, 0)
-    assert DyadicRational(-4, 3) == DyadicRational(-1, 1)
-    assert DyadicRational(3, 0).to_fraction() == 3
-    assert DyadicRational(3 << 500, 600) == DyadicRational(3, 100)
-    assert DyadicRational(1 << 700, 600) == DyadicRational(1 << 100, 0)
-    assert DyadicRational(-(5 << 64), 64) == DyadicRational(-5, 0)
-    assert DyadicRational(7 << 3, 1000) == DyadicRational(7, 997)
-    assert str(DyadicRational(3, 2)) == "3 / 2^2"
+    assert lowest_terms(2, 2) == lowest_terms(1, 1) == (1, 1)
+    assert lowest_terms(0, 7) == lowest_terms(0, 0) == (0, 0)
+    assert lowest_terms(-4, 3) == lowest_terms(-1, 1) == (-1, 1)
+    assert lowest_terms(3, 0).to_fraction() == 3
+    assert lowest_terms(3 << 500, 600) == lowest_terms(3, 100) == (3, 100)
+    assert lowest_terms(1 << 700, 600) == lowest_terms(1 << 100, 0) == (1 << 100, 0)
+    assert lowest_terms(-(5 << 64), 64) == lowest_terms(-5, 0) == (-5, 0)
+    assert lowest_terms(7 << 3, 1000) == lowest_terms(7, 997) == (7, 997)
 
 
 def test_dyadic_rejects_negative_scale():
     with pytest.raises(ValueError):
-        DyadicRational(1, -1)
+        lowest_terms(1, -1)
 
 
 def test_dyadic_is_a_read_only_value():
-    value = DyadicRational(2, 3)
+    value = lowest_terms(2, 3)
+    assert value == (1, 2) and value != (1, 3) and hash(value) == hash((1, 2))
+    assert (value.numerator, value.scale) == (1, 2)
     with pytest.raises(AttributeError):
         value.numerator = 3
     with pytest.raises(AttributeError):
         value.scale = 0
     with pytest.raises(AttributeError):
         del value.scale
-    assert hash(value) == hash(DyadicRational(1, 2)) and value != DyadicRational(1, 3)
-    assert value != (1, 2) and repr(value) == "DyadicRational(numerator=1, scale=2)"
+    with pytest.raises(AttributeError):
+        value.extra = 0
+    assert value.to_fraction() == Fraction(1, 4) and type(value.to_fraction()) is Fraction
+    assert lowest_terms(-(3 << 5), 405).to_fraction() == Fraction(-3, 2**400)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ def test_kernel_matches_the_per_term_sum_on_every_pair():
         board = build_diamond(n)
         for v in board.white_vertices:
             for w in board.black_vertices:
-                want = DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
+                want = lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
                 assert coupling(n, v, w) == want, (n, v, w)
 
 
@@ -105,7 +107,7 @@ def test_kernel_matches_the_per_term_sum_on_sampled_pairs(data):
     n = data.draw(st.integers(1, 30), label="n")
     v = white(data.draw(st.integers(1, n)), data.draw(st.integers(1, n + 1)))
     w = black(data.draw(st.integers(1, n + 1)), data.draw(st.integers(1, n)))
-    assert coupling(n, v, w) == DyadicRational(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
+    assert coupling(n, v, w) == lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
 
 
 def test_hole_ranges_are_the_positions_on_the_diamond():
@@ -247,8 +249,8 @@ def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
     cell = _signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
     lines = krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1)
     assert coupling_mod._entry(*lines, w0, d0, d1) == cell, (n, v, w)
-    assert coupling_signed(n, w0, d0, w1, d1) == DyadicRational(cell, n), (n, v, w)
-    assert coupling(n, v, w) == DyadicRational(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
+    assert coupling_signed(n, w0, d0, w1, d1) == lowest_terms(cell, n), (n, v, w)
+    assert coupling(n, v, w) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
 
 
 def test_direct_sums_equal_the_row_cells_on_every_pair():

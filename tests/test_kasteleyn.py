@@ -1,13 +1,14 @@
 """Kasteleyn matrices, the cached inverse, and the determinant ratios behind them."""
 
 import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
 import pytest
 
-from aztecdimers import exactlinalg, kasteleyn
+from aztecdimers import exactlinalg, kasteleyn, verify
 from aztecdimers.enumerate import enumerate_matchings
 from aztecdimers.exactlinalg import ShapeError, det
 from aztecdimers.kasteleyn import (
@@ -66,7 +67,8 @@ def test_unbalanced_board_count_is_zero():
 
 
 def test_counters_read_each_vertex_tuple_once(monkeypatch):
-    # A board builds its vertex tuples on each read, so each counter reads each color once.
+    # A board builds its vertex tuples on each read, so each counter, the cached inverse and
+    # verify's random patterns read each color they need once.
     calls = []
 
     def spy(self, color, real=Board._generate):
@@ -79,6 +81,16 @@ def test_counters_read_each_vertex_tuple_once(monkeypatch):
     calls.clear()
     assert enumerate_matchings(remove_vertices(build_diamond(4), [white(1, 2), black(2, 1)])) > 0
     assert sorted(calls, key=repr) == [Color.BLACK, Color.WHITE]
+    calls.clear()
+    kasteleyn._diamond_inverse.cache_clear()
+    try:
+        assert len(inverse_coupling_matrix(3)) == 12 * 12
+    finally:
+        kasteleyn._diamond_inverse.cache_clear()
+    assert sorted(calls, key=repr) == [Color.BLACK, Color.WHITE]
+    calls.clear()
+    assert len(verify._random_pattern(random.Random(12), build_diamond(4), 3)) > 0
+    assert calls == [Color.WHITE]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -27,7 +27,7 @@ def test_verify_runs_no_two_hole_count(monkeypatch):
     monkeypatch.setattr(enum, "weighted_count", refuse)
     monkeypatch.setattr(kasteleyn, "signed_hole_cofactor", refuse)
     results = verify.run_checks()
-    assert len(results) == 6
+    assert len(results) == 5
     assert all(r.ok for r in results), [r for r in results if not r.ok]
 
 
@@ -62,7 +62,6 @@ def test_seeded_mutation_is_caught():
             mp.setattr(coupling_mod, "krawtchouk_column", column)
             results = verify.run_checks()
         failed = [r.name for r in results if not r.ok]
-        assert "coupling-vs-oracle" in failed, mutation.__name__
         assert "local-inverse" in failed, mutation.__name__
         assert "pattern-vs-transfer" in failed, mutation.__name__
 
@@ -83,24 +82,20 @@ def _clear_oracle_cache():
 
 def test_wrong_edge_sign_is_caught():
     assert sign_relation_sweep(3) == (None, 46)
-    _clear_oracle_cache()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _all_plus)
             results = {r.name: r for r in verify.run_checks()}
         assert len(results) == len(verify._CHECKS)
-        for name in ("counts-vs-enumeration", "counts-power-of-two", "coupling-vs-oracle"):
+        for name in ("counts-vs-enumeration", "counts-power-of-two", "local-inverse"):
             assert not results[name].ok, name
-        # K is singular under this rule: the dense inverse raises, and the check records it.
-        assert results["coupling-vs-oracle"].detail == "raised SingularMatrixError: matrix is singular"
         _clear_oracle_cache()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
             results = {r.name: r.ok for r in verify.run_checks()}
             first_failure, _ = sign_relation_sweep(3)
         assert results["counts-vs-enumeration"]
-        for name in ("coupling-vs-oracle", "local-inverse"):
-            assert not results[name], name
+        assert not results["local-inverse"]
         # The signed two-hole counts use no Kasteleyn sign, so the cofactors alone go wrong.
         assert first_failure is not None
     finally:
@@ -134,18 +129,17 @@ def test_off_by_one_crossing_weight_is_caught(monkeypatch, clause):
 
 
 def test_local_inverse_reads_kernel_integers(monkeypatch):
-    # The three coupling checks read the kernel's integers times 2^n from one table per order;
-    # none of them builds a DyadicRational.
-    built, init = [], coupling_mod.DyadicRational.__init__
+    # The two coupling checks read the kernel's integers times 2^n from one table per order;
+    # neither makes a lowest_terms pair.
+    built, real = [], coupling_mod.lowest_terms
 
-    def spy(self, numerator, scale):
+    def spy(num, scale):
         built.append(None)
-        init(self, numerator, scale)
+        return real(num, scale)
 
-    monkeypatch.setattr(coupling_mod.DyadicRational, "__init__", spy)
-    results = [check(False) for check in (verify._coupling_vs_oracle, verify._local_inverse, verify._normalization)]
+    monkeypatch.setattr(coupling_mod, "lowest_terms", spy)
+    results = [check(False) for check in (verify._local_inverse, verify._normalization)]
     assert results == [
-        (True, "184 pairs up to order 3"),
         (True, "11568 identities up to order 8"),
         (True, "every vertex up to order 6"),
     ]
