@@ -24,7 +24,7 @@ Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 ``Kr(., n, y-1)`` and one black column ``Kr(y'-1, n-1, .)``, each built by
 :mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations; which
 terms are summed and the sign depend on ``y``, ``y'`` and ``x' - x`` only.
-:func:`_branch_terms` is the one branch rule and :func:`_negated` the one sign
+:func:`_branch_cut` is the one branch rule and :func:`_negated` the one sign
 rule, and two evaluators with no cache of their own read them.  Prefix sums
 along a row of consecutive ``x`` (:func:`_branch_sums`) serve sweeps: at fixed
 offsets, consecutive ``w1`` read consecutive lines, so :func:`line_walk` takes
@@ -32,9 +32,39 @@ only the first pair from the cached builders and steps to each next pair by
 the one-step identity of :mod:`~aztecdimers.combinatorics`, and
 :func:`signed_rows` turns each walked pair into one signed row.  ``heatmap``
 reads one such sweep per command and ``verify`` one walk per ``d1``, reused
-for every ``d0``.  Scattered direct sums (:func:`_entry`), one per lone value
-or pattern entry, read lines built by the cached builders once per value or
-pattern.
+for every ``d0``.  Scattered entries (:func:`_entry`), one per lone value or
+pattern entry, read lines built by the cached builders once per value or
+pattern, and each is summed from the nearer end of its lines.
+
+A branch is ``sum_{j<stop} row[j] * column[j+m]``, ``m >= 0``, over the row
+``Kr(., n, c)`` and the column ``Kr(a, n-1, .)``, whose polynomial extension in
+``t`` is ``f(t) = [x^a] (1-x)^t (1+x)^{n-1-t}``, read as a power series.  With
+``d = a - c`` (that is ``-d1``) the full sum over the extended column is closed:
+
+    sum_{j=0}^{n} row[j] * f(j+m) = 2^n [x^d] (1-x)^m (1+x)^{-1-m} = (-1)^d 2^n D(m, d),
+
+with ``D(m, d) = sum_i C(m, i) C(d, i) 2^i`` the Delannoy number, and 0 for
+``d < 0``.  Proof: ``sum_j Kr(j, n, c) u^j = (1-u)^c (1+u)^{n-c}``, which at
+``u = (1-x)/(1+x)`` is ``2^n x^c (1+x)^{-n}``; ``f(j+m)`` is ``[x^a]`` of
+``(1-x)^m (1+x)^{n-1-m} u^j``; so the sum is ``[x^a]`` of their product.
+So a branch is also the closed form minus the in-range terms from ``stop`` on
+and the ``m+1`` tail terms ``row[j] * f(j+m)``, ``j >= n-m``.  By the
+reflection ``f(n-1+k) = (-1)^a f(-k)`` the tail values are ``f(-1), ...,
+f(-1-m)``: ``f(-1) = sum_{i<=a} C(n, i)`` is a prefix sum of one binomial row,
+cached per order, and the column recurrence ``(b-t) f(t+1) = (b-2a) f(t) - t
+f(t-1)``, ``b = n-1``, run down from ``f(0)`` and ``f(-1)``, gives the rest by
+exact divisions (:func:`_far_sum`).  On lines of order at least
+:data:`_FAR_END_ORDER`, each entry sums from whichever end has fewer terms:
+about ``min(x, n+1-x)``, where the direct sum has ``x`` or ``n+1-x`` by the
+sign of ``x' - x``.
+
+A pattern can also be read transposed.  The signed entry at ``(x, x'-x, y',
+y-y')`` equals the one at ``(y', y-y', x, x'-x)``, so the transposed pattern,
+with whites ``(y', x')`` and blacks ``(y, x)``, has the transposed matrix, whose
+rows are indexed by the blacks' ``x'`` and columns by the whites' ``x``.
+:func:`pattern_probability` reads the orientation whose white rows lie nearer
+the diamond's edge, by the sum of ``min(x, n+1-x)`` over them, so a pattern near
+any edge sums few terms.
 
 The signed inverse-Kasteleyn entry at hole offsets ``(w0, d0, w1, d1)`` pairs the
 white ``(w0, w1+d1)`` with the black ``(w0+d0, w1)``; its sign is the branch sign
@@ -51,6 +81,7 @@ the tests to the exact inverse-Kasteleyn oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate, islice
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -81,20 +112,21 @@ def lowest_terms(num: int, scale: int) -> Dyadic:
     return Dyadic(num >> shift, scale - shift)
 
 
-def _branch_terms(row: Sequence[int], column: Sequence[int], x: int, shift: int) -> tuple[Sequence[int], ...]:
-    """The built row ``Kr(., n, y-1)`` and column ``Kr(y2-1, n-1, .)`` cut to the factors of the
-    branch sum at ``x`` and ``shift = x' - x``, paired term by term and without the branch sign.
+def _branch_cut(size: int, x: int, shift: int) -> tuple[int, int]:
+    """``(m, count)``: over the built row ``Kr(., n, y-1)`` of ``size = n+1`` entries and the column
+    ``Kr(y2-1, n-1, .)``, the branch sum at ``x`` and ``shift = x' - x``, without the branch sign, is
+    ``sum_{j<count} row[j] * column[j+m]``, with column entries past its end read as 0.
 
     The column reflection ``Kr(a, b, b-c) = (-1)^a Kr(a, b, c)`` (for ``shift > 0``) or the row
     reflection ``Kr(b-a, b, c) = (-1)^c Kr(a, b, c)`` (for ``shift <= 0``, with ``j`` read as
-    ``n - j``) turns both branches into forward prefix sums of ``t_j = row[j] * column[j + offset]``:
+    ``n - j``) turns both branches into forward prefix sums of ``t_j = row[j] * column[j + m]``:
 
-    * ``shift > 0``: ``sum_{j<x} t_j`` with ``offset = shift-1``, the branch sum times ``(-1)^(y2-1)``;
-    * ``shift <= 0``: ``sum_{j<=n-x} t_j`` with ``offset = -shift``, the branch sum times ``(-1)^y``.
+    * ``shift > 0``: ``sum_{j<x} t_j`` with ``m = shift-1``, the branch sum times ``(-1)^(y2-1)``;
+    * ``shift <= 0``: ``sum_{j<=n-x} t_j`` with ``m = -shift``, the branch sum times ``(-1)^y``.
     """
     if shift > 0:
-        return row[:x], column[shift - 1:]
-    return row[:len(row) - x], column[-shift:]
+        return shift - 1, x
+    return -shift, size - x
 
 
 def _negated(d0: int, d1: int) -> bool:
@@ -102,9 +134,61 @@ def _negated(d0: int, d1: int) -> bool:
     return bool((d0 + d1 + 1 if d0 > 0 else d0) % 2)
 
 
-def _entry(row: Sequence[int], column: Sequence[int], x: int, d0: int, d1: int) -> int:
-    """The signed entry at ``w0 = x`` times ``2^n``: one direct sum over its built row and column."""
-    s = sum(map(mul, *_branch_terms(row, column, x, d0)))
+_FAR_END_ORDER = 64
+"""Lines of a lower order are summed from the near end, and patterns read as given, at the cost of
+one comparison: there the far end's fixed cost outweighs the terms it saves.  On the benchmark's
+pattern mix both rules lost time at n = 60 and gained it at n = 120."""
+
+
+@lru_cache(maxsize=4)
+def _binomial_prefix_sums(n: int) -> tuple[int, ...]:
+    """``sum_{i<=a} C(n, i)`` for ``a = 0..n``: the extended column's value ``f(-1)`` at each ``a``."""
+    terms, c = [], 1
+    for i in range(n + 1):
+        terms.append(c)
+        c = c * (n - i) // (i + 1)
+    return tuple(accumulate(terms))
+
+
+def _far_sum(row: Sequence[int], column: Sequence[int], m: int, stop: int, a: int, d: int) -> int:
+    """``sum_{j<stop} row[j] * column[j+m]`` over the row ``Kr(., n, c)`` and the column
+    ``Kr(a, n-1, .)``, with ``d = a - c``, from the far end: the closed form of the full sum over the
+    extended column, minus its in-range terms from ``stop`` on and its ``m+1`` tail terms."""
+    n = len(column)
+    b = n - 1
+    full = 0
+    if d >= 0:  # the Delannoy number D(m, d) = sum_i C(m, i) C(d, i) 2^i, one term from the next
+        full = term = 1
+        for i in range(min(d, m)):
+            term = 2 * term * (m - i) * (d - i) // ((i + 1) * (i + 1))
+            full += term
+        full <<= n
+    # f(-1), ..., f(-1-m): the column recurrence run down from f(0) and f(-1), each division exact.
+    later, value = column[0], _binomial_prefix_sums(n)[a]
+    values = [value]
+    for t in range(-1, -1 - m, -1):
+        later, value = value, ((b - 2 * a) * value - (b - t) * later) // t
+        values.append(value)
+    rest = sum(map(mul, row[stop:n - m], column[stop + m:]))
+    tail = sum(map(mul, row[n - m:], values))
+    return (-full if d % 2 else full) - rest - (-tail if a % 2 else tail)
+
+
+def _entry(row: Sequence[int], column: Sequence[int], w0: int, d0: int, w1: int, d1: int) -> int:
+    """The signed entry at ``(w0, d0, w1, d1)`` times ``2^n``: one sum over its built row and column,
+    from whichever end of them sums fewer terms.
+
+    The direct sum has ``stop``, the in-range terms of :func:`_branch_cut`.  :func:`_far_sum` has
+    ``n-m-stop`` in-range terms, ``m+1`` tail terms and the ``m`` steps that give their values, and
+    the ``min(d, m) + 1`` terms of the closed form, none when ``d < 0``."""
+    m, count = _branch_cut(len(row), w0, d0)
+    n = len(column)
+    if n >= _FAR_END_ORDER:
+        stop = min(count, n - m)
+        if stop > n + 1 - stop + m + (min(-d1, m) + 1 if d1 <= 0 else 0):
+            s = _far_sum(row, column, m, stop, w1 - 1, -d1)
+            return -s if _negated(d0, d1) else s
+    s = sum(map(mul, row[:count], column[m:]))
     return -s if _negated(d0, d1) else s
 
 
@@ -113,13 +197,13 @@ def _branch_sums(row: Sequence[int], column: Sequence[int], shift: int, xs: rang
     at each white column ``x`` of a nonempty step-1 range ``xs`` of pairs on the diamond, without
     the branch sign, which the caller applies.
 
-    The terms of :func:`_branch_terms` do not depend on ``x``, and its prefix grows with ``x`` for
+    The terms of :func:`_branch_cut` do not depend on ``x``, and its prefix grows with ``x`` for
     ``shift > 0`` and shrinks otherwise.  So the terms of the range's longest prefix are read once:
     those of its shortest prefix are summed directly, and each later term gives the next sum.
     """
-    lines = _branch_terms(row, column, xs[-1] if shift > 0 else xs[0], shift)
-    terms = map(mul, *lines)
-    sums = list(accumulate(terms, initial=sum(islice(terms, len(lines[0]) - len(xs) + 1))))
+    m, count = _branch_cut(len(row), xs[-1] if shift > 0 else xs[0], shift)
+    terms = map(mul, row[:count], column[m:])
+    sums = list(accumulate(terms, initial=sum(islice(terms, count - len(xs) + 1))))
     if shift <= 0:
         sums.reverse()
     return sums
@@ -182,7 +266,7 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:
     ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
     _check_pairs(n, w0, w0, d0, w1, d1)
     row, column = krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1)
-    return lowest_terms(_entry(row, column, w0, d0, d1), n)
+    return lowest_terms(_entry(row, column, w0, d0, w1, d1), n)
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> Dyadic:
@@ -190,7 +274,7 @@ def coupling(n: int, v: Vertex, w: Vertex) -> Dyadic:
     signed entry; its absolute value is the probability of the domino ``(v, w)``."""
     check_diamond_pair(n, v, w)
     d0 = w.x - v.x
-    signed = _entry(krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1), v.x, d0, v.y - w.y)
+    signed = _entry(krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1), v.x, d0, w.y, v.y - w.y)
     return lowest_terms(-signed if (d0 + v.y) % 2 else signed, n)
 
 
@@ -198,11 +282,16 @@ def pattern_probability(n: int, pattern: Sequence[Edge]) -> Dyadic:
     """Probability of a ``k``-domino pattern in a uniform tiling, ``|det[c(v_i, w_j)]|``, as the
     :func:`lowest_terms` pair of an integer over ``2^{nk}``: the determinant is taken exactly over the
     signed entries, which have the same ``|det|``, as integers over ``2^n``.  The pattern is validated
-    by the diamond's membership test, at a cost that does not grow with ``n``; then each distinct white
-    row and black column is built once, and each entry is one direct sum over them."""
+    by the diamond's membership test, at a cost that does not grow with ``n``; then the pattern is read
+    in the orientation that sums fewer terms, each distinct white row and black column of that
+    orientation is built once, and each entry is one sum over them, from their nearer end."""
     from .exactlinalg import det  # here, so that commands without a pattern never load it
     whites, blacks = validate_pattern(build_diamond(n), pattern)
+    if n >= _FAR_END_ORDER and (sum([min(w.y, n + 1 - w.y) for w in blacks])
+                                < sum([min(v.x, n + 1 - v.x) for v in whites])):
+        # The transposed pattern: its matrix is the transpose, with the same det.
+        whites, blacks = [white(w.y, w.x) for w in blacks], [black(v.y, v.x) for v in whites]
     rows = {y: krawtchouk_row(n, y - 1) for y in {v.y for v in whites}}
     columns = {y: krawtchouk_column(y - 1, n - 1) for y in {w.y for w in blacks}}
-    d = det([[_entry(rows[v.y], columns[w.y], v.x, w.x - v.x, v.y - w.y) for w in blacks] for v in whites])
+    d = det([[_entry(rows[v.y], columns[w.y], v.x, w.x - v.x, w.y, v.y - w.y) for w in blacks] for v in whites])
     return lowest_terms(abs(d), n * len(whites))

@@ -4,7 +4,8 @@ Backs the ``verify`` CLI command, which runs five checks, each of the product
 or of the oracle that certifies it.  ``quick`` keeps most boards small and
 runs in a few seconds; ``full`` pushes each check to the largest size the
 oracles handle comfortably, and reaches :func:`run_checks` as ``full=True``.
-Orders below are ``quick``/``full``.
+Each check reads the level from the :class:`_Run` it is given.  Orders below
+are ``quick``/``full``.
 Ground truth is the transfer-matrix count :func:`enumerate.weighted_matchings`,
 which uses neither Kasteleyn signs nor Krawtchouk sums:
 ``counts-vs-enumeration`` (3/8) holds ``|det K|`` to it on diamonds, so the one
@@ -15,7 +16,7 @@ counts of the diamond with the pattern removed, each side an integer over a
 power of two in :func:`coupling.lowest_terms`.  The paper's two-hole sign
 lemma is a proof step, not the product: the tier-1 tests certify it
 (acceptance criterion 11, on every hole pair to order 6).
-The two coupling checks read one table per order, every signed entry as an
+The two coupling checks read one table per order and run, every signed entry as an
 integer times ``2^n``, built from kernel rows, one per ``(d0, w1, d1)``, over
 Krawtchouk lines walked once per ``d1``.
 ``local-inverse`` (8/16) checks ``K C^T = I`` on the nonzeros of one row of
@@ -31,6 +32,7 @@ command exit nonzero.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
@@ -44,13 +46,22 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+class _Run:
+    """One run of the suite: ``full`` selects the sizes, and ``table(n)`` is :func:`_signed_table`
+    cached for this run alone, so that both coupling checks read one build per order."""
+
+    def __init__(self, full: bool) -> None:
+        self.full = full
+        self.table = lru_cache(maxsize=None)(_signed_table)
+
+
 def _count(board: Board) -> int:
     """Perfect matchings of ``board``, by transfer matrix."""
     return enum.weighted_matchings(board, lambda w, b: 1)
 
 
-def _counts_vs_enumeration(full: bool) -> tuple[bool, str]:
-    top = 8 if full else 3
+def _counts_vs_enumeration(run: _Run) -> tuple[bool, str]:
+    top = 8 if run.full else 3
     for n in range(1, top + 1):
         board = build_diamond(n)
         got, want = kasteleyn.count_matchings_det(board), _count(board)
@@ -59,8 +70,8 @@ def _counts_vs_enumeration(full: bool) -> tuple[bool, str]:
     return True, f"diamonds up to order {top}"
 
 
-def _counts_power_of_two(full: bool) -> tuple[bool, str]:
-    top = 10 if full else 5
+def _counts_power_of_two(run: _Run) -> tuple[bool, str]:
+    top = 10 if run.full else 5
     for n in range(1, top + 1):
         want = 2 ** (n * (n + 1) // 2)
         got = kasteleyn.count_matchings_det(build_diamond(n))
@@ -89,15 +100,15 @@ def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
     return index, table
 
 
-def _local_inverse(full: bool) -> tuple[bool, str]:
+def _local_inverse(run: _Run) -> tuple[bool, str]:
     # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
     # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n, as
     # the table holds each entry, whose blacks are numbered in board order, as K's columns are.
-    top = 16 if full else 8
+    top = 16 if run.full else 8
     cases = 0
     for n in range(1, top + 1):
         board = build_diamond(n)
-        _, table = _signed_table(n)
+        _, table = run.table(n)
         whites = board.white_vertices
         k_rows = [(v, [(sign, j) for j, sign in enumerate(row) if sign])
                   for v, row in zip(whites, kasteleyn.kasteleyn_matrix(board))]
@@ -111,13 +122,13 @@ def _local_inverse(full: bool) -> tuple[bool, str]:
     return True, f"{cases} identities up to order {top}"
 
 
-def _normalization(full: bool) -> tuple[bool, str]:
+def _normalization(run: _Run) -> tuple[bool, str]:
     # One domino covers each vertex, so the |c| of the dominoes at a white or a black sum to 1:
     # 2^n on the table's integers.
-    top = 10 if full else 6
+    top = 10 if run.full else 6
     for n in range(1, top + 1):
         board = build_diamond(n)
-        index, table = _signed_table(n)
+        index, table = run.table(n)
         sums = [(v, sum(abs(table[v.x, v.y][index[b.x, b.y]]) for b in board.neighbors(v)))
                 for v in board.white_vertices]
         sums += [(b, sum(abs(table[v.x, v.y][index[b.x, b.y]]) for v in board.neighbors(b)))
@@ -142,9 +153,9 @@ def _random_pattern(rng: random.Random, board: Board, size: int) -> list[Edge]:
     return pattern
 
 
-def _pattern_vs_transfer(full: bool) -> tuple[bool, str]:
+def _pattern_vs_transfer(run: _Run) -> tuple[bool, str]:
     # P(pattern) = #matchings of the diamond minus the pattern's cells / 2^{n(n+1)/2}.
-    top, per_order = (8, 20) if full else (8, 5)
+    top, per_order = (8, 20) if run.full else (8, 5)
     rng = random.Random(12)
     cases = 0
     for n in range(1, top + 1):
@@ -160,7 +171,7 @@ def _pattern_vs_transfer(full: bool) -> tuple[bool, str]:
     return True, f"{cases} seeded patterns up to order {top}"
 
 
-_CHECKS: tuple[Callable[[bool], tuple[bool, str]], ...] = (
+_CHECKS: tuple[Callable[[_Run], tuple[bool, str]], ...] = (
     _counts_vs_enumeration,
     _counts_power_of_two,
     _local_inverse,
@@ -169,15 +180,16 @@ _CHECKS: tuple[Callable[[bool], tuple[bool, str]], ...] = (
 )
 
 
-def _run(check: Callable[[bool], tuple[bool, str]], full: bool) -> CheckResult:
+def _result(check: Callable[[_Run], tuple[bool, str]], run: _Run) -> CheckResult:
     # A check that raises fails alone; the rest of the suite still runs.
     name = check.__name__.lstrip("_").replace("_", "-")
     try:
-        return CheckResult(name, *check(full))
+        return CheckResult(name, *check(run))
     except Exception as exc:
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def run_checks(full: bool = False) -> list[CheckResult]:
     """Run the oracle suite, at the ``full`` sizes or the quick ones."""
-    return [_run(check, full) for check in _CHECKS]
+    run = _Run(full)
+    return [_result(check, run) for check in _CHECKS]

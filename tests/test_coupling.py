@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -248,21 +249,79 @@ def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
     w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
     cell = _signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
     lines = krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1)
-    assert coupling_mod._entry(*lines, w0, d0, d1) == cell, (n, v, w)
+    assert coupling_mod._entry(*lines, w0, d0, w1, d1) == cell, (n, v, w)
     assert coupling_signed(n, w0, d0, w1, d1) == lowest_terms(cell, n), (n, v, w)
     assert coupling(n, v, w) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
 
 
-def test_direct_sums_equal_the_row_cells_on_every_pair():
-    # Both branches meet every x, the board's edges included, at every order to 9.
-    for n in range(1, 10):
+def _check_every_pair_against_the_row_cells(top):
+    for n in range(1, top + 1):
         board = build_diamond(n)
         for v in board.white_vertices:
             for w in board.black_vertices:
                 _check_direct_sums_against_the_row_cell(n, v, w, range(v.x, v.x + 1))
 
 
-@pytest.mark.parametrize("n", [200, 201])
+def test_direct_sums_equal_the_row_cells_on_every_pair():
+    # Both branches meet every x, the board's edges included, at every order to 9.
+    _check_every_pair_against_the_row_cells(9)
+
+
+@pytest.fixture
+def far_end_everywhere(monkeypatch):
+    """Lines of every order summed from whichever end has fewer terms, and patterns read in either
+    orientation; the list counts the far-end sums."""
+    calls, real = [], coupling_mod._far_sum
+
+    def spy(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(coupling_mod, "_FAR_END_ORDER", 0)
+    monkeypatch.setattr(coupling_mod, "_far_sum", spy)
+    return calls
+
+
+def test_far_end_sums_equal_the_row_cells_on_every_pair(far_end_everywhere):
+    # The orders verify reaches never take the far end; with the gate at 0 they all may.
+    _check_every_pair_against_the_row_cells(9)
+    assert far_end_everywhere
+
+
+def _general_binomial(z, i):
+    """The coefficient of ``x^i`` in ``(1+x)^z`` for any integer ``z``."""
+    num = 1
+    for r in range(i):
+        num *= z - r
+    return num // factorial(i)
+
+
+def _extended_column(a, b, t):
+    """``[x^a] (1-x)^t (1+x)^{b-t}`` as a power series, for any integer ``t``: the polynomial in ``t``
+    that the column ``Kr(a, b, .)`` samples at ``t = 0..b``."""
+    return sum((-1) ** i * _general_binomial(t, i) * _general_binomial(b - t, a - i) for i in range(a + 1))
+
+
+def test_the_full_sum_over_the_extended_column_is_closed():
+    # sum_j Kr(j, n, c) f(j+m) = (-1)^d 2^n sum_{i<=min(d,m)} C(m, i) C(m+d-i, d-i) with d = a - c,
+    # and 0 for d < 0, for every row and column to order 14 and m <= 6.  A far-end sum of no terms
+    # is 0: its closed form, tail values and in-range terms cancel exactly.
+    for n in range(1, 15):
+        for a in range(n):
+            column = krawtchouk_column(a, n - 1)
+            f = [_extended_column(a, n - 1, t) for t in range(n + 7)]
+            assert tuple(f[:n]) == column
+            for c in range(n + 1):
+                row, d = krawtchouk_row(n, c), a - c
+                for m in range(7):
+                    closed = sum(comb(m, i) * comb(m + d - i, d - i) for i in range(min(d, m) + 1))
+                    want = (-1) ** d * 2**n * closed if d >= 0 else 0
+                    assert sum(r * f[j + m] for j, r in enumerate(row)) == want, (n, a, c, m)
+                    if m < n:
+                        assert coupling_mod._far_sum(row, column, m, 0, a, d) == 0, (n, a, c, m)
+
+
+@pytest.mark.parametrize("n", [200, 201, 400])
 def test_direct_sums_equal_the_row_cells_at_large_order(n):
     # Seeded pairs, alternately with d0 > 0 and d0 <= 0, each against its cell in
     # the whole kernel row of its offsets.
@@ -287,10 +346,10 @@ def line_builds(monkeypatch):
     return calls
 
 
-def _bench_shaped_pattern(rng, n, k):
-    """``k`` disjoint dominoes whose whites lie in a 4x4 window, each listed white
-    first or black first at random, as the benchmark's ``prob`` patterns are."""
-    x0, y0 = rng.randint(1, n - 3), rng.randint(1, n - 2)
+def _bench_shaped_pattern(rng, n, k, window=None):
+    """``k`` disjoint dominoes whose whites lie in a 4x4 window, at ``window`` or at random, each
+    listed white first or black first at random, as the benchmark's ``prob`` patterns are."""
+    x0, y0 = window or (rng.randint(1, n - 3), rng.randint(1, n - 2))
     board = build_diamond(n)
     edges = [(v, w) for x in range(x0, x0 + 4) for y in range(y0, y0 + 4)
              if (v := white(x, y)) in board for w in board.neighbors(v)]
@@ -317,6 +376,58 @@ def test_a_pattern_builds_each_distinct_line_once(line_builds):
     line_builds["column"].clear()
     coupling(n, white(10, 10), black(11, 9))
     assert line_builds == {"row": [(n, 9)], "column": [(8, n - 1)], "branch_sums": []}
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """One entry per term the coupling kernel multiplies, direct or far-end, during one test."""
+    terms, real = [], coupling_mod.mul
+
+    def counted(p, q):
+        terms.append(None)
+        return real(p, q)
+
+    monkeypatch.setattr(coupling_mod, "mul", counted)
+    return terms
+
+
+@pytest.mark.parametrize("window, transposed", [((3, 194), False), ((98, 195), True)])
+def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, monkeypatch, window, transposed):
+    # A bench-shaped 8-domino pattern near a corner, or near the edge y = n+1 only, where its
+    # transposed reading is the nearer one, sums at most 45% of the terms of the direct sums in the
+    # given orientation, and still builds each distinct line of the orientation it reads once.
+    n = 200
+    pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
+    assert len(pattern) == 8
+    got = pattern_probability(n, pattern)
+    summed = len(products)
+    as_given = sorted({(n, v.y - 1) for v, _ in pattern}), sorted({(w.y - 1, n - 1) for _, w in pattern})
+    flipped = sorted({(n, w.x - 1) for _, w in pattern}), sorted({(v.x - 1, n - 1) for v, _ in pattern})
+    built = sorted(line_builds["row"]), sorted(line_builds["column"])
+    assert built == flipped if transposed else built in (as_given, flipped)
+    products.clear()
+    monkeypatch.setattr(coupling_mod, "_FAR_END_ORDER", n + 1)
+    assert pattern_probability(n, pattern) == got
+    assert summed <= 0.45 * len(products), (summed, len(products))
+
+
+def test_an_entry_never_sums_more_terms_than_its_direct_sum(products, monkeypatch):
+    # Seeded lone values at n = 200, each counted by its products with the far end allowed and
+    # with the gate above the order; the far end is taken only where it multiplies fewer terms.
+    n, rng = 200, random.Random(7)
+    fewer = 0
+    for _ in range(200):
+        v, w = white(rng.randint(1, n), rng.randint(1, n + 1)), black(rng.randint(1, n + 1), rng.randint(1, n))
+        products.clear()
+        got = coupling(n, v, w)
+        summed = len(products)
+        with monkeypatch.context() as direct:
+            direct.setattr(coupling_mod, "_FAR_END_ORDER", n + 1)
+            products.clear()
+            assert coupling(n, v, w) == got
+        assert summed <= len(products), (v, w, summed, len(products))
+        fewer += summed < len(products)
+    assert fewer >= 10
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -504,8 +615,7 @@ def _transfer_ratio(board, pattern):
     return lowest_terms(weighted_matchings(rest, lambda w, b: 1), scale)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_pattern_probabilities_match_oracle(n):
+def _check_patterns_against_the_transfer_matrix(n):
     board = build_diamond(n)
     dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     for d in dominoes:
@@ -521,6 +631,29 @@ def test_pattern_probabilities_match_oracle(n):
         checked += 1
         if checked >= 40:
             break
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pattern_probabilities_match_oracle(n):
+    _check_patterns_against_the_transfer_matrix(n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_end_pattern_probabilities_match_oracle(far_end_everywhere, n):
+    _check_patterns_against_the_transfer_matrix(n)
+    assert far_end_everywhere
+
+
+def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_end_everywhere):
+    # Both orientations, and sums from both ends, against counts of the diamond minus the pattern.
+    for n in (6, 7, 8):
+        board = build_diamond(n)
+        rng = random.Random(n)
+        for k in range(1, 9):
+            for _ in range(3):
+                pattern, _ = _bench_shaped_pattern(rng, n, k)
+                assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
+    assert far_end_everywhere
 
 
 def test_probabilities_bounded_with_dyadic_denominator():

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import sys
+from collections import Counter
 
 import pytest
 
@@ -138,7 +139,8 @@ def test_local_inverse_reads_kernel_integers(monkeypatch):
         return real(num, scale)
 
     monkeypatch.setattr(coupling_mod, "lowest_terms", spy)
-    results = [check(False) for check in (verify._local_inverse, verify._normalization)]
+    run = verify._Run(False)
+    results = [check(run) for check in (verify._local_inverse, verify._normalization)]
     assert results == [
         (True, "11568 identities up to order 8"),
         (True, "every vertex up to order 6"),
@@ -153,3 +155,19 @@ def test_package_attributes_are_its_submodules():
         name = f"aztecdimers.{info.name}"
         importlib.import_module(name)
         assert getattr(aztecdimers, info.name) is sys.modules[name], name
+
+
+def test_each_signed_table_is_built_once_per_run(monkeypatch):
+    # local-inverse and normalization read the same table per order; a build walks once per d1.
+    walks, real = Counter(), coupling_mod.line_walk
+
+    def spy(n, w1s, d1):
+        walks[n] += 1
+        return real(n, w1s, d1)
+
+    monkeypatch.setattr(coupling_mod, "line_walk", spy)
+    assert all(r.ok for r in verify.run_checks())
+    assert walks == {n: 2 * n for n in range(1, 9)}
+    walks.clear()
+    assert all(r.ok for r in verify.run_checks())
+    assert walks == {n: 2 * n for n in range(1, 9)}
