@@ -116,11 +116,6 @@ def _cmd_coupling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_int(value: object) -> bool:
-    """A JSON integer: ``bool`` is an ``int`` subclass, so exclude it."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
     """Parse a pattern file into its diamond order and its dominoes, a tuple of
     ``(white, black)`` vertex pairs in file order, whichever cell each lists first."""
@@ -139,10 +134,10 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     fmt = doc.get("format")
-    if not _is_int(fmt) or fmt != 1:
+    if type(fmt) is not int or fmt != 1:
         raise ValueError(f"{path}: unsupported format {fmt!r} (expected 1)")
     n = doc.get("n")
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"{path}: n must be a positive integer, got {n!r}")
     pairs = doc.get("dominoes")
     if not isinstance(pairs, list):
@@ -159,7 +154,7 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
             color = _COLORS.get(color_name) if isinstance(color_name, str) else None
             if color is None:
                 raise ValueError(f"{path}: domino {k}: unknown color {color_name!r}")
-            if not _is_int(x) or not _is_int(y):
+            if type(x) is not int or type(y) is not int:
                 raise ValueError(f"{path}: domino {k}: coordinates must be integers")
             cells.append(Vertex(color, x, y))
         if cells[0].color is cells[1].color:

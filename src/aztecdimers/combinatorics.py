@@ -7,17 +7,17 @@ as ``aztecdimers.combinatorics.krawtchouk_row``.
 
 ``krawtchouk_row(b, c)`` and ``krawtchouk_column(a, b)`` are the Krawtchouk
 coefficients ``Kr(a, b, c)`` of ``x^a`` in ``(1-x)^c (1+x)^{b-c}``, for all
-``a`` and for all ``c``.  Each builds one line by a three-term recurrence in
-``O(b)`` big-integer operations and keeps its last 16 lines cached.  Both
-lines are palindromes up to sign.  Reading ``P = (1-x)^c (1+x)^{b-c}``
+``a`` and for all ``c``, or their first ``size``.  Each runs a three-term
+recurrence, ``O(b)`` big-integer operations, and caches 16 results by length.
+Both lines are palindromes up to sign.  Reading ``P = (1-x)^c (1+x)^{b-c}``
 backwards, ``x^b P(1/x) = (-1)^c P``, and swapping its factors, ``P(-x)``,
 give
 
     Kr(b-a, b, c) = (-1)^c Kr(a, b, c)   and   Kr(a, b, b-c) = (-1)^a Kr(a, b, c),
 
 so the entries past the middle index ``floor(b/2)`` are their mirrors'
-entries times a known sign.  Each recurrence therefore runs ``floor(b/2)``
-steps, up to the middle, and the line is completed by reflection.
+entries times a known sign.  Each recurrence therefore runs up to the
+middle at most, and a longer prefix is completed by reflection.
 
 A sweep over consecutive lines needs no recurrence per line.  Multiplying
 ``P_c = (1-x)^c (1+x)^{b-c}`` by ``1-x`` or ``1+x`` gives the one-step identity
@@ -37,50 +37,50 @@ from itertools import islice
 from math import comb
 
 
-def _mirrored(half: list[int], b: int, odd: int) -> tuple[int, ...]:
-    """The full line ``0..b`` from its entries ``0..floor(b/2)``: entry ``b-i``
-    is entry ``i``, negated when ``odd``."""
-    tail = half[:b - b // 2][::-1]
+def _mirrored(half: list[int], b: int, odd: int, size: int | None = None) -> tuple[int, ...]:
+    """Entries ``0..size-1`` of the line ``0..b``, all by default, from its first ``min(size,
+    floor(b/2)+1)``: entry ``b-i`` is entry ``i``, negated when ``odd``."""
+    tail = half[0 if size is None else b + 1 - size:b - b // 2][::-1]
     return tuple(half + ([-v for v in tail] if odd else tail))
 
 
 @lru_cache(maxsize=16)
-def krawtchouk_row(b: int, c: int) -> tuple[int, ...]:
-    """``Kr(a, b, c)`` for ``a = 0..b``, in ``O(b)`` big-integer operations.
+def krawtchouk_row(b: int, c: int, size: int | None = None) -> tuple[int, ...]:
+    """``Kr(a, b, c)`` for ``a = 0..b``, or for ``a < size`` (``size >= 1``), in ``O(b)`` big-integer operations.
 
     From ``(1-x^2) P' = ((b-2c) - b x) P`` for ``P = (1-x)^c (1+x)^{b-c}``:
     ``(a+1) p[a+1] = (b-2c) p[a] - (b-a+1) p[a-1]`` with ``p[0] = 1``; the
-    division is exact.  It runs for ``a < floor(b/2)``, and the row
-    reflection ``p[b-a] = (-1)^c p[a]`` fills in the rest.
+    division is exact.  It runs for ``a < min(size-1, floor(b/2))``, and the
+    row reflection ``p[b-a] = (-1)^c p[a]`` fills in the rest.
     """
     if not 0 <= c <= b:
         raise ValueError(f"need 0 <= c <= b, got b={b}, c={c}")
     slope, prev, cur = b - 2 * c, 0, 1
     p = [cur]
-    for a in range(b // 2):
+    for a in range(b // 2 if size is None else min(size - 1, b // 2)):
         prev, cur = cur, (slope * cur - (b - a + 1) * prev) // (a + 1)
         p.append(cur)
-    return _mirrored(p, b, c % 2)
+    return _mirrored(p, b, c % 2, size)
 
 
 @lru_cache(maxsize=16)
-def krawtchouk_column(a: int, b: int) -> tuple[int, ...]:
-    """``Kr(a, b, c)`` for ``c = 0..b``, in ``O(b)`` big-integer operations.
+def krawtchouk_column(a: int, b: int, size: int | None = None) -> tuple[int, ...]:
+    """``Kr(a, b, c)`` for ``c = 0..b``, or for ``c < size`` (``size >= 1``), in ``O(b)`` big-integer operations.
 
     Self-duality, ``C(b, c) Kr(a, b, c) = C(b, a) Kr(c, b, a)``, turns the
     recurrence of :func:`krawtchouk_row` into ``(b-c) f[c+1] = (b-2a) f[c] -
     c f[c-1]`` with ``f[0] = comb(b, a)``; the division is exact.  It runs for
-    ``c < floor(b/2)``, and the column reflection ``f[b-c] = (-1)^a f[c]``
-    fills in the rest.
+    ``c < min(size-1, floor(b/2))``, and the column reflection ``f[b-c] =
+    (-1)^a f[c]`` fills in the rest.
     """
     if not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
     slope, prev, cur = b - 2 * a, 0, comb(b, a)
     f = [cur]
-    for c in range(b // 2):
+    for c in range(b // 2 if size is None else min(size - 1, b // 2)):
         prev, cur = cur, (slope * cur - c * prev) // (b - c)
         f.append(cur)
-    return _mirrored(f, b, a % 2)
+    return _mirrored(f, b, a % 2, size)
 
 
 def next_krawtchouk_row(p: tuple[int, ...], c: int) -> tuple[int, ...]:

@@ -33,8 +33,8 @@ the one-step identity of :mod:`~aztecdimers.combinatorics`, and
 :func:`signed_rows` turns each walked pair into one signed row.  ``heatmap``
 reads one such sweep per command and ``verify`` one walk per ``d1``, reused
 for every ``d0``.  Scattered entries (:func:`_entry`), one per lone value or
-pattern entry, read lines built by the cached builders once per value or
-pattern, and each is summed from the nearer end of its lines.
+pattern entry, read lines built by :func:`_lines` once per value or pattern,
+and each is summed from the nearer end of its lines.
 
 A branch is ``sum_{j<stop} row[j] * column[j+m]``, ``m >= 0``, over the row
 ``Kr(., n, c)`` and the column ``Kr(a, n-1, .)``, whose polynomial extension in
@@ -47,16 +47,16 @@ with ``D(m, d) = sum_i C(m, i) C(d, i) 2^i`` the Delannoy number, and 0 for
 ``d < 0``.  Proof: ``sum_j Kr(j, n, c) u^j = (1-u)^c (1+u)^{n-c}``, which at
 ``u = (1-x)/(1+x)`` is ``2^n x^c (1+x)^{-n}``; ``f(j+m)`` is ``[x^a]`` of
 ``(1-x)^m (1+x)^{n-1-m} u^j``; so the sum is ``[x^a]`` of their product.
-So a branch is also the closed form minus the in-range terms from ``stop`` on
-and the ``m+1`` tail terms ``row[j] * f(j+m)``, ``j >= n-m``.  By the
-reflection ``f(n-1+k) = (-1)^a f(-k)`` the tail values are ``f(-1), ...,
-f(-1-m)``: ``f(-1) = sum_{i<=a} C(n, i)`` is a prefix sum of one binomial row,
-cached per order, and the column recurrence ``(b-t) f(t+1) = (b-2a) f(t) - t
-f(t-1)``, ``b = n-1``, run down from ``f(0)`` and ``f(-1)``, gives the rest by
-exact divisions (:func:`_far_sum`).  On lines of order at least
-:data:`_FAR_END_ORDER`, each entry sums from whichever end has fewer terms:
-about ``min(x, n+1-x)``, where the direct sum has ``x`` or ``n+1-x`` by the
-sign of ``x' - x``.
+Read with ``j = n-i``, by the reflections ``row[n-i] = (-1)^c row[i]`` and
+``f(n-1-t) = (-1)^a f(t)``, its terms from ``stop`` on sum to ``(-1)^d
+sum_{i<=n-stop} row[i] f(i-m-1)``.  So the branch is also one sum from the far
+end, ``(-1)^d (2^n D(m, d) - sum_{i<=n-stop} row[i] f(i-m-1))``, over a row
+prefix and the column extended below 0 by ``f(-1) = sum_{i<=a} C(n, i)``, a
+prefix sum of one binomial row cached per order, and ``m`` more values of the
+column recurrence ``(b-t) f(t+1) = (b-2a) f(t) - t f(t-1)``, ``b = n-1``, run
+down once per column (:func:`_extended_column`).  From :data:`_FAR_END_ORDER`
+on, every entry sums ``min(x, n+1-x)`` terms, and :func:`_lines` builds each
+line as a prefix only as long as its entries read it.
 
 A pattern can also be read transposed.  The signed entry at ``(x, x'-x, y',
 y-y')`` equals the one at ``(y', y-y', x, x'-x)``, so the transposed pattern,
@@ -135,9 +135,10 @@ def _negated(d0: int, d1: int) -> bool:
 
 
 _FAR_END_ORDER = 64
-"""Lines of a lower order are summed from the near end, and patterns read as given, at the cost of
-one comparison: there the far end's fixed cost outweighs the terms it saves.  On the benchmark's
-pattern mix both rules lost time at n = 60 and gained it at n = 120."""
+"""Lines of a lower order are built whole and cached, summed from the near end, and patterns read as
+given, so that the lone entries that oracle comparisons read by the thousand at small orders hit the
+line caches.  The value dates from a far end with a per-entry recurrence, which on the benchmark's
+pattern mix lost time at n = 60 and gained it at n = 120."""
 
 
 @lru_cache(maxsize=4)
@@ -150,46 +151,62 @@ def _binomial_prefix_sums(n: int) -> tuple[int, ...]:
     return tuple(accumulate(terms))
 
 
-def _far_sum(row: Sequence[int], column: Sequence[int], m: int, stop: int, a: int, d: int) -> int:
-    """``sum_{j<stop} row[j] * column[j+m]`` over the row ``Kr(., n, c)`` and the column
-    ``Kr(a, n-1, .)``, with ``d = a - c``, from the far end: the closed form of the full sum over the
-    extended column, minus its in-range terms from ``stop`` on and its ``m+1`` tail terms."""
-    n = len(column)
-    b = n - 1
-    full = 0
-    if d >= 0:  # the Delannoy number D(m, d) = sum_i C(m, i) C(d, i) 2^i, one term from the next
-        full = term = 1
-        for i in range(min(d, m)):
-            term = 2 * term * (m - i) * (d - i) // ((i + 1) * (i + 1))
-            full += term
-        full <<= n
-    # f(-1), ..., f(-1-m): the column recurrence run down from f(0) and f(-1), each division exact.
-    later, value = column[0], _binomial_prefix_sums(n)[a]
-    values = [value]
-    for t in range(-1, -1 - m, -1):
-        later, value = value, ((b - 2 * a) * value - (b - t) * later) // t
-        values.append(value)
-    rest = sum(map(mul, row[stop:n - m], column[stop + m:]))
-    tail = sum(map(mul, row[n - m:], values))
-    return (-full if d % 2 else full) - rest - (-tail if a % 2 else tail)
+@lru_cache(maxsize=256)
+def _delannoy(m: int, d: int) -> int:
+    """The Delannoy number ``D(m, d) = sum_i C(m, i) C(d, i) 2^i``, one term from the next; 0 for ``d < 0``."""
+    full = term = int(d >= 0)
+    for i in range(min(d, m)):
+        term = 2 * term * (m - i) * (d - i) // ((i + 1) * (i + 1))
+        full += term
+    return full
 
 
-def _entry(row: Sequence[int], column: Sequence[int], w0: int, d0: int, w1: int, d1: int) -> int:
-    """The signed entry at ``(w0, d0, w1, d1)`` times ``2^n``: one sum over its built row and column,
-    from whichever end of them sums fewer terms.
+def _extended_column(n: int, a: int, below: int, size: int) -> list[int]:
+    """``f(-below), ..., f(size-1)`` of the column ``Kr(a, n-1, .)`` extended to all ``t``: a built prefix,
+    and below it the column recurrence run down from ``f(0)`` and ``f(-1)``, each division exact."""
+    column, b = krawtchouk_column(a, n - 1, size), n - 1
+    values = [_binomial_prefix_sums(n)[a], column[0]]  # f(-1), f(0); each step puts f(t-1) in front
+    for t in range(-1, -below, -1):
+        values.insert(0, ((b - 2 * a) * values[0] - (b - t) * values[1]) // t)
+    return values[-1 - below:-1] + list(column)
 
-    The direct sum has ``stop``, the in-range terms of :func:`_branch_cut`.  :func:`_far_sum` has
-    ``n-m-stop`` in-range terms, ``m+1`` tail terms and the ``m`` steps that give their values, and
-    the ``min(d, m) + 1`` terms of the closed form, none when ``d < 0``."""
-    m, count = _branch_cut(len(row), w0, d0)
-    n = len(column)
-    if n >= _FAR_END_ORDER:
-        stop = min(count, n - m)
-        if stop > n + 1 - stop + m + (min(-d1, m) + 1 if d1 <= 0 else 0):
-            s = _far_sum(row, column, m, stop, w1 - 1, -d1)
-            return -s if _negated(d0, d1) else s
-    s = sum(map(mul, row[:count], column[m:]))
-    return -s if _negated(d0, d1) else s
+
+def _lines(n: int, whites: Sequence[tuple[int, int]], blacks: Sequence[tuple[int, int]]) -> tuple[list, list]:
+    """Each white ``(x, y)`` as ``(x, y-1, row)`` and black ``(x', y')`` as ``(x', y'-1, column, below)``,
+    :func:`_entry`'s arguments: the line its entries read, the column from ``f(-below)`` on.  Each
+    distinct line is built once, and from :data:`_FAR_END_ORDER` on only as far as the ``x`` say."""
+    if n < _FAR_END_ORDER:
+        rows = {y: krawtchouk_row(n, y - 1) for y in {y for _, y in whites}}
+        columns = {y: (krawtchouk_column(y - 1, n - 1), 0) for y in {y for _, y in blacks}}
+    else:
+        lengths: dict[int, int] = {}
+        for x, y in whites:  # each sum reads min(x, n+1-x) entries of its row
+            lengths[y] = max(lengths.get(y, 0), min(x, n + 1 - x))
+        rows = {y: krawtchouk_row(n, y - 1, size) for y, size in lengths.items()}
+        # Near sums read a column to x'-1 (whites left of the middle) or n+1-x' (right); far ones to -d0 or d0-1.
+        xs = [x for x, _ in whites]
+        left, right = 2 * min(xs, default=n + 1) <= n + 1, 2 * max(xs, default=0) >= n + 1
+        nearest = min([x for x in xs if 2 * x > n + 1], default=n + 2)
+        farthest = max([x for x in xs if 2 * x < n + 1], default=0)
+        needs: dict[int, tuple[int, int]] = {}
+        for x, y in blacks:
+            below, size = needs.get(y, (0, 1))
+            needs[y] = (max(below, x - nearest, 1 + farthest - x),
+                        max(size, x - 1 if left else 1, n + 1 - x if right else 1))
+        columns = {y: (_extended_column(n, y - 1, *need), need[0]) for y, need in needs.items()}
+    return [(x, y - 1, rows[y]) for x, y in whites], [(x, y - 1, *columns[y]) for x, y in blacks]
+
+
+def _entry(n: int, x: int, c: int, row: Sequence[int], x2: int, a: int, column: Sequence[int], below: int) -> int:
+    """The signed entry between a white and a black of :func:`_lines`, times ``2^n``: the branch sum of
+    :func:`_branch_cut`, or, where fewer terms, ``(-1)^d (2^n D(m, d) - sum_{i<=n-stop} row[i] f(i-m-1))``."""
+    d0, d = x2 - x, a - c
+    m, stop = _branch_cut(n + 1, x, d0)
+    if n >= _FAR_END_ORDER and 2 * stop > n + 1:
+        s = (_delannoy(m, d) << n) - sum(map(mul, row[:n + 1 - stop], column[below - m - 1:]))
+        return -s if _negated(d0, -d) ^ d % 2 else s
+    s = sum(map(mul, row[:stop], column[below + m:]))
+    return -s if _negated(d0, -d) else s
 
 
 def _branch_sums(row: Sequence[int], column: Sequence[int], shift: int, xs: range) -> list[int]:
@@ -265,17 +282,19 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
     ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
     _check_pairs(n, w0, w0, d0, w1, d1)
-    row, column = krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1)
-    return lowest_terms(_entry(row, column, w0, d0, w1, d1), n)
+    c, a = w1 + d1 - 1, w1 - 1
+    if n < _FAR_END_ORDER:  # the whole cached lines, without the pattern's bookkeeping
+        return lowest_terms(_entry(n, w0, c, krawtchouk_row(n, c), w0 + d0, a, krawtchouk_column(a, n - 1), 0), n)
+    (v,), (w,) = _lines(n, [(w0, w1 + d1)], [(w0 + d0, w1)])
+    return lowest_terms(_entry(n, *v, *w), n)
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> Dyadic:
     """The coupling function ``c(v, w)`` on the order-``n`` diamond, ``(-1)^{x'-x+y}`` times the
     signed entry; its absolute value is the probability of the domino ``(v, w)``."""
     check_diamond_pair(n, v, w)
-    d0 = w.x - v.x
-    signed = _entry(krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1), v.x, d0, w.y, v.y - w.y)
-    return lowest_terms(-signed if (d0 + v.y) % 2 else signed, n)
+    num, scale = coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y)
+    return Dyadic(-num if (w.x - v.x + v.y) % 2 else num, scale)
 
 
 def pattern_probability(n: int, pattern: Sequence[Edge]) -> Dyadic:
@@ -284,14 +303,14 @@ def pattern_probability(n: int, pattern: Sequence[Edge]) -> Dyadic:
     signed entries, which have the same ``|det|``, as integers over ``2^n``.  The pattern is validated
     by the diamond's membership test, at a cost that does not grow with ``n``; then the pattern is read
     in the orientation that sums fewer terms, each distinct white row and black column of that
-    orientation is built once, and each entry is one sum over them, from their nearer end."""
+    orientation is built once, as far as its entries read it, and each entry is one sum over them."""
     from .exactlinalg import det  # here, so that commands without a pattern never load it
     whites, blacks = validate_pattern(build_diamond(n), pattern)
-    if n >= _FAR_END_ORDER and (sum([min(w.y, n + 1 - w.y) for w in blacks])
-                                < sum([min(v.x, n + 1 - v.x) for v in whites])):
+    whites, blacks = [v[1:] for v in whites], [w[1:] for w in blacks]
+    if n >= _FAR_END_ORDER and (sum([min(y, n + 1 - y) for _, y in blacks])
+                                < sum([min(x, n + 1 - x) for x, _ in whites])):
         # The transposed pattern: its matrix is the transpose, with the same det.
-        whites, blacks = [white(w.y, w.x) for w in blacks], [black(v.y, v.x) for v in whites]
-    rows = {y: krawtchouk_row(n, y - 1) for y in {v.y for v in whites}}
-    columns = {y: krawtchouk_column(y - 1, n - 1) for y in {w.y for w in blacks}}
-    d = det([[_entry(rows[v.y], columns[w.y], v.x, w.x - v.x, w.y, v.y - w.y) for w in blacks] for v in whites])
+        whites, blacks = [w[::-1] for w in blacks], [v[::-1] for v in whites]
+    whites, blacks = _lines(n, whites, blacks)
+    d = det([[_entry(n, *v, *w) for w in blacks] for v in whites])
     return lowest_terms(abs(d), n * len(whites))

@@ -4,7 +4,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, cycle, islice, product
 from math import comb, factorial
 
 import pytest
@@ -244,12 +244,12 @@ def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
 
 
 def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
-    """The direct sum over built lines, ``coupling_signed`` and ``coupling`` at ``(v, w)``
+    """The entry over the lines of the pair alone, ``coupling_signed`` and ``coupling`` at ``(v, w)``
     against the cell of ``v.x`` in the kernel row over ``row_range``."""
     w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
     cell = _signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
-    lines = krawtchouk_row(n, v.y - 1), krawtchouk_column(w.y - 1, n - 1)
-    assert coupling_mod._entry(*lines, w0, d0, w1, d1) == cell, (n, v, w)
+    (white_side,), (black_side,) = coupling_mod._lines(n, [v[1:]], [w[1:]])
+    assert coupling_mod._entry(n, *white_side, *black_side) == cell, (n, v, w)
     assert coupling_signed(n, w0, d0, w1, d1) == lowest_terms(cell, n), (n, v, w)
     assert coupling(n, v, w) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
 
@@ -269,16 +269,17 @@ def test_direct_sums_equal_the_row_cells_on_every_pair():
 
 @pytest.fixture
 def far_end_everywhere(monkeypatch):
-    """Lines of every order summed from whichever end has fewer terms, and patterns read in either
-    orientation; the list counts the far-end sums."""
-    calls, real = [], coupling_mod._far_sum
+    """Lines of every order built as prefixes and summed from whichever end has fewer terms, and
+    patterns read in either orientation; the list counts the far-end sums, each of which reads one
+    Delannoy number."""
+    calls, real = [], coupling_mod._delannoy
 
     def spy(*args):
         calls.append(None)
         return real(*args)
 
     monkeypatch.setattr(coupling_mod, "_FAR_END_ORDER", 0)
-    monkeypatch.setattr(coupling_mod, "_far_sum", spy)
+    monkeypatch.setattr(coupling_mod, "_delannoy", spy)
     return calls
 
 
@@ -304,21 +305,27 @@ def _extended_column(a, b, t):
 
 def test_the_full_sum_over_the_extended_column_is_closed():
     # sum_j Kr(j, n, c) f(j+m) = (-1)^d 2^n sum_{i<=min(d,m)} C(m, i) C(m+d-i, d-i) with d = a - c,
-    # and 0 for d < 0, for every row and column to order 14 and m <= 6.  A far-end sum of no terms
-    # is 0: its closed form, tail values and in-range terms cancel exactly.
+    # and 0 for d < 0, for every row and column to order 14 and m <= 6.  Its part from j = stop on is
+    # its reflected complement: for every stop, with D the kernel's Delannoy number,
+    #     sum_{j<stop} row[j] f(j+m) = (-1)^d (2^n D(m, d) - sum_{i<=n-stop} row[i] f(i-m-1)).
+    # The kernel's extended column holds the same values below 0.
     for n in range(1, 15):
         for a in range(n):
             column = krawtchouk_column(a, n - 1)
-            f = [_extended_column(a, n - 1, t) for t in range(n + 7)]
-            assert tuple(f[:n]) == column
+            f = {t: _extended_column(a, n - 1, t) for t in range(-7, n + 7)}
+            assert tuple(f[t] for t in range(n)) == column
+            assert coupling_mod._extended_column(n, a, 7, n) == [f[t] for t in range(-7, n)], (n, a)
             for c in range(n + 1):
                 row, d = krawtchouk_row(n, c), a - c
                 for m in range(7):
                     closed = sum(comb(m, i) * comb(m + d - i, d - i) for i in range(min(d, m) + 1))
+                    assert coupling_mod._delannoy(m, d) == (closed if d >= 0 else 0), (m, d)
                     want = (-1) ** d * 2**n * closed if d >= 0 else 0
-                    assert sum(r * f[j + m] for j, r in enumerate(row)) == want, (n, a, c, m)
-                    if m < n:
-                        assert coupling_mod._far_sum(row, column, m, 0, a, d) == 0, (n, a, c, m)
+                    near = list(accumulate((r * f[j + m] for j, r in enumerate(row)), initial=0))
+                    assert near[-1] == want, (n, a, c, m)
+                    far = list(accumulate((r * f[i - m - 1] for i, r in enumerate(row)), initial=0))
+                    for stop in range(n + 2):
+                        assert near[stop] == want - (-1) ** d * far[n + 1 - stop], (n, a, c, m, stop)
 
 
 @pytest.mark.parametrize("n", [200, 201, 400])
@@ -378,6 +385,50 @@ def test_a_pattern_builds_each_distinct_line_once(line_builds):
     assert line_builds == {"row": [(n, 9)], "column": [(8, n - 1)], "branch_sums": []}
 
 
+def _prefixes_read(n, whites, blacks):
+    """The row and column builds, with their lengths, that the entries between ``whites`` and
+    ``blacks`` read: a sum of ``stop`` terms from the near end reads ``row[:stop]`` and
+    ``column[m:m+stop]``; one from the far end reads ``row[:n+1-stop]`` and ``f(-m-1), ...,
+    f(n-stop-m-1)``, whose values below 0 are stepped down from ``f(0)``."""
+    rows, columns = {}, {}
+    for (x, y), (x2, y2) in product(whites, blacks):
+        d0 = x2 - x
+        stop, m = (x, d0 - 1) if d0 > 0 else (n + 1 - x, -d0)
+        far = n + 1 - stop < stop
+        rows[y] = max(rows.get(y, 0), n + 1 - stop if far else stop)
+        columns[y2] = max(columns.get(y2, 0), max(n - stop - m, 1) if far else m + stop)
+    return (sorted((n, y - 1, size) for y, size in rows.items()),
+            sorted((y - 1, n - 1, size) for y, size in columns.items()))
+
+
+@pytest.mark.parametrize("window", [(3, 194), (98, 98), (196, 3)])
+def test_a_pattern_asks_for_no_longer_lines_than_its_sums_read(line_builds, window):
+    # A bench-shaped 8-domino pattern at n = 200, near a corner, mid-board or near the edge x = n,
+    # builds each distinct line of the orientation it reads once, as a prefix exactly as long as its
+    # entries read it.
+    n = 200
+    pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
+    assert len(pattern) == 8
+    pattern_probability(n, pattern)
+    whites, blacks = [v[1:] for v, _ in pattern], [w[1:] for _, w in pattern]
+    as_given, flipped = _prefixes_read(n, whites, blacks), _prefixes_read(n, [w[::-1] for w in blacks],
+                                                                          [v[::-1] for v in whites])
+    assert (sorted(line_builds["row"]), sorted(line_builds["column"])) in (as_given, flipped)
+
+
+def test_lone_entries_below_the_far_end_order_miss_each_line_cache_once():
+    # One row and one column at n = 8, read whole from the caches by every entry that pairs them,
+    # as the benchmark's inverse comparison reads them: 100 calls miss each cache once.
+    n, w1, d1 = 8, 3, 2
+    krawtchouk_row.cache_clear()
+    krawtchouk_column.cache_clear()
+    pairs = [(w0, d0) for w0 in range(1, n + 1) for d0 in range(1 - w0, n + 2 - w0)]
+    for w0, d0 in islice(cycle(pairs), 100):
+        coupling_signed(n, w0, d0, w1, d1)
+    assert krawtchouk_row.cache_info().misses == krawtchouk_column.cache_info().misses == 1
+    assert krawtchouk_row.cache_info().hits == krawtchouk_column.cache_info().hits == 99
+
+
 @pytest.fixture
 def products(monkeypatch):
     """One entry per term the coupling kernel multiplies, direct or far-end, during one test."""
@@ -403,7 +454,7 @@ def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, monkeypatc
     summed = len(products)
     as_given = sorted({(n, v.y - 1) for v, _ in pattern}), sorted({(w.y - 1, n - 1) for _, w in pattern})
     flipped = sorted({(n, w.x - 1) for _, w in pattern}), sorted({(v.x - 1, n - 1) for v, _ in pattern})
-    built = sorted(line_builds["row"]), sorted(line_builds["column"])
+    built = sorted(args[:2] for args in line_builds["row"]), sorted(args[:2] for args in line_builds["column"])
     assert built == flipped if transposed else built in (as_given, flipped)
     products.clear()
     monkeypatch.setattr(coupling_mod, "_FAR_END_ORDER", n + 1)
