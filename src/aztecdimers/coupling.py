@@ -25,16 +25,20 @@ Each branch sums terms ``row[j] * column[j + offset]`` of one white row
 :mod:`~aztecdimers.combinatorics` in ``O(n)`` big-integer operations; which
 terms are summed and the sign depend on ``y``, ``y'`` and ``x' - x`` only.
 :func:`_branch_cut` is the one branch rule and :func:`_negated` the one sign
-rule, and two evaluators with no cache of their own read them.  Prefix sums
-along a row of consecutive ``x`` (:func:`_branch_sums`) serve sweeps: at fixed
-offsets, consecutive ``w1`` read consecutive lines, so :func:`line_walk` takes
-only the first pair from the cached builders and steps to each next pair by
-the one-step identity of :mod:`~aztecdimers.combinatorics`, and
-:func:`signed_rows` turns each walked pair into one signed row.  ``heatmap``
-reads one such sweep per command and ``verify`` one walk per ``d1``, reused
-for every ``d0``.  Scattered entries (:func:`_entry`), one per lone value or
-pattern entry, read lines built by :func:`_lines` once per value or pattern,
-and each is summed from the nearer end of its lines.
+rule, and two evaluators with no cache of their own read them, each with one
+rule.  Sweeps and lone values read whole lines and sum from the near end.
+Prefix sums along a row of consecutive ``x`` (:func:`_branch_sums`) serve
+sweeps: at fixed offsets, consecutive ``w1`` read consecutive lines, so
+:func:`line_walk` takes only the first pair from the cached builders and steps
+to each next pair by the one-step identity of
+:mod:`~aztecdimers.combinatorics`, and :func:`signed_rows` turns each walked
+pair into one signed row.  ``heatmap`` reads one such sweep per command and
+``verify`` one walk per ``d1``, reused for every ``d0``.  A lone value
+(:func:`coupling_signed`) is one such sum over its whole row and column from
+the caches, so the thousands of lone values an oracle comparison reads at one
+small order build each line once.  Pattern entries (:func:`_entry`) read prefix
+lines built by :func:`_lines` once per pattern, and each is summed from the
+nearer end of its lines.
 
 A branch is ``sum_{j<stop} row[j] * column[j+m]``, ``m >= 0``, over the row
 ``Kr(., n, c)`` and the column ``Kr(a, n-1, .)``, whose polynomial extension in
@@ -54,9 +58,9 @@ end, ``(-1)^d (2^n D(m, d) - sum_{i<=n-stop} row[i] f(i-m-1))``, over a row
 prefix and the column extended below 0 by ``f(-1) = sum_{i<=a} C(n, i)``, a
 prefix sum of one binomial row cached per order, and ``m`` more values of the
 column recurrence ``(b-t) f(t+1) = (b-2a) f(t) - t f(t-1)``, ``b = n-1``, run
-down once per column (:func:`_extended_column`).  From :data:`_FAR_END_ORDER`
-on, every entry sums ``min(x, n+1-x)`` terms, and :func:`_lines` builds each
-line as a prefix only as long as its entries read it.
+down once per column (:func:`_extended_column`).  So every pattern entry sums
+``min(x, n+1-x)`` terms, and :func:`_lines` builds each line as a prefix only as
+long as its pattern's entries read it.
 
 A pattern can also be read transposed.  The signed entry at ``(x, x'-x, y',
 y-y')`` equals the one at ``(y', y-y', x, x'-x)``, so the transposed pattern,
@@ -134,13 +138,6 @@ def _negated(d0: int, d1: int) -> bool:
     return bool((d0 + d1 + 1 if d0 > 0 else d0) % 2)
 
 
-_FAR_END_ORDER = 64
-"""Lines of a lower order are built whole and cached, summed from the near end, and patterns read as
-given, so that the lone entries that oracle comparisons read by the thousand at small orders hit the
-line caches.  The value dates from a far end with a per-entry recurrence, which on the benchmark's
-pattern mix lost time at n = 60 and gained it at n = 120."""
-
-
 @lru_cache(maxsize=4)
 def _binomial_prefix_sums(n: int) -> tuple[int, ...]:
     """``sum_{i<=a} C(n, i)`` for ``a = 0..n``: the extended column's value ``f(-1)`` at each ``a``."""
@@ -174,26 +171,22 @@ def _extended_column(n: int, a: int, below: int, size: int) -> list[int]:
 def _lines(n: int, whites: Sequence[tuple[int, int]], blacks: Sequence[tuple[int, int]]) -> tuple[list, list]:
     """Each white ``(x, y)`` as ``(x, y-1, row)`` and black ``(x', y')`` as ``(x', y'-1, column, below)``,
     :func:`_entry`'s arguments: the line its entries read, the column from ``f(-below)`` on.  Each
-    distinct line is built once, and from :data:`_FAR_END_ORDER` on only as far as the ``x`` say."""
-    if n < _FAR_END_ORDER:
-        rows = {y: krawtchouk_row(n, y - 1) for y in {y for _, y in whites}}
-        columns = {y: (krawtchouk_column(y - 1, n - 1), 0) for y in {y for _, y in blacks}}
-    else:
-        lengths: dict[int, int] = {}
-        for x, y in whites:  # each sum reads min(x, n+1-x) entries of its row
-            lengths[y] = max(lengths.get(y, 0), min(x, n + 1 - x))
-        rows = {y: krawtchouk_row(n, y - 1, size) for y, size in lengths.items()}
-        # Near sums read a column to x'-1 (whites left of the middle) or n+1-x' (right); far ones to -d0 or d0-1.
-        xs = [x for x, _ in whites]
-        left, right = 2 * min(xs, default=n + 1) <= n + 1, 2 * max(xs, default=0) >= n + 1
-        nearest = min([x for x in xs if 2 * x > n + 1], default=n + 2)
-        farthest = max([x for x in xs if 2 * x < n + 1], default=0)
-        needs: dict[int, tuple[int, int]] = {}
-        for x, y in blacks:
-            below, size = needs.get(y, (0, 1))
-            needs[y] = (max(below, x - nearest, 1 + farthest - x),
-                        max(size, x - 1 if left else 1, n + 1 - x if right else 1))
-        columns = {y: (_extended_column(n, y - 1, *need), need[0]) for y, need in needs.items()}
+    distinct line is built once, as a prefix only as long as its entries read it."""
+    lengths: dict[int, int] = {}
+    for x, y in whites:  # each sum reads min(x, n+1-x) entries of its row
+        lengths[y] = max(lengths.get(y, 0), min(x, n + 1 - x))
+    rows = {y: krawtchouk_row(n, y - 1, size) for y, size in lengths.items()}
+    # Near sums read a column to x'-1 (whites left of the middle) or n+1-x' (right); far ones to -d0 or d0-1.
+    xs = [x for x, _ in whites]
+    left, right = 2 * min(xs, default=n + 1) <= n + 1, 2 * max(xs, default=0) >= n + 1
+    nearest = min([x for x in xs if 2 * x > n + 1], default=n + 2)
+    farthest = max([x for x in xs if 2 * x < n + 1], default=0)
+    needs: dict[int, tuple[int, int]] = {}
+    for x, y in blacks:
+        below, size = needs.get(y, (0, 1))
+        needs[y] = (max(below, x - nearest, 1 + farthest - x),
+                    max(size, x - 1 if left else 1, n + 1 - x if right else 1))
+    columns = {y: (_extended_column(n, y - 1, *need), need[0]) for y, need in needs.items()}
     return [(x, y - 1, rows[y]) for x, y in whites], [(x, y - 1, *columns[y]) for x, y in blacks]
 
 
@@ -202,7 +195,7 @@ def _entry(n: int, x: int, c: int, row: Sequence[int], x2: int, a: int, column: 
     :func:`_branch_cut`, or, where fewer terms, ``(-1)^d (2^n D(m, d) - sum_{i<=n-stop} row[i] f(i-m-1))``."""
     d0, d = x2 - x, a - c
     m, stop = _branch_cut(n + 1, x, d0)
-    if n >= _FAR_END_ORDER and 2 * stop > n + 1:
+    if 2 * stop > n + 1:
         s = (_delannoy(m, d) << n) - sum(map(mul, row[:n + 1 - stop], column[below - m - 1:]))
         return -s if _negated(d0, -d) ^ d % 2 else s
     s = sum(map(mul, row[:stop], column[below + m:]))
@@ -282,11 +275,9 @@ def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
     ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
     _check_pairs(n, w0, w0, d0, w1, d1)
-    c, a = w1 + d1 - 1, w1 - 1
-    if n < _FAR_END_ORDER:  # the whole cached lines, without the pattern's bookkeeping
-        return lowest_terms(_entry(n, w0, c, krawtchouk_row(n, c), w0 + d0, a, krawtchouk_column(a, n - 1), 0), n)
-    (v,), (w,) = _lines(n, [(w0, w1 + d1)], [(w0 + d0, w1)])
-    return lowest_terms(_entry(n, *v, *w), n)
+    m, stop = _branch_cut(n + 1, w0, d0)
+    s = sum(map(mul, krawtchouk_row(n, w1 + d1 - 1)[:stop], krawtchouk_column(w1 - 1, n - 1)[m:]))
+    return lowest_terms(-s if _negated(d0, d1) else s, n)
 
 
 def coupling(n: int, v: Vertex, w: Vertex) -> Dyadic:
@@ -307,8 +298,7 @@ def pattern_probability(n: int, pattern: Sequence[Edge]) -> Dyadic:
     from .exactlinalg import det  # here, so that commands without a pattern never load it
     whites, blacks = validate_pattern(build_diamond(n), pattern)
     whites, blacks = [v[1:] for v in whites], [w[1:] for w in blacks]
-    if n >= _FAR_END_ORDER and (sum([min(y, n + 1 - y) for _, y in blacks])
-                                < sum([min(x, n + 1 - x) for x, _ in whites])):
+    if sum([min(y, n + 1 - y) for _, y in blacks]) < sum([min(x, n + 1 - x) for x, _ in whites]):
         # The transposed pattern: its matrix is the transpose, with the same det.
         whites, blacks = [w[::-1] for w in blacks], [v[::-1] for v in whites]
     whites, blacks = _lines(n, whites, blacks)

@@ -13,9 +13,11 @@ Kasteleyn sign rule is checked against counts, not against a second rule, and
 ``counts-power-of-two`` (5/10) holds it to ``2^{n(n+1)/2}``.
 ``pattern-vs-transfer`` (8) holds the product's pattern probabilities to
 counts of the diamond with the pattern removed, each side an integer over a
-power of two in :func:`coupling.lowest_terms`.  The paper's two-hole sign
-lemma is a proof step, not the product: the tier-1 tests certify it
-(acceptance criterion 11, on every hole pair to order 6).
+power of two in :func:`coupling.lowest_terms`.  Its patterns are read as at
+every order, in the nearer orientation and each entry from the nearer end of
+its lines, so it certifies the far-end sums and the transposed reading too.
+The paper's two-hole sign lemma is a proof step, not the product: the tier-1
+tests certify it (acceptance criterion 11, on every hole pair to order 6).
 The two coupling checks read one table per order and run, every signed entry as an
 integer times ``2^n``, built from kernel rows, one per ``(d0, w1, d1)``, over
 Krawtchouk lines walked once per ``d1``.

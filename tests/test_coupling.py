@@ -254,39 +254,28 @@ def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
     assert coupling(n, v, w) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
 
 
-def _check_every_pair_against_the_row_cells(top):
-    for n in range(1, top + 1):
-        board = build_diamond(n)
-        for v in board.white_vertices:
-            for w in board.black_vertices:
-                _check_direct_sums_against_the_row_cell(n, v, w, range(v.x, v.x + 1))
-
-
-def test_direct_sums_equal_the_row_cells_on_every_pair():
-    # Both branches meet every x, the board's edges included, at every order to 9.
-    _check_every_pair_against_the_row_cells(9)
-
-
 @pytest.fixture
-def far_end_everywhere(monkeypatch):
-    """Lines of every order built as prefixes and summed from whichever end has fewer terms, and
-    patterns read in either orientation; the list counts the far-end sums, each of which reads one
-    Delannoy number."""
+def far_ends(monkeypatch):
+    """The far-end sums during one test, each of which reads one Delannoy number."""
     calls, real = [], coupling_mod._delannoy
 
     def spy(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(coupling_mod, "_FAR_END_ORDER", 0)
     monkeypatch.setattr(coupling_mod, "_delannoy", spy)
     return calls
 
 
-def test_far_end_sums_equal_the_row_cells_on_every_pair(far_end_everywhere):
-    # The orders verify reaches never take the far end; with the gate at 0 they all may.
-    _check_every_pair_against_the_row_cells(9)
-    assert far_end_everywhere
+def test_direct_sums_equal_the_row_cells_on_every_pair(far_ends):
+    # Both branches, and pattern entries summed from either end, meet every x, the board's edges
+    # included, at every order to 9.
+    for n in range(1, 10):
+        board = build_diamond(n)
+        for v in board.white_vertices:
+            for w in board.black_vertices:
+                _check_direct_sums_against_the_row_cell(n, v, w, range(v.x, v.x + 1))
+    assert far_ends
 
 
 def _general_binomial(z, i):
@@ -370,21 +359,6 @@ def _bench_shaped_pattern(rng, n, k, window=None):
     return tuple(chosen), {"format": 1, "n": n, "dominoes": cells}
 
 
-def test_a_pattern_builds_each_distinct_line_once(line_builds):
-    # Eight dominoes with whites on four rows and blacks on five: 64 entries from 9 lines.
-    n = 24
-    pattern, _ = _bench_shaped_pattern(random.Random(3), n, 8)
-    rows, columns = {(n, v.y - 1) for v, _ in pattern}, {(w.y - 1, n - 1) for _, w in pattern}
-    assert (len(pattern), len(rows), len(columns)) == (8, 4, 5)
-    assert pattern_probability(n, pattern)[0] > 0
-    assert sorted(line_builds["row"]) == sorted(rows) and sorted(line_builds["column"]) == sorted(columns)
-    assert line_builds["branch_sums"] == []
-    line_builds["row"].clear()
-    line_builds["column"].clear()
-    coupling(n, white(10, 10), black(11, 9))
-    assert line_builds == {"row": [(n, 9)], "column": [(8, n - 1)], "branch_sums": []}
-
-
 def _prefixes_read(n, whites, blacks):
     """The row and column builds, with their lengths, that the entries between ``whites`` and
     ``blacks`` read: a sum of ``stop`` terms from the near end reads ``row[:stop]`` and
@@ -401,25 +375,28 @@ def _prefixes_read(n, whites, blacks):
             sorted((y - 1, n - 1, size) for y, size in columns.items()))
 
 
-@pytest.mark.parametrize("window", [(3, 194), (98, 98), (196, 3)])
+@pytest.mark.parametrize("window", [(200, 3, 194), (200, 98, 98), (200, 196, 3), (24, 10, 10), (8, 2, 5)])
 def test_a_pattern_asks_for_no_longer_lines_than_its_sums_read(line_builds, window):
-    # A bench-shaped 8-domino pattern at n = 200, near a corner, mid-board or near the edge x = n,
-    # builds each distinct line of the orientation it reads once, as a prefix exactly as long as its
-    # entries read it.
-    n = 200
-    pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
+    # A bench-shaped 8-domino pattern, at the order and window corner given: at n = 200 near a corner,
+    # mid-board or near the edge x = n, and mid-board at n = 24 and n = 8, where it reads 64 entries
+    # from 9 lines transposed and from 7 as given.  It builds each distinct line of the orientation it
+    # reads once, as a prefix exactly as long as its entries read it, and reads no kernel row.
+    n, *corner = window
+    pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, corner)
     assert len(pattern) == 8
     pattern_probability(n, pattern)
     whites, blacks = [v[1:] for v, _ in pattern], [w[1:] for _, w in pattern]
     as_given, flipped = _prefixes_read(n, whites, blacks), _prefixes_read(n, [w[::-1] for w in blacks],
                                                                           [v[::-1] for v in whites])
     assert (sorted(line_builds["row"]), sorted(line_builds["column"])) in (as_given, flipped)
+    assert line_builds["branch_sums"] == []
 
 
-def test_lone_entries_below_the_far_end_order_miss_each_line_cache_once():
-    # One row and one column at n = 8, read whole from the caches by every entry that pairs them,
-    # as the benchmark's inverse comparison reads them: 100 calls miss each cache once.
-    n, w1, d1 = 8, 3, 2
+@pytest.mark.parametrize("n", [8, 200])
+def test_lone_entries_miss_each_line_cache_once(line_builds, n):
+    # One row and one column, read whole from the caches by every entry that pairs them, at any
+    # order, as the benchmark's inverse comparison reads them: 100 calls miss each cache once.
+    w1, d1 = 3, 2
     krawtchouk_row.cache_clear()
     krawtchouk_column.cache_clear()
     pairs = [(w0, d0) for w0 in range(1, n + 1) for d0 in range(1 - w0, n + 2 - w0)]
@@ -427,6 +404,8 @@ def test_lone_entries_below_the_far_end_order_miss_each_line_cache_once():
         coupling_signed(n, w0, d0, w1, d1)
     assert krawtchouk_row.cache_info().misses == krawtchouk_column.cache_info().misses == 1
     assert krawtchouk_row.cache_info().hits == krawtchouk_column.cache_info().hits == 99
+    assert {*line_builds["row"]} == {(n, w1 + d1 - 1)} and {*line_builds["column"]} == {(w1 - 1, n - 1)}
+    assert line_builds["branch_sums"] == []
 
 
 @pytest.fixture
@@ -442,60 +421,61 @@ def products(monkeypatch):
     return terms
 
 
+def _direct_terms(n, x, x2):
+    """The products of the near-end sum between a white at ``x`` and a black at ``x'`` over whole
+    lines: ``stop`` row entries against the ``n - m`` column entries from ``m`` on."""
+    m, stop = (x2 - x - 1, x) if x2 > x else (x - x2, n + 1 - x)
+    return max(0, min(stop, n - m))
+
+
 @pytest.mark.parametrize("window, transposed", [((3, 194), False), ((98, 195), True)])
-def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, monkeypatch, window, transposed):
+def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, window, transposed):
     # A bench-shaped 8-domino pattern near a corner, or near the edge y = n+1 only, where its
     # transposed reading is the nearer one, sums at most 45% of the terms of the direct sums in the
     # given orientation, and still builds each distinct line of the orientation it reads once.
     n = 200
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
     assert len(pattern) == 8
-    got = pattern_probability(n, pattern)
-    summed = len(products)
+    pattern_probability(n, pattern)
+    direct = sum(_direct_terms(n, v.x, w.x) for (v, _), (_, w) in product(pattern, pattern))
     as_given = sorted({(n, v.y - 1) for v, _ in pattern}), sorted({(w.y - 1, n - 1) for _, w in pattern})
     flipped = sorted({(n, w.x - 1) for _, w in pattern}), sorted({(v.x - 1, n - 1) for v, _ in pattern})
     built = sorted(args[:2] for args in line_builds["row"]), sorted(args[:2] for args in line_builds["column"])
     assert built == flipped if transposed else built in (as_given, flipped)
-    products.clear()
-    monkeypatch.setattr(coupling_mod, "_FAR_END_ORDER", n + 1)
-    assert pattern_probability(n, pattern) == got
-    assert summed <= 0.45 * len(products), (summed, len(products))
+    assert len(products) <= 0.45 * direct, (len(products), direct)
 
 
-def test_an_entry_never_sums_more_terms_than_its_direct_sum(products, monkeypatch):
-    # Seeded lone values at n = 200, each counted by its products with the far end allowed and
-    # with the gate above the order; the far end is taken only where it multiplies fewer terms.
+def test_an_entry_never_sums_more_terms_than_its_direct_sum(products):
+    # Seeded pattern entries at n = 200, each over the lines of its pair alone, counted by its
+    # products against the near-end sum over whole lines; the far end is taken only where it
+    # multiplies fewer terms, and the entry equals the lone value.
     n, rng = 200, random.Random(7)
     fewer = 0
     for _ in range(200):
-        v, w = white(rng.randint(1, n), rng.randint(1, n + 1)), black(rng.randint(1, n + 1), rng.randint(1, n))
+        v, w = (rng.randint(1, n), rng.randint(1, n + 1)), (rng.randint(1, n + 1), rng.randint(1, n))
+        (white_side,), (black_side,) = coupling_mod._lines(n, [v], [w])
         products.clear()
-        got = coupling(n, v, w)
-        summed = len(products)
-        with monkeypatch.context() as direct:
-            direct.setattr(coupling_mod, "_FAR_END_ORDER", n + 1)
-            products.clear()
-            assert coupling(n, v, w) == got
-        assert summed <= len(products), (v, w, summed, len(products))
-        fewer += summed < len(products)
+        got = coupling_mod._entry(n, *white_side, *black_side)
+        summed, direct = len(products), _direct_terms(n, v[0], w[0])
+        assert lowest_terms(got, n) == coupling_signed(n, v[0], w[0] - v[0], w[1], v[1] - w[1]), (v, w)
+        assert summed <= direct, (v, w, summed, direct)
+        fewer += summed < direct
     assert fewer >= 10
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
-def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
+def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, far_ends, n):
+    # Both orientations, and sums from both ends, against counts of the diamond minus the pattern.
     board = build_diamond(n)
-    total = weighted_matchings(board, lambda w, b: 1)
-    scale = total.bit_length() - 1
-    assert total == 2**scale
     rng = random.Random(n)
     for k in range(1, 9):
-        for _ in range(2):
+        for _ in range(3):
             pattern, doc = _bench_shaped_pattern(rng, n, k)
             path = tmp_path / "pattern.json"
             path.write_text(json.dumps(doc))
             assert load_pattern_file(str(path)) == (n, pattern)
-            rest = remove_vertices(board, [v for edge in pattern for v in edge])
-            assert pattern_probability(n, pattern) == lowest_terms(weighted_matchings(rest, lambda w, b: 1), scale)
+            assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
+    assert far_ends
 
 
 def test_an_eight_domino_pattern_keeps_only_its_lines():
@@ -666,7 +646,8 @@ def _transfer_ratio(board, pattern):
     return lowest_terms(weighted_matchings(rest, lambda w, b: 1), scale)
 
 
-def _check_patterns_against_the_transfer_matrix(n):
+@pytest.mark.parametrize("n", [2, 3])
+def test_pattern_probabilities_match_oracle(far_ends, n):
     board = build_diamond(n)
     dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     for d in dominoes:
@@ -682,29 +663,7 @@ def _check_patterns_against_the_transfer_matrix(n):
         checked += 1
         if checked >= 40:
             break
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_pattern_probabilities_match_oracle(n):
-    _check_patterns_against_the_transfer_matrix(n)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_far_end_pattern_probabilities_match_oracle(far_end_everywhere, n):
-    _check_patterns_against_the_transfer_matrix(n)
-    assert far_end_everywhere
-
-
-def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_end_everywhere):
-    # Both orientations, and sums from both ends, against counts of the diamond minus the pattern.
-    for n in (6, 7, 8):
-        board = build_diamond(n)
-        rng = random.Random(n)
-        for k in range(1, 9):
-            for _ in range(3):
-                pattern, _ = _bench_shaped_pattern(rng, n, k)
-                assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
-    assert far_end_everywhere
+    assert far_ends
 
 
 def test_probabilities_bounded_with_dyadic_denominator():

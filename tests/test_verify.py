@@ -171,3 +171,31 @@ def test_each_signed_table_is_built_once_per_run(monkeypatch):
     walks.clear()
     assert all(r.ok for r in verify.run_checks())
     assert walks == {n: 2 * n for n in range(1, 9)}
+
+
+def test_pattern_check_certifies_far_ends_and_transposed_readings(monkeypatch):
+    # Patterns at every order sum from the nearer end of their lines and read the nearer
+    # orientation, so pattern-vs-transfer holds both far-end sums and transposed patterns to
+    # transfer-matrix counts.  A reading is transposed when its whites are not the pattern's.
+    far_ends, patterns, readings = [], [], []
+    delannoy, probability, lines = coupling_mod._delannoy, coupling_mod.pattern_probability, coupling_mod._lines
+
+    def delannoy_spy(*args):
+        far_ends.append(args)
+        return delannoy(*args)
+
+    def probability_spy(n, pattern):
+        patterns.append(pattern)
+        return probability(n, pattern)
+
+    def lines_spy(n, whites, blacks):
+        readings.append(whites)
+        return lines(n, whites, blacks)
+
+    monkeypatch.setattr(coupling_mod, "_delannoy", delannoy_spy)
+    monkeypatch.setattr(coupling_mod, "pattern_probability", probability_spy)
+    monkeypatch.setattr(coupling_mod, "_lines", lines_spy)
+    assert verify._pattern_vs_transfer(verify._Run(False)) == (True, "40 seeded patterns up to order 8")
+    assert far_ends
+    assert len(readings) == len(patterns) == 40
+    assert any(whites != [v[1:] for v, _ in p] for whites, p in zip(readings, patterns))
