@@ -243,15 +243,31 @@ def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
         assert _signed_row(n, w0s, d0, w1, d1) == want, (n, w0s, d0, w1, d1)
 
 
-def _check_direct_sums_against_the_row_cell(n, v, w, row_range):
-    """The entry over the lines of the pair alone, ``coupling_signed`` and ``coupling`` at ``(v, w)``
-    against the cell of ``v.x`` in the kernel row over ``row_range``."""
-    w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
-    cell = _signed_row(n, row_range, d0, w1, d1)[row_range.index(w0)]
+def _row_cell(n, v, w, row_range):
+    """The cell of ``v.x`` in the kernel row of the offsets of ``(v, w)`` over ``row_range``."""
+    return _signed_row(n, row_range, w.x - v.x, w.y, v.y - w.y)[row_range.index(v.x)]
+
+
+def _pair_entry(n, v, w):
+    """The pattern entry at ``(v, w)``, over the lines of the pair alone."""
     (white_side,), (black_side,) = coupling_mod._lines(n, [v[1:]], [w[1:]])
-    assert coupling_mod._entry(n, *white_side, *black_side) == cell, (n, v, w)
+    return coupling_mod._entry(n, *white_side, *black_side)
+
+
+def _check_direct_sums_against_the_row_cell(n, v, w, cell):
+    """``coupling_signed`` and ``coupling`` at ``(v, w)`` against ``cell``, its kernel-row cell."""
+    w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
     assert coupling_signed(n, w0, d0, w1, d1) == lowest_terms(cell, n), (n, v, w)
     assert coupling(n, v, w) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
+
+
+def _every_pair(top):
+    """Each order to ``top`` with each white and each black of its diamond."""
+    for n in range(1, top + 1):
+        board = build_diamond(n)
+        for v in board.white_vertices:
+            for w in board.black_vertices:
+                yield n, v, w
 
 
 @pytest.fixture
@@ -267,15 +283,20 @@ def far_ends(monkeypatch):
     return calls
 
 
-def test_direct_sums_equal_the_row_cells_on_every_pair(far_ends):
-    # Both branches, and pattern entries summed from either end, meet every x, the board's edges
-    # included, at every order to 9.
-    for n in range(1, 10):
-        board = build_diamond(n)
-        for v in board.white_vertices:
-            for w in board.black_vertices:
-                _check_direct_sums_against_the_row_cell(n, v, w, range(v.x, v.x + 1))
-    assert far_ends
+def test_direct_sums_equal_the_row_cells_on_every_pair():
+    # Both branches meet every x, the board's edges included, at every order to 9.
+    for n, v, w in _every_pair(9):
+        _check_direct_sums_against_the_row_cell(n, v, w, _row_cell(n, v, w, range(v.x, v.x + 1)))
+
+
+def test_far_end_sums_equal_the_row_cells_on_every_pair(far_ends):
+    # Pattern entries, summed from whichever end of their lines has fewer terms, meet every pair to
+    # order 9; one Delannoy number is read per entry that the far end sums, and some do.
+    far = 0
+    for n, v, w in _every_pair(9):
+        assert _pair_entry(n, v, w) == _row_cell(n, v, w, range(v.x, v.x + 1)), (n, v, w)
+        far += 2 * coupling_mod._branch_cut(n + 1, v.x, w.x - v.x)[1] > n + 1
+    assert len(far_ends) == far > 0
 
 
 def _general_binomial(z, i):
@@ -326,7 +347,9 @@ def test_direct_sums_equal_the_row_cells_at_large_order(n):
         v = white(rng.randint(1, n), rng.randint(1, n + 1))
         x2 = rng.randint(v.x + 1, n + 1) if i % 2 else rng.randint(1, v.x)
         w = black(x2, rng.randint(1, n))
-        _check_direct_sums_against_the_row_cell(n, v, w, hole_ranges(n, w.x - v.x, 0)[0])
+        cell = _row_cell(n, v, w, hole_ranges(n, w.x - v.x, 0)[0])
+        _check_direct_sums_against_the_row_cell(n, v, w, cell)
+        assert _pair_entry(n, v, w) == cell, (n, v, w)
 
 
 @pytest.fixture
@@ -464,16 +487,26 @@ def test_an_entry_never_sums_more_terms_than_its_direct_sum(products):
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
-def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, far_ends, n):
-    # Both orientations, and sums from both ends, against counts of the diamond minus the pattern.
+def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
     board = build_diamond(n)
     rng = random.Random(n)
     for k in range(1, 9):
-        for _ in range(3):
+        for _ in range(2):
             pattern, doc = _bench_shaped_pattern(rng, n, k)
             path = tmp_path / "pattern.json"
             path.write_text(json.dumps(doc))
             assert load_pattern_file(str(path)) == (n, pattern)
+            assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
+
+
+def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_ends):
+    # Both orientations, and sums from both ends, against counts of the diamond minus the pattern,
+    # on patterns of their own seed; some entries are summed from the far end.
+    for n in (6, 7, 8):
+        board = build_diamond(n)
+        rng = random.Random(f"far end {n}")
+        for k in range(1, 9):
+            pattern, _ = _bench_shaped_pattern(rng, n, k)
             assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
     assert far_ends
 
@@ -647,13 +680,19 @@ def _transfer_ratio(board, pattern):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_pattern_probabilities_match_oracle(far_ends, n):
+def test_pattern_probabilities_match_oracle(n):
     board = build_diamond(n)
     dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     for d in dominoes:
         assert pattern_probability(n, (d,)) == _transfer_ratio(board, (d,))
-    # A sample of two-domino patterns; the exhaustive sweep lives in the
-    # acceptance suite.
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_far_end_pattern_probabilities_match_oracle(far_ends, n):
+    # A sample of two-domino patterns, some of whose entries are summed from the far end; the
+    # exhaustive sweep lives in the acceptance suite.
+    board = build_diamond(n)
+    dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     checked = 0
     for d1, d2 in combinations(dominoes, 2):
         if len({d1[0], d2[0]}) + len({d1[1], d2[1]}) < 4:
