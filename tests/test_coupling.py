@@ -22,6 +22,7 @@ from aztecdimers.coupling import (
     pattern_probability,
 )
 from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
+from aztecdimers.exactlinalg import det
 from aztecdimers.kasteleyn import inverse_coupling_matrix
 from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, remove_vertices, white
 from derivation import first_column_hole_count, krawtchouk_convolution
@@ -95,12 +96,8 @@ def _branch_sum_per_term(n, x, y, x2, y2):
 
 
 def test_kernel_matches_the_per_term_sum_on_every_pair():
-    for n in range(1, 9):
-        board = build_diamond(n)
-        for v in board.white_vertices:
-            for w in board.black_vertices:
-                want = lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
-                assert coupling(n, v, w) == want, (n, v, w)
+    for n, v, w in _every_pair(8):
+        assert coupling(n, v, w) == lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n), (n, v, w)
 
 
 @given(st.data())
@@ -177,8 +174,7 @@ def test_signed_row_equals_its_cells():
             w0s = hole_ranges(n, d0, 0)[0]
             for w1 in range(1, n + 1):
                 for d1 in range(1 - w1, n + 2 - w1):
-                    cells = [coupling_signed(n, w0, d0, w1, d1) for w0 in w0s]
-                    scaled = [c.numerator << (n - c.scale) for c in cells]
+                    scaled = _scaled_cells(n, w0s, d0, w1, d1)
                     spans = combinations(range(len(w0s) + 1), 2) if n <= 9 else [(0, len(w0s))]
                     for lo, hi in spans:
                         row = _signed_row(n, w0s[lo:hi], d0, w1, d1)
@@ -265,9 +261,8 @@ def _every_pair(top):
     """Each order to ``top`` with each white and each black of its diamond."""
     for n in range(1, top + 1):
         board = build_diamond(n)
-        for v in board.white_vertices:
-            for w in board.black_vertices:
-                yield n, v, w
+        for v, w in product(board.white_vertices, board.black_vertices):
+            yield n, v, w
 
 
 @pytest.fixture
@@ -455,17 +450,21 @@ def _direct_terms(n, x, x2):
 def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, window, transposed):
     # A bench-shaped 8-domino pattern near a corner, or near the edge y = n+1 only, where its
     # transposed reading is the nearer one, sums at most 45% of the terms of the direct sums in the
-    # given orientation, and still builds each distinct line of the orientation it reads once.
+    # given orientation, still builds each distinct line of the orientation it reads once, and has
+    # the |det| of the lone values, which read whole lines from the near end as given.
     n = 200
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
     assert len(pattern) == 8
-    pattern_probability(n, pattern)
+    got = pattern_probability(n, pattern)
+    summed = len(products)
     direct = sum(_direct_terms(n, v.x, w.x) for (v, _), (_, w) in product(pattern, pattern))
     as_given = sorted({(n, v.y - 1) for v, _ in pattern}), sorted({(w.y - 1, n - 1) for _, w in pattern})
     flipped = sorted({(n, w.x - 1) for _, w in pattern}), sorted({(v.x - 1, n - 1) for v, _ in pattern})
     built = sorted(args[:2] for args in line_builds["row"]), sorted(args[:2] for args in line_builds["column"])
     assert built == flipped if transposed else built in (as_given, flipped)
-    assert len(products) <= 0.45 * direct, (len(products), direct)
+    assert summed <= 0.45 * direct, (summed, direct)
+    lone = [[coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y) for _, w in pattern] for v, _ in pattern]
+    assert got == lowest_terms(abs(det([[num << (n - scale) for num, scale in row] for row in lone])), 8 * n)
 
 
 def test_an_entry_never_sums_more_terms_than_its_direct_sum(products):
