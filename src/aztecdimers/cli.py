@@ -69,8 +69,8 @@ from typing import Callable, Optional, Sequence
 
 # The sweep of signed kernel rows, integer numerators over 2^n, is the heatmap's one source of
 # entries.  It keeps the name coupling_signed because bench/test_smoke.py patches that name with a
-# five-argument function that negates its result: negating the sweep raises, so the patched heatmap
-# fails every operation of the benchmark's gate, as negating a single row did before.
+# five-argument function; the sweep takes three, so the patched heatmap fails every operation of the
+# benchmark's gate, by TypeError at the call.
 from .coupling import coupling, coupling_signed_rows as coupling_signed, hole_ranges, pattern_probability
 from .lattice import Color, Edge, Vertex, black, white
 
@@ -196,7 +196,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
         cap = 1 << n
         w1_texts = [f",{w1}," for w1 in w1s]
         scale_texts = [f",{n - z}," for z in range(n + 1)]
-        for w0_text, sums in zip(map(str, w0s), coupling_signed(n, w1s, d1, w0s, d0)):
+        for w0_text, sums in zip(map(str, w0s), coupling_signed(n, d1, d0)):
             fh.write("".join([f"{w0_text}{w1_text}{s >> z}{scale_texts[z]}{divide(s, divisor)!s}\n"
                               for w1_text, s in zip(w1_texts, sums)
                               for low in [s | cap] for z in [(low & -low).bit_length() - 1]]))

@@ -27,13 +27,14 @@ terms are summed and the sign depend on ``y``, ``y'`` and ``x' - x`` only.
 :func:`_branch_cut` is the one branch rule and :func:`_negated` the one sign
 rule, and two evaluators with no cache of their own read them, each with one
 rule.  Sweeps and lone values read whole lines and sum from the near end.
-Prefix sums along a row of consecutive ``x`` (:func:`_branch_sums`) serve
-sweeps: at fixed offsets, consecutive ``w1`` read consecutive lines, so
-:func:`line_walk` takes only the first pair from the cached builders and steps
-to each next pair by the one-step identity of
-:mod:`~aztecdimers.combinatorics`, and :func:`signed_rows` turns each walked
-pair into one signed row.  ``heatmap`` reads one such sweep per command and
-``verify`` one walk per ``d1``, reused for every ``d0``.  A lone value
+A sweep covers every hole position of its offsets (:func:`hole_ranges`).
+Along its ``w0`` range the sums are the running sums of one row-by-column
+product (:func:`_branch_sums`), and its consecutive ``w1`` read consecutive
+lines, so :func:`line_walk` takes only the first pair from the cached builders
+and steps to each next pair by the one-step identity of
+:mod:`~aztecdimers.combinatorics`; :func:`signed_rows` turns each walked pair
+into one signed row.  ``heatmap`` reads one sweep per command and ``verify``
+one walk per ``d1``, reused for every ``d0``.  A lone value
 (:func:`coupling_signed`) is one such sum over its whole row and column from
 the caches, so the thousands of lone values an oracle comparison reads at one
 small order build each line once.  Pattern entries (:func:`_entry`) read prefix
@@ -86,7 +87,7 @@ the tests to the exact inverse-Kasteleyn oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -202,18 +203,16 @@ def _entry(n: int, x: int, c: int, row: Sequence[int], x2: int, a: int, column: 
     return -s if _negated(d0, -d) else s
 
 
-def _branch_sums(row: Sequence[int], column: Sequence[int], shift: int, xs: range) -> list[int]:
+def _branch_sums(row: Sequence[int], column: Sequence[int], shift: int) -> list[int]:
     """The branch sums over a built white row ``Kr(., n, y-1)`` and black column ``Kr(y2-1, n-1, .)``
-    at each white column ``x`` of a nonempty step-1 range ``xs`` of pairs on the diamond, without
-    the branch sign, which the caller applies.
+    at each white column ``x`` of the ``w0`` range of :func:`hole_ranges` at ``d0 = shift``, in order,
+    without the branch sign, which the caller applies.
 
     The terms of :func:`_branch_cut` do not depend on ``x``, and its prefix grows with ``x`` for
-    ``shift > 0`` and shrinks otherwise.  So the terms of the range's longest prefix are read once:
-    those of its shortest prefix are summed directly, and each later term gives the next sum.
+    ``shift > 0`` and shrinks otherwise, so the sums are the running sums of those terms, reversed
+    for ``shift <= 0``.  The column from ``m`` on has one entry per ``x``, so the products stop there.
     """
-    m, count = _branch_cut(len(row), xs[-1] if shift > 0 else xs[0], shift)
-    terms = map(mul, row[:count], column[m:])
-    sums = list(accumulate(terms, initial=sum(islice(terms, count - len(xs) + 1))))
+    sums = list(accumulate(map(mul, row, column[shift - 1 if shift > 0 else -shift:])))
     if shift <= 0:
         sums.reverse()
     return sums
@@ -227,21 +226,13 @@ def hole_ranges(n: int, d0: int, d1: int) -> tuple[range, range]:
     return w0s, range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
 
 
-def _check_pairs(n: int, first: int, last: int, d0: int, w1: int, d1: int) -> None:
-    """Raise ``BoardError`` unless the pairs at ``w0`` from ``first`` to ``last`` lie on the diamond.
-    Each color class is an x-range times a y-range, so they do when both ends do; that is checked
-    on integers, and only a failure builds the vertices that word the error."""
-    if not (1 <= first and last <= n and 1 <= first + d0 and last + d0 <= n + 1
-            and 1 <= w1 <= n and 1 <= w1 + d1 <= n + 1):
-        for w0 in (first, last):
-            check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
-
-
-def line_walk(n: int, w1s: range, d1: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def line_walk(n: int, d1: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The white row ``Kr(., n, w1+d1-1)`` and black column ``Kr(w1-1, n-1, .)`` of the signed entries
-    at each ``w1`` of a nonempty step-1 range, in order.  Only the first pair comes from the cached
-    builders; each later pair is one step of :func:`~aztecdimers.combinatorics.next_krawtchouk_row`
-    and :func:`~aztecdimers.combinatorics.next_krawtchouk_column` from the pair before it."""
+    at each ``w1`` of the :func:`hole_ranges` at ``d1``, a nonempty range, in order.  Only the first
+    pair comes from the cached builders; each later pair is one step of
+    :func:`~aztecdimers.combinatorics.next_krawtchouk_row` and
+    :func:`~aztecdimers.combinatorics.next_krawtchouk_column` from the pair before it."""
+    w1s = hole_ranges(n, 0, d1)[1]
     c, a = w1s[0] + d1 - 1, w1s[0] - 1
     row, column = krawtchouk_row(n, c), krawtchouk_column(a, n - 1)
     yield row, column
@@ -250,31 +241,30 @@ def line_walk(n: int, w1s: range, d1: int) -> Iterator[tuple[tuple[int, ...], tu
         yield row, column
 
 
-def signed_rows(lines: Iterable[tuple[Sequence[int], Sequence[int]]], w0s: range, d0: int, d1: int
-                ) -> Iterator[list[int]]:
-    """For each ``(row, column)`` pair of :func:`line_walk`, the signed entries at each ``w0`` of a
-    nonempty step-1 range, as integers: entry ``i`` is the value at ``w0s[i]`` times ``2^n``, not
-    reduced.  The pairs are not checked; the sign is taken once."""
+def signed_rows(lines: Iterable[tuple[Sequence[int], Sequence[int]]], d0: int, d1: int) -> Iterator[list[int]]:
+    """For each ``(row, column)`` pair of :func:`line_walk`, the signed entries at each ``w0`` of the
+    :func:`hole_ranges` at ``d0``, as integers: entry ``i`` is the value at the ``i``-th ``w0`` times
+    ``2^n``, not reduced.  The sign is taken once."""
     negated = _negated(d0, d1)
     for row, column in lines:
-        sums = _branch_sums(row, column, d0, w0s)
+        sums = _branch_sums(row, column, d0)
         yield [-s for s in sums] if negated else sums
 
 
-def coupling_signed_rows(n: int, w0s: range, d0: int, w1s: range, d1: int) -> Iterator[list[int]]:
-    """:func:`coupling_signed` at each ``(w0, w1)`` of two nonempty step-1 ranges, one row over
-    ``w0s`` per ``w1`` in order, each row one kernel call over walked lines: entry ``i`` of a row is
-    the value at ``w0s[i]`` times ``2^n``, not reduced.  The four corners are checked before the
-    sweep starts, so an off-board sweep raises ``BoardError`` here, not at its first row."""
-    for w1 in (w1s[0], w1s[-1]):
-        _check_pairs(n, w0s[0], w0s[-1], d0, w1, d1)
-    return signed_rows(line_walk(n, w1s, d1), w0s, d0, d1)
+def coupling_signed_rows(n: int, d0: int, d1: int) -> Iterator[list[int]]:
+    """:func:`coupling_signed` at every hole position of offsets that fit the diamond, :func:`hole_ranges`:
+    one row over its ``w0`` range per ``w1`` of its ``w1`` range, in order, each row one kernel call over
+    walked lines.  Entry ``i`` of a row is the value at the ``i``-th ``w0`` times ``2^n``, not reduced.
+    Every position of the ranges is on the diamond, so nothing is checked."""
+    return signed_rows(line_walk(n, d1), d0, d1)
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
-    ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign."""
-    _check_pairs(n, w0, w0, d0, w1, d1)
+    ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign.  The
+    pair is checked on integers, and only a pair off the diamond builds the vertices that word the error."""
+    if not (1 <= w0 <= n and 1 <= w0 + d0 <= n + 1 and 1 <= w1 <= n and 1 <= w1 + d1 <= n + 1):
+        check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
     m, stop = _branch_cut(n + 1, w0, d0)
     s = sum(map(mul, krawtchouk_row(n, w1 + d1 - 1)[:stop], krawtchouk_column(w1 - 1, n - 1)[m:]))
     return lowest_terms(-s if _negated(d0, d1) else s, n)

@@ -92,11 +92,10 @@ def _signed_table(n: int) -> tuple[dict[tuple[int, int], int], dict[tuple[int, i
     index = {(b.x, b.y): j for j, b in enumerate(build_diamond(n).black_vertices)}
     table = {(x, y): [0] * len(index) for y in range(1, n + 2) for x in range(1, n + 1)}
     for d1 in range(1 - n, n + 1):
-        w1s = coupling.hole_ranges(n, 0, d1)[1]
-        lines = list(coupling.line_walk(n, w1s, d1))
+        lines = list(coupling.line_walk(n, d1))
         for d0 in range(1 - n, n + 1):
-            w0s = coupling.hole_ranges(n, d0, d1)[0]
-            for w1, row in zip(w1s, coupling.signed_rows(lines, w0s, d0, d1)):
+            w0s, w1s = coupling.hole_ranges(n, d0, d1)
+            for w1, row in zip(w1s, coupling.signed_rows(lines, d0, d1)):
                 for w0, entry in zip(w0s, row):
                     table[w0, w1 + d1][index[w0 + d0, w1]] = entry
     return index, table

@@ -18,7 +18,7 @@ from aztecdimers import cli
 from aztecdimers import combinatorics
 from aztecdimers import coupling as coupling_mod
 from aztecdimers.cli import load_pattern_file, main
-from aztecdimers.coupling import coupling_signed, coupling_signed_rows, hole_ranges, lowest_terms
+from aztecdimers.coupling import coupling_signed, coupling_signed_rows, lowest_terms
 
 
 def run(capsys, *argv):
@@ -379,12 +379,13 @@ def test_heatmap_contents_and_determinism(tmp_path, capsys):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The ``xs`` range of every call of the coupling kernel during one test."""
+    """The shift and the number of sums of every call of the coupling kernel during one test."""
     calls, kernel = [], coupling_mod._branch_sums
 
-    def spy(row, column, shift, xs):
-        calls.append(xs)
-        return kernel(row, column, shift, xs)
+    def spy(row, column, shift):
+        sums = kernel(row, column, shift)
+        calls.append((shift, len(sums)))
+        return sums
 
     monkeypatch.setattr(coupling_mod, "_branch_sums", spy)
     return calls
@@ -396,7 +397,7 @@ def test_heatmap_builds_each_kernel_row_once(tmp_path, capsys, kernel_calls):
     # evaluating each row in one kernel call over every w1.
     code, _, _ = run(capsys, "heatmap", "--n", "40", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "h.csv"))
     assert code == 0
-    assert kernel_calls == [range(1, 40)] * 40
+    assert kernel_calls == [(2, 39)] * 40
 
 
 @pytest.mark.parametrize("d0,d1", [(1, 2), (-3, -1)])
@@ -500,15 +501,14 @@ def heatmap_lines(capsys, tmp_path, n, d0, d1):
 def test_heatmap_pin_past_the_unit_bound_has_cells_over_one():
     # The (12, -6, -6) pin has |s| > 2^n: no bound |s| <= 2^n backs the heatmap's capped reduction.
     n, d0, d1 = 12, -6, -6
-    w0s, w1s = hole_ranges(n, d0, d1)
-    assert max(abs(s) for row in coupling_signed_rows(n, w1s, d1, w0s, d0) for s in row) > 82 * 2**n
+    assert max(abs(s) for row in coupling_signed_rows(n, d1, d0) for s in row) > 82 * 2**n
 
 
 def test_heatmap_caps_the_reduction_at_the_scale(tmp_path, capsys, monkeypatch):
     # Row sums with n, more than n, and no trailing zero bits, and zero, which has scale 0.
     n = 7
     sums = [0, 1, -1, 2**n, -(2**n), 3 * 2**n, 2 ** (n + 3)]
-    monkeypatch.setattr(cli, "coupling_signed", lambda n, w0s, d0, w1s, d1: [sums] * len(w1s))
+    monkeypatch.setattr(cli, "coupling_signed", lambda n, d0, d1: [sums] * n)
     row = ["0,0,0", "1,7,0.0078125", "-1,7,-0.0078125", "1,0,1", "-1,0,-1", "3,0,3", "8,0,8"]
     want = [f"{w0},{w1},{cell}" for w0 in range(1, n + 1) for w1, cell in zip(range(1, n + 1), row)]
     assert heatmap_lines(capsys, tmp_path, n, 0, 0) == want

@@ -131,19 +131,17 @@ def _branch_sign(y, y2, shift):
 
 
 def test_range_kernel_matches_the_per_term_sum_on_every_range():
-    # Every (y, y2, shift), the extreme shifts 1 - n and n included, and every
-    # contiguous range of x, the single columns included.
+    # Every (y, y2, shift), the extreme shifts 1 - n and n included, over the whole range of x at
+    # that shift; the shifts -n and n + 1 just past them fit nowhere and give no sums.
     for n in range(1, 9):
-        for shift in range(1 - n, n + 1):
+        for shift in range(-n, n + 2):
             cols = hole_ranges(n, shift, 0)[0]
             for y in range(1, n + 2):
                 for y2 in range(1, n + 1):
                     sign = _branch_sign(y, y2, shift)
                     lines = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
                     want = [sign * _branch_sum_per_term(n, x, y, x + shift, y2) for x in cols]
-                    for lo, hi in combinations(range(len(cols) + 1), 2):
-                        got = coupling_mod._branch_sums(*lines, shift, cols[lo:hi])
-                        assert got == want[lo:hi], (n, y, y2, shift, cols[lo:hi])
+                    assert coupling_mod._branch_sums(*lines, shift) == want, (n, y, y2, shift)
 
 
 @given(st.data())
@@ -151,34 +149,26 @@ def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
     n = data.draw(st.integers(1, 30), label="n")
     shift = data.draw(st.integers(1 - n, n), label="shift")
     y, y2 = data.draw(st.integers(1, n + 1), label="y"), data.draw(st.integers(1, n), label="y2")
-    cols = hole_ranges(n, shift, 0)[0]
-    lo = data.draw(st.integers(0, len(cols) - 1), label="lo")
-    xs = cols[lo:data.draw(st.integers(lo + 1, len(cols)), label="hi")]
-    want = [_branch_sign(y, y2, shift) * _branch_sum_per_term(n, x, y, x + shift, y2) for x in xs]
+    want = [_branch_sign(y, y2, shift) * _branch_sum_per_term(n, x, y, x + shift, y2)
+            for x in hole_ranges(n, shift, 0)[0]]
     lines = krawtchouk_row(n, y - 1), krawtchouk_column(y2 - 1, n - 1)
-    assert coupling_mod._branch_sums(*lines, shift, xs) == want
+    assert coupling_mod._branch_sums(*lines, shift) == want
 
 
-def _signed_row(n, w0s, d0, w1, d1):
-    """The one row of the sweep over the single ``w1``."""
-    (row,) = coupling_signed_rows(n, w0s, d0, range(w1, w1 + 1), d1)
+def _signed_row(n, d0, w1, d1):
+    """The kernel row of the signed entries at ``w1`` over the whole ``w0`` range of the offsets."""
+    (row,) = coupling_mod.signed_rows([(krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1))], d0, d1)
     return row
 
 
 def test_signed_row_equals_its_cells():
-    # Every offset at every order to 12.  To order 9 every sub-range of w0 is
-    # one row, the single columns included, so each branch of the kernel starts
-    # and stops at every x; above that, the whole row.
+    # Every offset at every order to 12, so each branch of the kernel starts and stops at every x.
     for n in range(1, 13):
         for d0 in range(1 - n, n + 1):
             w0s = hole_ranges(n, d0, 0)[0]
             for w1 in range(1, n + 1):
                 for d1 in range(1 - w1, n + 2 - w1):
-                    scaled = _scaled_cells(n, w0s, d0, w1, d1)
-                    spans = combinations(range(len(w0s) + 1), 2) if n <= 9 else [(0, len(w0s))]
-                    for lo, hi in spans:
-                        row = _signed_row(n, w0s[lo:hi], d0, w1, d1)
-                        assert row == scaled[lo:hi], (n, w0s[lo:hi], d0, w1, d1)
+                    assert _signed_row(n, d0, w1, d1) == _scaled_cells(n, w0s, d0, w1, d1), (n, d0, w1, d1)
 
 
 def _scaled_cells(n, w0s, d0, w1, d1):
@@ -191,7 +181,7 @@ def test_walked_rows_equal_the_lone_entries_on_every_offset_pair():
     for n in range(1, 11):
         for d0, d1 in product(range(1 - n, n + 1), repeat=2):
             w0s, w1s = hole_ranges(n, d0, d1)
-            rows = list(coupling_signed_rows(n, w0s, d0, w1s, d1))
+            rows = list(coupling_signed_rows(n, d0, d1))
             assert rows == [_scaled_cells(n, w0s, d0, w1, d1) for w1 in w1s], (n, d0, d1)
 
 
@@ -206,7 +196,7 @@ def test_walked_rows_equal_the_lone_entries_at_large_order():
         d0 = rng.randint(1, n) if i % 2 else rng.randint(1 - n, 0)
         w0s, w1s = hole_ranges(n, d0, d1)
         picks = {0, len(w1s) - 1, *rng.sample(range(len(w1s)), min(3, len(w1s)))}
-        for k, row in enumerate(coupling_signed_rows(n, w0s, d0, w1s, d1)):
+        for k, row in enumerate(coupling_signed_rows(n, d0, d1)):
             if k in picks:
                 assert row == _scaled_cells(n, w0s, d0, w1s[k], d1), (n, d0, w1s[k], d1)
 
@@ -225,7 +215,7 @@ def _branch_sum_from_lines(n, x, y, x2, y2):
 def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
     # n = 200 reads a row of even order b = n and a column of odd order
     # b = n - 1, n = 201 the reverse; the offsets alternate between the two
-    # branches.
+    # branches.  Up to 8 consecutive cells of each whole row are checked.
     rng = random.Random(n)
     for i in range(40):
         d0 = rng.randint(1, n) if i % 2 else rng.randint(1 - n, 0)
@@ -233,15 +223,16 @@ def test_signed_row_matches_the_formula_on_sampled_ranges_at_large_order(n):
         d1 = rng.randint(1 - w1, n + 1 - w1)
         cols = hole_ranges(n, d0, 0)[0]
         lo = rng.randrange(len(cols))
-        w0s = cols[lo:rng.randint(lo + 1, min(len(cols), lo + 8))]
+        hi = rng.randint(lo + 1, min(len(cols), lo + 8))
         sign = -1 if (d0 + d1 + w1) % 2 else 1
-        want = [sign * _branch_sum_from_lines(n, w0, w1 + d1, w0 + d0, w1) for w0 in w0s]
-        assert _signed_row(n, w0s, d0, w1, d1) == want, (n, w0s, d0, w1, d1)
+        want = [sign * _branch_sum_from_lines(n, w0, w1 + d1, w0 + d0, w1) for w0 in cols[lo:hi]]
+        assert _signed_row(n, d0, w1, d1)[lo:hi] == want, (n, cols[lo:hi], d0, w1, d1)
 
 
-def _row_cell(n, v, w, row_range):
-    """The cell of ``v.x`` in the kernel row of the offsets of ``(v, w)`` over ``row_range``."""
-    return _signed_row(n, row_range, w.x - v.x, w.y, v.y - w.y)[row_range.index(v.x)]
+def _row_cell(n, v, w):
+    """The cell of ``v.x`` in the kernel row of the offsets of ``(v, w)``."""
+    d0 = w.x - v.x
+    return _signed_row(n, d0, w.y, v.y - w.y)[hole_ranges(n, d0, 0)[0].index(v.x)]
 
 
 def _pair_entry(n, v, w):
@@ -265,6 +256,16 @@ def _every_pair(top):
             yield n, v, w
 
 
+def _every_row_cell(top):
+    """Each order to ``top`` with each white and each black of its diamond and their cell in the
+    kernel row of their offsets, each row built once."""
+    for n in range(1, top + 1):
+        for d0, w1 in product(range(1 - n, n + 1), range(1, n + 1)):
+            for d1 in range(1 - w1, n + 2 - w1):
+                for w0, cell in zip(hole_ranges(n, d0, 0)[0], _signed_row(n, d0, w1, d1)):
+                    yield n, white(w0, w1 + d1), black(w0 + d0, w1), cell
+
+
 @pytest.fixture
 def far_ends(monkeypatch):
     """The far-end sums during one test, each of which reads one Delannoy number."""
@@ -280,16 +281,18 @@ def far_ends(monkeypatch):
 
 def test_direct_sums_equal_the_row_cells_on_every_pair():
     # Both branches meet every x, the board's edges included, at every order to 9.
-    for n, v, w in _every_pair(9):
-        _check_direct_sums_against_the_row_cell(n, v, w, _row_cell(n, v, w, range(v.x, v.x + 1)))
+    cells = list(_every_row_cell(9))
+    assert len(cells) == sum((n * (n + 1)) ** 2 for n in range(1, 10))
+    for n, v, w, cell in cells:
+        _check_direct_sums_against_the_row_cell(n, v, w, cell)
 
 
 def test_far_end_sums_equal_the_row_cells_on_every_pair(far_ends):
     # Pattern entries, summed from whichever end of their lines has fewer terms, meet every pair to
     # order 9; one Delannoy number is read per entry that the far end sums, and some do.
     far = 0
-    for n, v, w in _every_pair(9):
-        assert _pair_entry(n, v, w) == _row_cell(n, v, w, range(v.x, v.x + 1)), (n, v, w)
+    for n, v, w, cell in _every_row_cell(9):
+        assert _pair_entry(n, v, w) == cell, (n, v, w)
         far += 2 * coupling_mod._branch_cut(n + 1, v.x, w.x - v.x)[1] > n + 1
     assert len(far_ends) == far > 0
 
@@ -342,7 +345,7 @@ def test_direct_sums_equal_the_row_cells_at_large_order(n):
         v = white(rng.randint(1, n), rng.randint(1, n + 1))
         x2 = rng.randint(v.x + 1, n + 1) if i % 2 else rng.randint(1, v.x)
         w = black(x2, rng.randint(1, n))
-        cell = _row_cell(n, v, w, hole_ranges(n, w.x - v.x, 0)[0])
+        cell = _row_cell(n, v, w)
         _check_direct_sums_against_the_row_cell(n, v, w, cell)
         assert _pair_entry(n, v, w) == cell, (n, v, w)
 
@@ -524,30 +527,21 @@ def test_an_eight_domino_pattern_keeps_only_its_lines():
     assert peak < 8 * 2**20, peak
 
 
-@pytest.mark.parametrize("w0s", [range(0, 3), range(1, 5), range(4, 5)])
-def test_signed_row_rejects_an_end_off_the_board(w0s):
-    with pytest.raises(BoardError):
-        _signed_row(3, w0s, 0, 1, 0)
-
-
-def test_signed_row_checks_its_ends_like_check_diamond_pair():
-    # The integer bounds test rejects exactly the sweeps check_diamond_pair rejects at one of
-    # their corners, with its message, before the first row is asked for.
+def test_signed_entry_checks_its_pair_like_check_diamond_pair():
+    # The integer bounds test rejects exactly the pairs check_diamond_pair rejects, with its message.
     for n in range(0, 4):
         for w0, d0, w1, d1 in product(range(-1, 6), range(-5, 6), range(-1, 6), range(-5, 6)):
-            for w0s, w1s in product((range(w0, w0 + 1), range(w0, w0 + 2)), (range(w1, w1 + 1), range(w1, w1 + 2))):
-                try:
-                    for y, x in product((w1s[0], w1s[-1]), (w0s[0], w0s[-1])):
-                        check_diamond_pair(n, white(x, y + d1), black(x + d0, y))
-                    want = None
-                except BoardError as exc:
-                    want = str(exc)
-                try:
-                    coupling_signed_rows(n, w0s, d0, w1s, d1)
-                    got = None
-                except BoardError as exc:
-                    got = str(exc)
-                assert got == want, (n, w0s, d0, w1s, d1)
+            try:
+                check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
+                want = None
+            except BoardError as exc:
+                want = str(exc)
+            try:
+                coupling_signed(n, w0, d0, w1, d1)
+                got = None
+            except BoardError as exc:
+                got = str(exc)
+            assert got == want, (n, w0, d0, w1, d1)
 
 
 def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
@@ -558,7 +552,7 @@ def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
     monkeypatch.setattr(coupling_mod, "white", no_vertex)
     monkeypatch.setattr(coupling_mod, "black", no_vertex)
     assert coupling_signed(5, 2, 1, 3, -1) == want
-    assert _signed_row(5, range(1, 5), 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
+    assert _signed_row(5, 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
 
 
 def test_pattern_entries_are_not_rechecked(monkeypatch):
@@ -760,8 +754,39 @@ def test_transpose_orientation_defines_the_same_values():
     for n, d0, d1 in product(range(1, 13), range(-4, 5), range(-4, 5)):
         w0s, w1s = hole_ranges(n, d0, d1)
         if w0s and w1s:
-            rows = list(coupling_signed_rows(n, w0s, d0, w1s, d1))
-            assert [list(c) for c in zip(*rows)] == list(coupling_signed_rows(n, w1s, d1, w0s, d0))
+            rows = list(coupling_signed_rows(n, d0, d1))
+            assert [list(c) for c in zip(*rows)] == list(coupling_signed_rows(n, d1, d0))
+
+
+def _reflections(n, pattern):
+    """The images of ``pattern`` under the diamond's reflections ``cx -> 2n - cx``, which maps white
+    ``(x, y)`` to ``(n+1-x, y)`` and black to ``(n+2-x, y)``, and ``cy -> 2n - cy``, which maps white
+    ``(x, y)`` to ``(x, n+2-y)`` and black to ``(x, n+1-y)``."""
+    return (tuple((white(n + 1 - v.x, v.y), black(n + 2 - w.x, w.y)) for v, w in pattern),
+            tuple((white(v.x, n + 2 - v.y), black(w.x, n + 1 - w.y)) for v, w in pattern))
+
+
+def test_patterns_equal_their_reflections_at_large_order():
+    # A uniform tiling reflected is a uniform tiling, so each reflection keeps every pattern's
+    # probability: a certificate with no oracle, at an order no oracle reaches.  Bench-shaped
+    # 2-6-domino patterns in seeded windows.
+    n, rng = 200, random.Random("reflections")
+    for _ in range(100):
+        pattern, _ = _bench_shaped_pattern(rng, n, rng.randint(2, 6))
+        want = pattern_probability(n, pattern)
+        for image in _reflections(n, pattern):
+            assert pattern_probability(n, image) == want, (pattern, image)
+
+
+def test_lone_couplings_equal_their_reflections_at_large_order():
+    # Each reflection takes the Kasteleyn matrix to one with signs on its rows and columns, so it
+    # keeps |K^{-1}|, that is |c|, at every pair, adjacent or not.
+    n, rng = 1000, random.Random("lone reflections")
+    for _ in range(20):
+        v, w = white(rng.randint(1, n), rng.randint(1, n + 1)), black(rng.randint(1, n + 1), rng.randint(1, n))
+        num, scale = coupling(n, v, w)
+        for (image,) in _reflections(n, ((v, w),)):
+            assert coupling(n, *image) in ((num, scale), (-num, scale)), (v, w, image)
 
 
 def test_mistranscribed_formula_fails_calibration():

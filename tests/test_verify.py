@@ -161,9 +161,9 @@ def test_each_signed_table_is_built_once_per_run(monkeypatch):
     # local-inverse and normalization read the same table per order; a build walks once per d1.
     walks, real = Counter(), coupling_mod.line_walk
 
-    def spy(n, w1s, d1):
+    def spy(n, d1):
         walks[n] += 1
-        return real(n, w1s, d1)
+        return real(n, d1)
 
     monkeypatch.setattr(coupling_mod, "line_walk", spy)
     assert all(r.ok for r in verify.run_checks())
