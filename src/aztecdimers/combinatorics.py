@@ -46,7 +46,7 @@ def _mirrored(half: list[int], b: int, odd: int, size: int | None = None) -> tup
 
 @lru_cache(maxsize=16)
 def krawtchouk_row(b: int, c: int, size: int | None = None) -> tuple[int, ...]:
-    """``Kr(a, b, c)`` for ``a = 0..b``, or for ``a < size`` (``size >= 1``), in ``O(b)`` big-integer operations.
+    """``Kr(a, b, c)`` for ``a = 0..b``, or for ``a < size <= b+1``, in ``O(b)`` big-integer operations.
 
     From ``(1-x^2) P' = ((b-2c) - b x) P`` for ``P = (1-x)^c (1+x)^{b-c}``:
     ``(a+1) p[a+1] = (b-2c) p[a] - (b-a+1) p[a-1]`` with ``p[0] = 1``; the
@@ -55,6 +55,8 @@ def krawtchouk_row(b: int, c: int, size: int | None = None) -> tuple[int, ...]:
     """
     if not 0 <= c <= b:
         raise ValueError(f"need 0 <= c <= b, got b={b}, c={c}")
+    if size is not None and not 1 <= size <= b + 1:
+        raise ValueError(f"need 1 <= size <= b + 1, got b={b}, size={size}")
     slope, prev, cur = b - 2 * c, 0, 1
     p = [cur]
     for a in range(b // 2 if size is None else min(size - 1, b // 2)):
@@ -65,7 +67,7 @@ def krawtchouk_row(b: int, c: int, size: int | None = None) -> tuple[int, ...]:
 
 @lru_cache(maxsize=16)
 def krawtchouk_column(a: int, b: int, size: int | None = None) -> tuple[int, ...]:
-    """``Kr(a, b, c)`` for ``c = 0..b``, or for ``c < size`` (``size >= 1``), in ``O(b)`` big-integer operations.
+    """``Kr(a, b, c)`` for ``c = 0..b``, or for ``c < size <= b+1``, in ``O(b)`` big-integer operations.
 
     Self-duality, ``C(b, c) Kr(a, b, c) = C(b, a) Kr(c, b, a)``, turns the
     recurrence of :func:`krawtchouk_row` into ``(b-c) f[c+1] = (b-2a) f[c] -
@@ -75,6 +77,8 @@ def krawtchouk_column(a: int, b: int, size: int | None = None) -> tuple[int, ...
     """
     if not 0 <= a <= b:
         raise ValueError(f"need 0 <= a <= b, got a={a}, b={b}")
+    if size is not None and not 1 <= size <= b + 1:
+        raise ValueError(f"need 1 <= size <= b + 1, got b={b}, size={size}")
     slope, prev, cur = b - 2 * a, 0, comb(b, a)
     f = [cur]
     for c in range(b // 2 if size is None else min(size - 1, b // 2)):

@@ -60,8 +60,7 @@ prefix and the column extended below 0 by ``f(-1) = sum_{i<=a} C(n, i)``, a
 prefix sum of one binomial row cached per order, and ``m`` more values of the
 column recurrence ``(b-t) f(t+1) = (b-2a) f(t) - t f(t-1)``, ``b = n-1``, run
 down once per column (:func:`_extended_column`).  So every pattern entry sums
-``min(x, n+1-x)`` terms, and :func:`_lines` builds each line as a prefix only as
-long as its pattern's entries read it.
+``min(x, n+1-x)`` terms, and :func:`_lines` sizes each line from its pairs' cuts.
 
 A pattern can also be read transposed.  The signed entry at ``(x, x'-x, y',
 y-y')`` equals the one at ``(y', y-y', x, x'-x)``, so the transposed pattern,
@@ -171,22 +170,18 @@ def _extended_column(n: int, a: int, below: int, size: int) -> list[int]:
 
 def _lines(n: int, whites: Sequence[tuple[int, int]], blacks: Sequence[tuple[int, int]]) -> tuple[list, list]:
     """Each white ``(x, y)`` as ``(x, y-1, row)`` and black ``(x', y')`` as ``(x', y'-1, column, below)``,
-    :func:`_entry`'s arguments: the line its entries read, the column from ``f(-below)`` on.  Each
-    distinct line is built once, as a prefix only as long as its entries read it."""
+    :func:`_entry`'s arguments, the column from ``f(-below)`` on.  Each distinct line is built once, as a
+    prefix sized from each pair's :func:`_branch_cut` as :func:`_entry` reads it, from the near or far end."""
     lengths: dict[int, int] = {}
+    needs: dict[int, tuple[int, int]] = {}
     for x, y in whites:  # each sum reads min(x, n+1-x) entries of its row
         lengths[y] = max(lengths.get(y, 0), min(x, n + 1 - x))
+        for x2, y2 in blacks:  # a near sum reads f(m..m+stop-1), a far one f(-m-1..n-stop-m-1)
+            m, stop = _branch_cut(n + 1, x, x2 - x)
+            below, size = needs.get(y2, (0, 1))
+            needs[y2] = ((max(below, m + 1), max(size, n - stop - m)) if 2 * stop > n + 1
+                         else (below, max(size, m + stop)))
     rows = {y: krawtchouk_row(n, y - 1, size) for y, size in lengths.items()}
-    # Near sums read a column to x'-1 (whites left of the middle) or n+1-x' (right); far ones to -d0 or d0-1.
-    xs = [x for x, _ in whites]
-    left, right = 2 * min(xs, default=n + 1) <= n + 1, 2 * max(xs, default=0) >= n + 1
-    nearest = min([x for x in xs if 2 * x > n + 1], default=n + 2)
-    farthest = max([x for x in xs if 2 * x < n + 1], default=0)
-    needs: dict[int, tuple[int, int]] = {}
-    for x, y in blacks:
-        below, size = needs.get(y, (0, 1))
-        needs[y] = (max(below, x - nearest, 1 + farthest - x),
-                    max(size, x - 1 if left else 1, n + 1 - x if right else 1))
     columns = {y: (_extended_column(n, y - 1, *need), need[0]) for y, need in needs.items()}
     return [(x, y - 1, rows[y]) for x, y in whites], [(x, y - 1, *columns[y]) for x, y in blacks]
 

@@ -109,6 +109,22 @@ def test_krawtchouk_lines_match_convolution_at_large_order(b):
             assert column[j] == krawtchouk_convolution(i, b, j), (b, i, j)
 
 
+def test_krawtchouk_prefixes_are_the_whole_lines_cut():
+    # Every prefix of length 1..b+1 is the whole line cut to that length, on each side of the middle
+    # index; a prefix that is empty or longer than the line raises instead of coming back cut short.
+    for b in range(13):
+        for i in range(b + 1):
+            row, column = krawtchouk_row(b, i), krawtchouk_column(i, b)
+            for size in range(1, b + 2):
+                assert krawtchouk_row(b, i, size) == row[:size], (b, i, size)
+                assert krawtchouk_column(i, b, size) == column[:size], (i, b, size)
+            for size in (0, b + 2, b + 3):
+                with pytest.raises(ValueError):
+                    krawtchouk_row(b, i, size)
+                with pytest.raises(ValueError):
+                    krawtchouk_column(i, b, size)
+
+
 def test_one_step_builders_equal_the_recurrences():
     # Every step between lines of order b <= 40, then steps at b = 200 and 400 from both ends and
     # across both middle indices, where an off-by-one in the run to the middle would show.

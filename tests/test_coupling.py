@@ -382,35 +382,44 @@ def _bench_shaped_pattern(rng, n, k, window=None):
 
 def _prefixes_read(n, whites, blacks):
     """The row and column builds, with their lengths, that the entries between ``whites`` and
-    ``blacks`` read: a sum of ``stop`` terms from the near end reads ``row[:stop]`` and
-    ``column[m:m+stop]``; one from the far end reads ``row[:n+1-stop]`` and ``f(-m-1), ...,
-    f(n-stop-m-1)``, whose values below 0 are stepped down from ``f(0)``."""
-    rows, columns = {}, {}
+    ``blacks`` read, and each column's ``below`` by its ``y'``: a sum of ``stop`` terms from the near
+    end reads ``row[:stop]`` and ``column[m:m+stop]``; one from the far end reads ``row[:n+1-stop]``
+    and ``f(-m-1), ..., f(n-stop-m-1)``, whose values below 0 are stepped down from ``f(0)``."""
+    rows, columns, belows = {}, {}, {}
     for (x, y), (x2, y2) in product(whites, blacks):
         d0 = x2 - x
         stop, m = (x, d0 - 1) if d0 > 0 else (n + 1 - x, -d0)
         far = n + 1 - stop < stop
         rows[y] = max(rows.get(y, 0), n + 1 - stop if far else stop)
         columns[y2] = max(columns.get(y2, 0), max(n - stop - m, 1) if far else m + stop)
+        belows[y2] = max(belows.get(y2, 0), m + 1 if far else 0)
     return (sorted((n, y - 1, size) for y, size in rows.items()),
-            sorted((y - 1, n - 1, size) for y, size in columns.items()))
+            sorted((y - 1, n - 1, size) for y, size in columns.items())), belows
 
 
-@pytest.mark.parametrize("window", [(200, 3, 194), (200, 98, 98), (200, 196, 3), (24, 10, 10), (8, 2, 5)])
+@pytest.mark.parametrize("window", [(200, 3, 194), (200, 98, 98), (200, 196, 3), (24, 10, 10), (8, 2, 5),
+                                    (200, 99, 99)])
 def test_a_pattern_asks_for_no_longer_lines_than_its_sums_read(line_builds, window):
     # A bench-shaped 8-domino pattern, at the order and window corner given: at n = 200 near a corner,
-    # mid-board or near the edge x = n, and mid-board at n = 24 and n = 8, where it reads 64 entries
-    # from 9 lines transposed and from 7 as given.  It builds each distinct line of the orientation it
-    # reads once, as a prefix exactly as long as its entries read it, and reads no kernel row.
+    # mid-board or near the edge x = n; mid-board at n = 24 and n = 8, where it reads 64 entries from
+    # 9 lines transposed and from 7 as given; and at n = 200 straddling the middle, where, read
+    # transposed, whites on both sides of it read one column from the far end, whose below is 2.  It
+    # builds each distinct line of the orientation it reads once, as a prefix exactly as long as its
+    # entries read it, and reads no kernel row; in either orientation each column starts as far below
+    # 0 as its far sums read, more than 1 below for some column.
     n, *corner = window
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, corner)
     assert len(pattern) == 8
     pattern_probability(n, pattern)
     whites, blacks = [v[1:] for v, _ in pattern], [w[1:] for _, w in pattern]
-    as_given, flipped = _prefixes_read(n, whites, blacks), _prefixes_read(n, [w[::-1] for w in blacks],
-                                                                          [v[::-1] for v in whites])
-    assert (sorted(line_builds["row"]), sorted(line_builds["column"])) in (as_given, flipped)
+    orientations = (whites, blacks), ([w[::-1] for w in blacks], [v[::-1] for v in whites])
+    reads = [_prefixes_read(n, *sides) for sides in orientations]
+    assert (sorted(line_builds["row"]), sorted(line_builds["column"])) in [builds for builds, _ in reads]
     assert line_builds["branch_sums"] == []
+    for sides, (_, belows) in zip(orientations, reads):
+        _, columns = coupling_mod._lines(n, *sides)
+        assert {a + 1: below for _, a, _, below in columns} == belows, sides
+        assert max(belows.values()) > 1
 
 
 @pytest.mark.parametrize("n", [8, 200])
@@ -468,6 +477,19 @@ def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, window, tr
     assert summed <= 0.45 * direct, (summed, direct)
     lone = [[coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y) for _, w in pattern] for v, _ in pattern]
     assert got == lowest_terms(abs(det([[num << (n - scale) for num, scale in row] for row in lone])), 8 * n)
+
+
+@given(st.data())
+def test_multi_domino_patterns_equal_the_det_of_their_lone_values(data):
+    # Bench-shaped 1-6-domino patterns in any 4x4 window of the board, edges included, against the
+    # |det| of their lone values, which read whole lines from the near end and use no prefix lines.
+    n = data.draw(st.integers(9, 80), label="n")
+    window = data.draw(st.integers(1, n - 3), label="x0"), data.draw(st.integers(1, n - 2), label="y0")
+    k = data.draw(st.integers(1, 6), label="k")
+    pattern, _ = _bench_shaped_pattern(data.draw(st.randoms(use_true_random=False)), n, k, window)
+    lone = [[coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y) for _, w in pattern] for v, _ in pattern]
+    want = lowest_terms(abs(det([[num << (n - scale) for num, scale in row] for row in lone])), n * len(pattern))
+    assert pattern_probability(n, pattern) == want
 
 
 def test_an_entry_never_sums_more_terms_than_its_direct_sum(products):
