@@ -52,19 +52,19 @@ two cells as ``[color, x, y]`` triples in diagonal coordinates, one white
 and one black in either order; the pair must be adjacent on the order-``n``
 diamond and no cell may repeat.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error: a bad
-argument or pattern file (malformed, too deeply nested, off the board), an
-unreadable input or unwritable output path, or an exact value past the
-int-to-str limit, which ``count``, ``coupling`` and ``prob`` name.  :func:`main`
-prints every exit-2 message: argparse's, or an ``error:`` line for what a command raises.
+Options are ``--opt value`` or ``--opt=value``, never abbreviated; ``-h`` or ``--help``
+anywhere prints this text.  Exit codes: 0 success, 1 verification failure, 2 usage error:
+a bad argument or pattern file (malformed, too deeply nested, off the board), an unreadable
+input or unwritable output path, or an exact value past the int-to-str limit, which ``count``,
+``coupling`` and ``prob`` name.  Each exit-2 message is one ``error:`` line on stderr, and
+:func:`main` raises nothing.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 # The sweep of signed kernel rows, integer numerators over 2^n, is the heatmap's one source of
@@ -96,7 +96,7 @@ def _past_str_limit(what: str, limit: int) -> ValueError:
     return ValueError(f"{what} has more than {limit} digits, the int-to-str limit")
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: SimpleNamespace) -> int:
     e = args.n * (args.n + 1) // 2
     limit = sys.get_int_max_str_digits() or 4300
     if e > 4 * limit or math.floor(e * math.log10(2)) + 1 > limit:  # 2^e has over e/4 digits
@@ -106,7 +106,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_coupling(args: argparse.Namespace) -> int:
+def _cmd_coupling(args: SimpleNamespace) -> int:
     num, scale = coupling(args.n, white(*args.white), black(*args.black))
     divide, divisor = _divider(2**scale)
     try:
@@ -164,7 +164,7 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
     return n, tuple(dominoes)
 
 
-def _cmd_prob(args: argparse.Namespace) -> int:
+def _cmd_prob(args: SimpleNamespace) -> int:
     n, pattern = load_pattern_file(args.pattern_file)
     num, scale = pattern_probability(n, pattern)
     denominator = 2**scale
@@ -176,8 +176,10 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_heatmap(args: argparse.Namespace) -> int:
+def _cmd_heatmap(args: SimpleNamespace) -> int:
     n, d0, d1 = args.n, args.d0, args.d1
+    if n > HEATMAP_ORDER_LIMIT and not args.force:
+        raise ValueError(f"n={n} exceeds the cost guard ({HEATMAP_ORDER_LIMIT}); pass --force")
     w0s, w1s = hole_ranges(n, d0, d1)
     if not (w0s and w1s):
         raise ValueError(f"offsets d0={d0}, d1={d1} fit nowhere on the order-{n} diamond")
@@ -204,7 +206,7 @@ def _cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from . import verify  # the oracles, which no other command needs
 
     results = verify.run_checks(args.level == "full")
@@ -220,59 +222,57 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+_COMMANDS = {  # command: (function, {option: number of values, 0 for a flag}); --force, --level optional
+    "count": (_cmd_count, {"--n": 1}),
+    "coupling": (_cmd_coupling, {"--n": 1, "--white": 2, "--black": 2}),
+    "prob": (_cmd_prob, {}),
+    "heatmap": (_cmd_heatmap, {"--n": 1, "--d0": 1, "--d1": 1, "--out": 1, "--force": 0}),
+    "verify": (_cmd_verify, {"--level": 1}),
+}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command tree, built once per process: ``parse_args`` keeps no state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="aztec-dimers",
-        description="Exact local statistics of random domino tilings of the Aztec diamond.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="number of tilings of the order-n diamond")
-    p.add_argument("--n", type=_positive, required=True, help="diamond order")
-    p.set_defaults(run=_cmd_count)
-
-    p = sub.add_parser("coupling", help="one coupling value, exact plus decimal")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--white", type=int, nargs=2, metavar=("X", "Y"), required=True)
-    p.add_argument("--black", type=int, nargs=2, metavar=("X", "Y"), required=True)
-    p.set_defaults(run=_cmd_coupling)
-
-    p = sub.add_parser("prob", help="probability of the pattern in a pattern file")
-    p.add_argument("pattern_file", help="JSON pattern file (see module docs)")
-    p.set_defaults(run=_cmd_prob)
-
-    p = sub.add_parser("heatmap", help="CSV sweep of signed entries over hole positions")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--force", action="store_true", help="allow n beyond the cost guard")
-    p.set_defaults(run=_cmd_heatmap)
-
-    p = sub.add_parser("verify", help="run the oracle self-checks")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.set_defaults(run=_cmd_verify)
-
-    return parser
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command's function as ``run`` and the attributes it reads; every usage error is a ``ValueError``.
+    A value after a space may not look like an option, though a negative integer such as ``-3`` may."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError(f"the command must be one of {', '.join(_COMMANDS)}, got {argv[0] if argv else ''!r}")
+    run, options = _COMMANDS[argv[0]]
+    if run is _cmd_prob:
+        if len(argv) != 2:
+            raise ValueError(f"prob takes one pattern file, got {len(argv) - 1} arguments")
+        return SimpleNamespace(run=run, pattern_file=argv[1])
+    args = SimpleNamespace(run=run, force=False, level="quick")
+    for token in (tokens := iter(argv[1:])):
+        name, eq, text = token.partition("=")
+        count = options.get(name)
+        if count is None:
+            raise ValueError(f"unrecognized argument: {token!r}")
+        texts = [text] if eq else [t for _, t in zip(range(count), tokens)]
+        if len(texts) != count or not eq and any(t[:1] == "-" and not t[1:].isdigit() for t in texts):
+            raise ValueError(f"argument {name}: expected {count} value{'s' * (count != 1)}")
+        try:
+            values = [t if name in ("--out", "--level") else int(t) for t in texts]
+        except ValueError as exc:
+            raise ValueError(f"argument {name}: {exc}") from None
+        setattr(args, name[2:], values[0] if count == 1 else values or True)  # a flag is True; the last one wins
+    if missing := [name for name in options if not hasattr(args, name[2:])]:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if getattr(args, "n", 1) < 1:
+        raise ValueError(f"argument --n: must be a positive integer, got {args.n}")
+    if args.level not in ("quick", "full"):
+        raise ValueError(f"argument --level: invalid choice: {args.level!r} (choose from 'quick', 'full')")
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "heatmap" and args.n > HEATMAP_ORDER_LIMIT and not args.force:
-        parser.error(f"n={args.n} exceeds the cost guard ({HEATMAP_ORDER_LIMIT}); pass --force")
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
     try:
+        args = _parse_args(argv)
         return args.run(args)
-    except (OSError, ValueError) as exc:  # BoardError, PatternError, the int-to-str limit
+    except (OSError, ValueError) as exc:  # usage errors, BoardError, PatternError, the int-to-str limit
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,9 +84,7 @@ def test_coupling_and_prob_stop_at_the_int_to_str_limit(tmp_path, capsys):
 
 
 def test_count_rejects_nonpositive_order(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--n", "0"])
-    assert exc.value.code == 2
+    assert run(capsys, "count", "--n", "0") == (2, "", "error: argument --n: must be a positive integer, got 0\n")
 
 
 def test_coupling_output_format(capsys):
@@ -329,13 +327,116 @@ def test_fuzzed_argv_exits_cleanly(command, data):
         argv += ["--out", os.path.join(tmp, "h.csv")] * (command == "heatmap")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)  # any other exception fails the test
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
+            code = main(argv)  # an uncaught exception fails the test
     assert code in (0, 2) and "Traceback" not in err.getvalue()
     if code == 2:
-        assert "error: " in err.getvalue() and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1 and out.getvalue() == ""
+
+
+_COMMAND_CHOICES = "the command must be one of count, coupling, prob, heatmap, verify"
+_HEATMAP = ("heatmap", "--n", "4", "--d0", "1", "--d1", "1", "--out", "h.csv")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ((), f"{_COMMAND_CHOICES}, got ''"),
+        (("bogus", "--n", "3"), f"{_COMMAND_CHOICES}, got 'bogus'"),
+        (("count", "--m", "3"), "unrecognized argument: '--m'"),
+        (("coupling", "--n", "2", "--wh", "1", "1", "--black", "2", "1"), "unrecognized argument: '--wh'"),
+        (("coupling", "--n", "2", "--black", "2", "1"), "the following arguments are required: --white"),
+        (("heatmap", "--n", "4", "--out", "h.csv"), "the following arguments are required: --d0, --d1"),
+        (("coupling", "--n", "2", "--white", "1", "--black", "2", "1"), "argument --white: expected 2 values"),
+        (("coupling", "--n", "2", "--white", "1", "1", "--black", "2"), "argument --black: expected 2 values"),
+        (("coupling", "--n", "2", "--white", "1", "x", "--black", "2", "1"),
+         "argument --white: invalid literal for int() with base 10: 'x'"),
+        (("count", "--n", "2.5"), "argument --n: invalid literal for int() with base 10: '2.5'"),
+        (("heatmap", "--n", "0", *_HEATMAP[3:]), "argument --n: must be a positive integer, got 0"),
+        (("count", "--n", "-1"), "argument --n: must be a positive integer, got -1"),
+        (("count", "--n", "3", "extra"), "unrecognized argument: 'extra'"),
+        (("count", "", "--n", "3"), "unrecognized argument: ''"),
+        (("prob",), "prob takes one pattern file, got 0 arguments"),
+        (("prob", "a.json", "b.json"), "prob takes one pattern file, got 2 arguments"),
+        (("count", "--n=0"), "argument --n: must be a positive integer, got 0"),
+        (("count", "--n="), "argument --n: invalid literal for int() with base 10: ''"),
+        (("coupling", "--n=2", "--white=1", "1", "--black", "2", "1"), "argument --white: expected 2 values"),
+        ((*_HEATMAP, "--force=yes"), "argument --force: expected 0 values"),
+        (("verify", "--level=bogus"), "argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')"),
+        (("verify", "--level"), "argument --level: expected 1 value"),
+        # After a space a value may be a negative integer, but nothing else that starts with "-".
+        (("heatmap", "--n", "2", "--d0", "-3", "--d1", "1", "--out", "h.csv"),
+         "offsets d0=-3, d1=1 fit nowhere on the order-2 diamond"),
+        (("heatmap", "--n", "4", "--d0", "1", "--d1", "1", "--out", "--force"), "argument --out: expected 1 value"),
+        (("heatmap", "--n", "4", "--d0", "1", "--d1", "1", "--out", "-"), "argument --out: expected 1 value"),
+    ],
+)
+def test_usage_errors_are_one_exact_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("count", "-h"), ("prob", "--help"), (*_HEATMAP, "-h")])
+def test_help_prints_the_module_docstring(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, cli.__doc__, "")
+    assert all(f"``{command} " in out for command in ("count", "coupling", "prob", "heatmap", "verify"))
+
+
+# Tokens for argv: every option name, alone or as --opt=value, bare words (-h among them), integers and empty
+# strings.  Integers stay in -3..60, so no --n starts large work, and no token is "full", so verify runs at
+# most its quick checks.
+_OPTION_VALUES = {"--n": 1, "--white": 2, "--black": 2, "--d0": 1, "--d1": 1, "--out": 1, "--force": 0, "--level": 1}
+_COMMAND_OPTIONS = {"count": ["--n"], "coupling": ["--n", "--white", "--black"], "prob": [],
+                    "heatmap": ["--n", "--d0", "--d1", "--out", "--force"], "verify": ["--level"]}
+_INTEGER = st.integers(-3, 60).map(str)
+_WORD = st.sampled_from(["quick", "p.json", "h.csv", "x", "-h", "--help", "-", "-x", "--", "=", "count"])
+_VALUE = _INTEGER | _WORD | st.just("")
+_OPTION = st.sampled_from(sorted(_OPTION_VALUES))
+_TOKEN = _OPTION | st.builds("{}={}".format, _OPTION, _VALUE) | _VALUE
+
+
+@st.composite
+def _argv(draw):
+    """One command's options in any order, each with its number of values, then up to three tokens
+    replaced, inserted or deleted, or an option joined to its value by "="."""
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    argv = ["p.json"] if command == "prob" else []
+    for name in draw(st.permutations(_COMMAND_OPTIONS[command])):
+        text = {"--out": st.just("h.csv"), "--level": st.just("quick")}.get(name, _INTEGER)
+        argv += [name, *[draw(text) for _ in range(_OPTION_VALUES[name])]]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "join"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(_TOKEN))
+        elif edit == "replace":
+            argv[i] = draw(_TOKEN)
+        elif edit == "delete":
+            del argv[i]
+        elif argv[i] in _OPTION_VALUES and i + 1 < len(argv):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    return [command, *argv]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+def test_fuzzed_argv_tokens_exit_cleanly(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        Path("p.json").write_text(json.dumps({"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]}))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)  # an uncaught exception fails the test
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1 and out.getvalue() == ""
+    else:
+        assert err.getvalue() == "" and out.getvalue()
 
 
 def test_prob_rejects_overlapping_pattern(tmp_path, capsys):
@@ -412,10 +513,11 @@ def test_heatmap_sweep_misses_each_line_cache_at_most_once(tmp_path, capsys, d0,
     assert combinatorics.krawtchouk_column.cache_info().misses == 1
 
 
-def test_heatmap_cost_guard(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["heatmap", "--n", "401", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
+def test_heatmap_cost_guard(tmp_path, capsys, kernel_calls):
+    # Checked before --out is opened, so a refused sweep leaves no file behind.
+    argv = ["heatmap", "--n", "401", "--d0", "1", "--d1", "2", "--out", str(tmp_path / "x.csv")]
+    assert run(capsys, *argv) == (2, "", "error: n=401 exceeds the cost guard (400); pass --force\n")
+    assert not (tmp_path / "x.csv").exists() and kernel_calls == []
 
 
 def test_heatmap_force_flag_accepted(tmp_path, capsys):
@@ -527,7 +629,7 @@ def test_heatmap_makes_no_python_call_per_cell(tmp_path, capsys):
             sys.setprofile(None)
         return len(calls)
 
-    python_calls(40)  # the parser and decimal load once per process
+    python_calls(40)  # decimal loads, and its context is built, on the first call in a process
     at_40, at_80 = python_calls(40), python_calls(80)
     assert at_80 - at_40 < 20 * (80 - 40), (at_40, at_80)
 
@@ -586,18 +688,15 @@ def test_heatmap_makes_no_pair_and_prob_and_coupling_one_each(tmp_path, capsys, 
     assert code == 0 and len(dyadic_constructions) == 2
 
 
-def test_main_builds_the_parser_once_and_keeps_no_parsed_state(tmp_path, capsys):
-    cli.build_parser.cache_clear()
+def test_main_keeps_no_parsed_state(tmp_path, capsys):
     out = str(tmp_path / "h.csv")
     assert run(capsys, "heatmap", "--n", "4", "--d0", "1", "--d1", "1", "--out", out, "--force")[0] == 0
-    with pytest.raises(SystemExit) as exc:  # --force does not carry over to the next call
-        main(["heatmap", "--n", "401", "--d0", "1", "--d1", "1", "--out", out])
-    assert exc.value.code == 2 and "cost guard" in capsys.readouterr().err
-    assert run(capsys, "count", "--n", "3")[:2] == (0, "64 (= 2^6)\n")
-    assert run(capsys, "coupling", "--n", "2", "--white", "1", "1", "--black", "2", "1")[:2] == (0, "1 / 2^2 (0.25)\n")
+    # --force does not carry over to the next call.
+    assert run(capsys, "heatmap", "--n", "401", "--d0", "1", "--d1", "1", "--out", out) == (
+        2, "", "error: n=401 exceeds the cost guard (400); pass --force\n")
+    assert run(capsys, "count", "--n", "3") == (0, "64 (= 2^6)\n", "")
+    assert run(capsys, "coupling", "--n", "2", "--white", "1", "1", "--black", "2", "1") == (0, "1 / 2^2 (0.25)\n", "")
     assert run(capsys, "heatmap", "--n", "2", "--d0", "5", "--d1", "1", "--out", out)[0] == 2
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_heatmap_impossible_offsets(tmp_path, capsys):
@@ -634,10 +733,8 @@ def test_verify_full_exits_zero(capsys):
 
 
 def test_verify_level_choices_are_verify_levels(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--level", "bogus"])
-    assert exc.value.code == 2
-    assert "argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')" in capsys.readouterr().err
+    assert run(capsys, "verify", "--level", "bogus") == (
+        2, "", "error: argument --level: invalid choice: 'bogus' (choose from 'quick', 'full')\n")
 
 
 def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProcess:
@@ -657,15 +754,17 @@ _NO_COMMAND = {"fractions"}
 _MAIN = "import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def test_importing_the_cli_loads_no_oracle_dataclasses_json_fractions_or_exactlinalg():
-    # Every command pays for this import, so it holds only what every command uses.
+def test_importing_the_cli_loads_no_argparse_gettext_oracle_dataclasses_json_fractions_or_exactlinalg():
+    # Every command pays for this import, so it holds only what every command uses.  The CLI parses its
+    # own arguments: argparse, with the gettext it imports, would be about half of the import's time.
     probe = ("import sys; before = set(sys.modules); import aztecdimers.cli; "
              "print(*sorted(set(sys.modules) - before))")
     proc = _fresh_python(probe)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "aztecdimers.cli" in loaded
-    assert sorted(loaded & ({"dataclasses", "inspect", "decimal"} | _ORACLES | _PROB_ONLY | _NO_COMMAND)) == []
+    unwanted = {"argparse", "gettext", "dataclasses", "inspect", "decimal"} | _ORACLES | _PROB_ONLY | _NO_COMMAND
+    assert sorted(loaded & unwanted) == []
 
 
 def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg(tmp_path):
