@@ -5,7 +5,7 @@ Commands
 ``count --n N``
     Exact number of tilings of the order-``N`` diamond, ``2^{N(N+1)/2}`` by
     the Aztec diamond theorem, annotated as that power of two; ``verify``
-    holds the closed form against the Kasteleyn oracle.  When the decimal
+    holds it to ``|det K|`` and a transfer-matrix count.  When the decimal
     form would pass Python's int-to-str limit (``sys.get_int_max_str_digits()``,
     read as 4300 when it is 0), the command exits 2.
 
@@ -31,8 +31,14 @@ Commands
     ``--force``.
 
 ``verify --level quick|full``
-    Run the oracle self-checks; exit 1 on any mismatch.  Only this command
-    imports :mod:`~aztecdimers.verify` and the oracles it runs.
+    Run five self-checks, one line each, and exit 1 on any failure:
+    ``counts`` holds ``count``'s closed form to ``|det K|`` and a transfer-
+    matrix count; ``local-inverse`` holds ``heatmap``'s sweep to ``K C^T = I``;
+    ``normalization`` holds ``coupling``'s lone values to the diagonals of
+    ``K C^T = I`` and ``C^T K = I``; ``pattern-vs-transfer`` holds ``prob`` to
+    transfer-matrix counts; ``symmetry`` compares ``prob`` and ``coupling`` at
+    orders 50 to 1000 with their reflected images.  Only this command imports
+    :mod:`~aztecdimers.verify` and the oracles it runs.
 
 Only ``coupling``, ``prob`` and ``heatmap`` print a decimal, so only they load
 :mod:`decimal`.  Every exact value is an integer over a power of two, so no

@@ -710,11 +710,11 @@ def test_verify_quick_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "quick")
     assert code == 0
     assert out == (
-        "PASS  counts-vs-enumeration (diamonds up to order 3)\n"
-        "PASS  counts-power-of-two (diamonds up to order 5)\n"
+        "PASS  counts (diamonds up to order 5)\n"
         "PASS  local-inverse (11568 identities up to order 8)\n"
         "PASS  normalization (every vertex up to order 6)\n"
         "PASS  pattern-vs-transfer (40 seeded patterns up to order 8)\n"
+        "PASS  symmetry (32 reflected images, patterns to order 200 and |c| at order 1000)\n"
         "all 5 checks passed\n"
     )
 
@@ -723,11 +723,11 @@ def test_verify_full_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--level", "full")
     assert code == 0
     assert out == (
-        "PASS  counts-vs-enumeration (diamonds up to order 8)\n"
-        "PASS  counts-power-of-two (diamonds up to order 10)\n"
+        "PASS  counts (diamonds up to order 10)\n"
         "PASS  local-inverse (282336 identities up to order 16)\n"
         "PASS  normalization (every vertex up to order 10)\n"
         "PASS  pattern-vs-transfer (160 seeded patterns up to order 8)\n"
+        "PASS  symmetry (200 reflected images, patterns to order 200 and |c| at order 1000)\n"
         "all 5 checks passed\n"
     )
 

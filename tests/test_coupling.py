@@ -25,6 +25,7 @@ from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
 from aztecdimers.exactlinalg import det
 from aztecdimers.kasteleyn import inverse_coupling_matrix
 from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, remove_vertices, white
+from aztecdimers.verify import _reflections
 from derivation import first_column_hole_count, krawtchouk_convolution
 
 
@@ -778,14 +779,6 @@ def test_transpose_orientation_defines_the_same_values():
         if w0s and w1s:
             rows = list(coupling_signed_rows(n, d0, d1))
             assert [list(c) for c in zip(*rows)] == list(coupling_signed_rows(n, d1, d0))
-
-
-def _reflections(n, pattern):
-    """The images of ``pattern`` under the diamond's reflections ``cx -> 2n - cx``, which maps white
-    ``(x, y)`` to ``(n+1-x, y)`` and black to ``(n+2-x, y)``, and ``cy -> 2n - cy``, which maps white
-    ``(x, y)`` to ``(x, n+2-y)`` and black to ``(x, n+1-y)``."""
-    return (tuple((white(n + 1 - v.x, v.y), black(n + 2 - w.x, w.y)) for v, w in pattern),
-            tuple((white(v.x, n + 2 - v.y), black(w.x, n + 1 - w.y)) for v, w in pattern))
 
 
 def test_patterns_equal_their_reflections_at_large_order():

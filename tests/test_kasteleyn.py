@@ -89,7 +89,8 @@ def test_counters_read_each_vertex_tuple_once(monkeypatch):
         kasteleyn._diamond_inverse.cache_clear()
     assert sorted(calls, key=repr) == [Color.BLACK, Color.WHITE]
     calls.clear()
-    assert len(verify._random_pattern(random.Random(12), build_diamond(4), 3)) > 0
+    board = build_diamond(4)
+    assert len(verify._random_pattern(random.Random(12), board, board.white_vertices, 3)) > 0
     assert calls == [Color.WHITE]
 
 

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 import sys
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -38,23 +39,26 @@ def test_check_result_repr_names_its_fields():
     )
 
 
-# Each mutation maps the real (row, column) builders to mutated ones.
+# Each mutation maps the real (row, column) builders to mutated ones, which take the builders'
+# ``size`` as a prefix of the mutated line.
 
 
 def _odd_coefficients_negated(row, column):
     # Negates Kr(a, b, c) for every odd a: a row at its odd entries, a column whole.
     return (
-        lambda b, c: tuple(-v if a % 2 else v for a, v in enumerate(row(b, c))),
-        lambda a, b: tuple(-v for v in column(a, b)) if a % 2 else column(a, b),
+        lambda b, c, size=None: tuple(-v if a % 2 else v for a, v in enumerate(row(b, c, size))),
+        lambda a, b, size=None: tuple(-v for v in column(a, b, size)) if a % 2 else column(a, b, size),
     )
 
 
 def _mistranscribed_c(row, column):
-    # Reads Kr(a, b, c) as Kr(a, b, b - c): the (1-x) and (1+x) exponents swapped.
-    return lambda b, c: row(b, b - c), lambda a, b: column(a, b)[::-1]
+    # Reads Kr(a, b, c) as Kr(a, b, b - c): the (1-x) and (1+x) exponents swapped.  A prefix of the
+    # mistranscribed column is cut from the whole reversed column.
+    return lambda b, c, size=None: row(b, b - c, size), lambda a, b, size=None: column(a, b)[::-1][:size]
 
 
 def test_seeded_mutation_is_caught():
+    # Each check that reads the Krawtchouk lines fails on a wrong value, not by raising.
     real = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
     for mutation in (_odd_coefficients_negated, _mistranscribed_c):
         with pytest.MonkeyPatch.context() as mp:
@@ -62,9 +66,36 @@ def test_seeded_mutation_is_caught():
             mp.setattr(coupling_mod, "krawtchouk_row", row)
             mp.setattr(coupling_mod, "krawtchouk_column", column)
             results = verify.run_checks()
-        failed = [r.name for r in results if not r.ok]
-        assert "local-inverse" in failed, mutation.__name__
-        assert "pattern-vs-transfer" in failed, mutation.__name__
+        failed = {r.name: r.detail for r in results if not r.ok}
+        for name in ("local-inverse", "normalization", "pattern-vs-transfer"):
+            assert name in failed, (mutation.__name__, name)
+        assert not [d for d in failed.values() if d.startswith("raised")], (mutation.__name__, failed)
+
+
+_real_coupling_signed = coupling_mod.coupling_signed
+
+
+def _lone_value_negated(n, w0, d0, w1, d1):
+    num, scale = _real_coupling_signed(n, w0, d0, w1, d1)
+    return coupling_mod.Dyadic(-num, scale)
+
+
+def _lone_column_read_one_late(n, w0, d0, w1, d1):
+    # coupling_signed summing over column[m + 1:] instead of column[m:].
+    m, stop = coupling_mod._branch_cut(n + 1, w0, d0)
+    row, column = coupling_mod.krawtchouk_row(n, w1 + d1 - 1), coupling_mod.krawtchouk_column(w1 - 1, n - 1)
+    s = sum(map(mul, row[:stop], column[m + 1:]))
+    return coupling_mod.lowest_terms(-s if coupling_mod._negated(d0, d1) else s, n)
+
+
+@pytest.mark.parametrize("mutant", [_lone_value_negated, _lone_column_read_one_late])
+def test_wrong_lone_value_is_caught(monkeypatch, mutant):
+    # The coupling command's lone path sums whole cached lines, which neither the sweep nor the
+    # pattern evaluator reads; normalization reads every edge through it.
+    monkeypatch.setattr(coupling_mod, "coupling_signed", mutant)
+    failed = {r.name: r.detail for r in verify.run_checks() if not r.ok}
+    assert "normalization" in failed, failed
+    assert not failed["normalization"].startswith("raised"), failed
 
 
 def _all_plus(v, b):
@@ -88,15 +119,16 @@ def test_wrong_edge_sign_is_caught():
             mp.setattr(kasteleyn, "edge_sign", _all_plus)
             results = {r.name: r for r in verify.run_checks()}
         assert len(results) == len(verify._CHECKS)
-        for name in ("counts-vs-enumeration", "counts-power-of-two", "local-inverse"):
+        for name in ("counts", "local-inverse", "normalization"):
             assert not results[name].ok, name
         _clear_oracle_cache()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
             results = {r.name: r.ok for r in verify.run_checks()}
             first_failure, _ = sign_relation_sweep(3)
-        assert results["counts-vs-enumeration"]
+        assert results["counts"]
         assert not results["local-inverse"]
+        assert not results["normalization"]
         # The signed two-hole counts use no Kasteleyn sign, so the cofactors alone go wrong.
         assert first_failure is not None
     finally:
@@ -130,8 +162,8 @@ def test_off_by_one_crossing_weight_is_caught(monkeypatch, clause):
 
 
 def test_local_inverse_reads_kernel_integers(monkeypatch):
-    # The two coupling checks read the kernel's integers times 2^n from one table per order;
-    # neither makes a lowest_terms pair.
+    # local-inverse reads the sweep's integers times 2^n from one table per order and makes no
+    # lowest_terms pair.
     built, real = [], coupling_mod.lowest_terms
 
     def spy(num, scale):
@@ -139,12 +171,7 @@ def test_local_inverse_reads_kernel_integers(monkeypatch):
         return real(num, scale)
 
     monkeypatch.setattr(coupling_mod, "lowest_terms", spy)
-    run = verify._Run(False)
-    results = [check(run) for check in (verify._local_inverse, verify._normalization)]
-    assert results == [
-        (True, "11568 identities up to order 8"),
-        (True, "every vertex up to order 6"),
-    ]
+    assert verify._local_inverse(False) == (True, "11568 identities up to order 8")
     assert built == []
 
 
@@ -158,7 +185,7 @@ def test_package_attributes_are_its_submodules():
 
 
 def test_each_signed_table_is_built_once_per_run(monkeypatch):
-    # local-inverse and normalization read the same table per order; a build walks once per d1.
+    # local-inverse builds one table per order, walking once per d1; no other check walks lines.
     walks, real = Counter(), coupling_mod.line_walk
 
     def spy(n, d1):
@@ -195,7 +222,7 @@ def test_pattern_check_certifies_far_ends_and_transposed_readings(monkeypatch):
     monkeypatch.setattr(coupling_mod, "_delannoy", delannoy_spy)
     monkeypatch.setattr(coupling_mod, "pattern_probability", probability_spy)
     monkeypatch.setattr(coupling_mod, "_lines", lines_spy)
-    assert verify._pattern_vs_transfer(verify._Run(False)) == (True, "40 seeded patterns up to order 8")
+    assert verify._pattern_vs_transfer(False) == (True, "40 seeded patterns up to order 8")
     assert far_ends
     assert len(readings) == len(patterns) == 40
     assert any(whites != [v[1:] for v, _ in p] for whites, p in zip(readings, patterns))
