@@ -22,9 +22,9 @@ determinant only by a global sign, which every consumer here either takes
 the absolute value of or normalizes away (see :func:`signed_hole_cofactor`).
 
 The oracles are deliberately slow and simple; they certify the closed-form
-coupling layer, which never touches a matrix.  ``verify`` reads ``K``, its
-signs :func:`edge_sign` and ``|det K|`` only.  The inverse is read by the tests
-and the benchmark alone: each diamond order gets one cached elimination of
+coupling layer, which never touches a matrix.  ``verify`` reads
+:func:`edge_sign` and ``|det K|`` only.  The inverse is read by the tests and
+the benchmark alone: each diamond order gets one cached elimination of
 ``[K | I]``; ``det K``, every inverse entry and every signed cofactor are read
 from it, and no minor of ``K`` is formed.
 """

@@ -4,8 +4,8 @@ Backs the ``verify`` CLI command.  Each check is a function of the level,
 ``full`` or quick, and certifies one product path; orders are quick/full:
 
 - ``counts`` (5/10): ``count``'s ``2^{n(n+1)/2}`` equals ``|det K|`` and the transfer-matrix count.
-- ``local-inverse`` (8/16): ``heatmap``'s sweep satisfies ``K C^T = I``, one row of ``K`` at a time.
-- ``normalization`` (6/10): ``coupling``'s lone values give ``K C^T``, ``C^T K`` unit diagonals; ``|c|`` sum to 1.
+- ``local-inverse`` (8/16): ``heatmap``'s sweeps satisfy ``K C^T = I``, four sweeps added per white displacement.
+- ``normalization`` (6/10): ``coupling``'s gauged values give ``K C^T``, ``C^T K`` unit diagonals; ``|c|`` sum to 1.
 - ``pattern-vs-transfer`` (8): ``prob``'s probabilities are transfer-matrix counts of the diamond less the pattern.
 - ``symmetry`` (50..200, 1000): ``prob``'s patterns and ``coupling``'s ``|c|`` equal their reflected images.
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from operator import add, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
@@ -50,43 +51,39 @@ def _counts(full: bool) -> tuple[bool, str]:
     return True, f"diamonds up to order {top}"
 
 
-def _signed_table(n: int) -> dict[tuple[int, int], list[int]]:
-    """Every signed entry of the order-``n`` diamond times ``2^n``: ``table[x, y][j]`` is the entry
-    of white ``(x, y)`` and the ``j``-th black in board order.  One :func:`coupling.line_walk` per
-    ``d1`` over its :func:`coupling.hole_ranges`, and each walked pair of lines gives the kernel
-    row of every ``d0``, so both branches are read at every offset.  Keyed by integer pairs, not
-    vertices, so that filling the table builds no ``Vertex`` per entry."""
-    index = {(b.x, b.y): j for j, b in enumerate(build_diamond(n).black_vertices)}
-    table = {(x, y): [0] * len(index) for y in range(1, n + 2) for x in range(1, n + 1)}
-    for d1 in range(1 - n, n + 1):
-        lines = list(coupling.line_walk(n, d1))
-        for d0 in range(1 - n, n + 1):
-            w0s, w1s = coupling.hole_ranges(n, d0, d1)
-            for w1, row in zip(w1s, coupling.signed_rows(lines, d0, d1)):
-                for w0, entry in zip(w0s, row):
-                    table[w0, w1 + d1][index[w0 + d0, w1]] = entry
-    return table
-
-
 def _local_inverse(full: bool) -> tuple[bool, str]:
-    # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the
-    # signed entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  Scaled by 2^n, as
-    # the table holds each entry, whose blacks are numbered in board order, as K's columns are.
+    # sum_{b ~ v} K(v, b) c_signed(v', b) = delta(v, v') for all whites v, v' says that the signed
+    # entries are (K^{-1})^T, since det K = +-2^{n(n+1)/2} is never 0.  With v = v' + (dx, dy) and
+    # b = v + (ex, ey), the term at b is v''s sweep entry at offsets (dx + ex, -dy - ey), times 2^n, so
+    # the identities of one (dx, dy) are four sweeps added row by row onto a grid over v'.  K(v, b) is
+    # +-1 and depends on the step alone, so each step's sign is read once, at an interior white.
     top = 16 if full else 8
+    v = white(1, 2)
+    steps = [(b.x - v.x, b.y - v.y, {1: add, -1: sub}[kasteleyn.edge_sign(v, b)])
+             for b in build_diamond(2).neighbors(v)]
     cases = 0
     for n in range(1, top + 1):
-        board = build_diamond(n)
-        table = _signed_table(n)
-        whites = board.white_vertices
-        k_rows = [(v, [(sign, j) for j, sign in enumerate(row) if sign])
-                  for v, row in zip(whites, kasteleyn.kasteleyn_matrix(board))]
-        for v2 in whites:
-            entries = table[v2.x, v2.y]
-            for v, k_row in k_rows:
-                total = sum(sign * entries[j] for sign, j in k_row)
-                if total != (2**n if v == v2 else 0):
-                    return False, f"n={n} {v!r},{v2!r}: {total} / 2^{n}"
-                cases += 1
+        sweeps = {}  # (d0, d1) -> the grid index (y' - 1, x' - 1) of its first entry, and its rows
+        for d1 in range(1 - n, n + 1):
+            lines = list(coupling.line_walk(n, d1))
+            for d0 in range(1 - n, n + 1):
+                w0s, w1s = coupling.hole_ranges(n, d0, d1)
+                sweeps[d0, d1] = w1s.start + d1 - 1, w0s.start - 1, list(coupling.signed_rows(lines, d0, d1))
+        for dx in range(1 - n, n):
+            for dy in range(-n, n + 1):
+                grid = [[0] * n for _ in range(n + 1)]
+                for ex, ey, op in steps:
+                    if (dx + ex, -dy - ey) in sweeps:
+                        y0, x0, rows = sweeps[dx + ex, -dy - ey]
+                        for line, row in zip(grid[y0:], rows):
+                            line[x0:x0 + len(row)] = map(op, line[x0:x0 + len(row)], row)
+                xs, ys = slice(max(0, -dx), min(n, n - dx)), range(max(1, 1 - dy), min(n + 1, n + 1 - dy) + 1)
+                want = [2**n if dx == dy == 0 else 0] * (xs.stop - xs.start)
+                for y in ys:  # the v' whose v is on the board
+                    if grid[y - 1][xs] != want:
+                        x, total = next((x, t) for x, t in enumerate(grid[y - 1][xs], xs.start + 1) if t != want[0])
+                        return False, f"n={n} {white(x + dx, y + dy)!r},{white(x, y)!r}: {total} / 2^{n}"
+                cases += len(ys) * len(want)
     return True, f"{cases} identities up to order {top}"
 
 
@@ -94,7 +91,7 @@ def _normalization(full: bool) -> tuple[bool, str]:
     # At a white v, sum_{b ~ v} K(v, b) c_signed(v, b) is the diagonal of K C^T = I, and at a black
     # the same sum over its whites that of C^T K = I: 1 each.  One domino covers each vertex, so the
     # |c| there, each a domino's probability, sum to 1 as well; so no K(v, b) c_signed(v, b) is
-    # negative.  2^n on integers, each edge read once through the lone path.
+    # negative.  2^n on integers, each edge read once through coupling(): c_signed = (-1)^{x'-x+y} c.
     top = 10 if full else 6
     for n in range(1, top + 1):
         board = build_diamond(n)
@@ -102,10 +99,11 @@ def _normalization(full: bool) -> tuple[bool, str]:
         total: Counter[Vertex] = Counter()
         for v in board.white_vertices:
             for b in board.neighbors(v):
-                num, scale = coupling.coupling_signed(n, v.x, b.x - v.x, b.y, v.y - b.y)
+                num, scale = coupling.coupling(n, v, b)
                 entry = num << (n - scale)
+                sign = kasteleyn.edge_sign(v, b) * (-1) ** (b.x - v.x + v.y)
                 for u in (v, b):
-                    signed[u] += kasteleyn.edge_sign(v, b) * entry
+                    signed[u] += sign * entry
                     total[u] += abs(entry)
         for u in total:
             if signed[u] != 2**n or total[u] != 2**n:

@@ -4,6 +4,7 @@ import importlib
 import pkgutil
 import sys
 from collections import Counter
+from itertools import accumulate
 from operator import mul
 
 import pytest
@@ -12,6 +13,7 @@ import aztecdimers
 from aztecdimers import coupling as coupling_mod
 from aztecdimers import enumerate as enum
 from aztecdimers import kasteleyn, verify
+from aztecdimers.lattice import black, white
 from derivation import sign_relation_sweep
 
 
@@ -98,6 +100,49 @@ def test_wrong_lone_value_is_caught(monkeypatch, mutant):
     assert not failed["normalization"].startswith("raised"), failed
 
 
+_real_next_column, _real_edge_sign, _real_coupling = (
+    coupling_mod.next_krawtchouk_column, kasteleyn.edge_sign, coupling_mod.coupling)
+
+
+def _walk_step_last_entry_off(f, a):
+    # One step of the sweeps' column walk with its last entry off by one.
+    g = _real_next_column(f, a)
+    return (*g[:-1], g[-1] + 1)
+
+
+def _branch_sums_never_reversed(row, column, shift):
+    # The sweep kernel without its reversal for shift <= 0.
+    return list(accumulate(map(mul, row, column[shift - 1 if shift > 0 else -shift:])))
+
+
+def _one_edge_sign_flipped(v, b):
+    # edge_sign negated on the single edge W(2,2)-B(2,2): not a Kasteleyn signing.
+    sign = _real_edge_sign(v, b)
+    return -sign if (v, b) == (white(2, 2), black(2, 2)) else sign
+
+
+def _gauge_negated(n, v, w):
+    # coupling() with its sign (-1)^{x'-x+y} negated: every value the coupling command prints.
+    num, scale = _real_coupling(n, v, w)
+    return coupling_mod.Dyadic(-num, scale)
+
+
+@pytest.mark.parametrize("module, name, mutant, caught_by", [
+    (coupling_mod, "next_krawtchouk_column", _walk_step_last_entry_off, {"local-inverse"}),
+    (coupling_mod, "_branch_sums", _branch_sums_never_reversed, {"local-inverse"}),
+    (kasteleyn, "edge_sign", _one_edge_sign_flipped, {"counts", "normalization"}),
+    (coupling_mod, "coupling", _gauge_negated, {"normalization"}),
+], ids=["walk-step", "branch-sums-reversal", "one-edge-sign", "coupling-gauge"])
+def test_each_mutant_fails_exactly_its_checks(monkeypatch, module, name, mutant, caught_by):
+    # The sweep mutants reach local-inverse alone.  counts and normalization read edge_sign on
+    # every edge, local-inverse once per step at an interior white, so a one-edge flip passes it.
+    # normalization reads every edge through coupling(), so it pins that function's gauge.
+    monkeypatch.setattr(module, name, mutant)
+    failed = {r.name: r.detail for r in verify.run_checks() if not r.ok}
+    assert set(failed) == caught_by, failed
+    assert not [d for d in failed.values() if d.startswith("raised")], failed
+
+
 def _all_plus(v, b):
     # Not a Kasteleyn signing: every face multiplies to +1.
     return 1
@@ -162,15 +207,19 @@ def test_off_by_one_crossing_weight_is_caught(monkeypatch, clause):
 
 
 def test_local_inverse_reads_kernel_integers(monkeypatch):
-    # local-inverse reads the sweep's integers times 2^n from one table per order and makes no
-    # lowest_terms pair.
+    # local-inverse reads the sweeps' integers times 2^n as the kernel emits them, weighted by
+    # edge_sign at each step; it makes no lowest_terms pair and builds no Kasteleyn matrix.
     built, real = [], coupling_mod.lowest_terms
 
     def spy(num, scale):
         built.append(None)
         return real(num, scale)
 
+    def refuse(board):
+        raise AssertionError("local-inverse built K")
+
     monkeypatch.setattr(coupling_mod, "lowest_terms", spy)
+    monkeypatch.setattr(kasteleyn, "kasteleyn_matrix", refuse)
     assert verify._local_inverse(False) == (True, "11568 identities up to order 8")
     assert built == []
 
@@ -184,8 +233,8 @@ def test_package_attributes_are_its_submodules():
         assert getattr(aztecdimers, info.name) is sys.modules[name], name
 
 
-def test_each_signed_table_is_built_once_per_run(monkeypatch):
-    # local-inverse builds one table per order, walking once per d1; no other check walks lines.
+def test_local_inverse_walks_each_d1_once_per_order(monkeypatch):
+    # local-inverse builds each order's sweeps from one walk per d1; no other check walks lines.
     walks, real = Counter(), coupling_mod.line_walk
 
     def spy(n, d1):
