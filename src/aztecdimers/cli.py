@@ -42,7 +42,9 @@ Commands
 
 Only ``coupling``, ``prob`` and ``heatmap`` print a decimal, so only they load
 :mod:`decimal`.  Every exact value is an integer over a power of two, so no
-command loads :mod:`fractions`.
+command loads :mod:`fractions`.  Every command but ``verify`` works on integer
+coordinates, so only ``verify`` loads :mod:`~aztecdimers.lattice`, the board model
+of its oracles; ``coupling`` and ``prob`` load it only to word a board error.
 
 Pattern files are JSON, one object::
 
@@ -77,12 +79,9 @@ from typing import Callable, Optional, Sequence
 # entries.  It keeps the name coupling_signed because bench/test_smoke.py patches that name with a
 # five-argument function; the sweep takes three, so the patched heatmap fails every operation of the
 # benchmark's gate, by TypeError at the call.
-from .coupling import coupling, coupling_signed_rows as coupling_signed, hole_ranges, pattern_probability
-from .lattice import Color, Edge, Vertex, black, white
+from .coupling import Domino, coupling, coupling_signed_rows as coupling_signed, hole_ranges, pattern_probability
 
 HEATMAP_ORDER_LIMIT = 400
-
-_COLORS = {color.value: color for color in Color}
 
 
 def _divider(denominator: int) -> tuple[Callable, object]:
@@ -113,7 +112,7 @@ def _cmd_count(args: SimpleNamespace) -> int:
 
 
 def _cmd_coupling(args: SimpleNamespace) -> int:
-    num, scale = coupling(args.n, white(*args.white), black(*args.black))
+    num, scale = coupling(args.n, args.white, args.black)
     divide, divisor = _divider(2**scale)
     try:
         print(f"{num} / 2^{scale} ({divide(num, divisor)!s})")
@@ -122,9 +121,11 @@ def _cmd_coupling(args: SimpleNamespace) -> int:
     return 0
 
 
-def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
+def load_pattern_file(path: str) -> tuple[int, tuple[Domino, ...]]:
     """Parse a pattern file into its diamond order and its dominoes, a tuple of
-    ``(white, black)`` vertex pairs in file order, whichever cell each lists first."""
+    ``((wx, wy), (bx, by))`` white and black cells in file order, whichever cell each
+    lists first.  Only the file's structure is checked here; the board is checked by
+    :func:`~aztecdimers.coupling.pattern_probability`, after every structural check."""
     import json  # only prob reads JSON
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -152,21 +153,19 @@ def load_pattern_file(path: str) -> tuple[int, tuple[Edge, ...]]:
     for k, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{path}: domino {k} must list exactly two cells")
-        cells = []
+        cells = {}  # color name: (x, y)
         for cell in pair:
             if not (isinstance(cell, list) and len(cell) == 3):
                 raise ValueError(f"{path}: domino {k}: cell must be [color, x, y]")
-            color_name, x, y = cell
-            color = _COLORS.get(color_name) if isinstance(color_name, str) else None
-            if color is None:
-                raise ValueError(f"{path}: domino {k}: unknown color {color_name!r}")
+            color, x, y = cell
+            if color not in ("white", "black"):  # by ==, so an unhashable value is named too
+                raise ValueError(f"{path}: domino {k}: unknown color {color!r}")
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"{path}: domino {k}: coordinates must be integers")
-            cells.append(Vertex(color, x, y))
-        if cells[0].color is cells[1].color:
+            cells[color] = (x, y)
+        if len(cells) != 2:
             raise ValueError(f"{path}: domino {k} needs one white and one black cell")
-        w, b = (cells[0], cells[1]) if cells[0].color is Color.WHITE else (cells[1], cells[0])
-        dominoes.append((w, b))
+        dominoes.append((cells["white"], cells["black"]))
     return n, tuple(dominoes)
 
 

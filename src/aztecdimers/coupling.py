@@ -81,6 +81,13 @@ over ``c``, as in Kenyon's local statistics over inverse-Kasteleyn entries.
 All evaluate the same formula in the canonical diagonal labelling of
 :mod:`aztecdimers.lattice`, which the ``verify`` suite holds to ``K C^T = I`` and
 the tests to the exact inverse-Kasteleyn oracle.
+
+The API takes integer coordinates: :func:`coupling` a white ``(x, y)`` and a black
+``(x', y')``, :func:`pattern_probability` a sequence of such ``(white, black)``
+pairs (:data:`Domino`).  Bounds, adjacency and repeats are checked on integers,
+so a valid call never imports :mod:`~aztecdimers.lattice`, the oracles' board
+model; only an error loads it, to raise its ``BoardError`` or ``PatternError``
+with the vertices it names.
 """
 
 from __future__ import annotations
@@ -91,10 +98,17 @@ from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import krawtchouk_column, krawtchouk_row, next_krawtchouk_column, next_krawtchouk_row
-from .lattice import Edge, Vertex, black, build_diamond, check_diamond_pair, validate_pattern, white
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+#: A vertex in diagonal coordinates ``(x, y)``, its colour given by its place: white, then black.
+Cell = tuple[int, int]
+#: A domino: a ``(white, black)`` pair of adjacent cells.  A pattern is a sequence of them.
+Domino = tuple[Cell, Cell]
+
+# The black cells adjacent to white (x, y) are (x + dx, y + dy).
+_STEPS = frozenset({(0, 0), (1, 0), (0, -1), (1, -1)})
 
 
 class Dyadic(NamedTuple):
@@ -257,32 +271,65 @@ def coupling_signed_rows(n: int, d0: int, d1: int) -> Iterator[list[int]]:
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:
     """Signed inverse-Kasteleyn entry for the black vertex ``(w0+d0, w1)`` and white vertex
     ``(w0, w1+d1)``: ``(-1)^{d0+d1+w1}`` times their coupling value, for offsets of either sign.  The
-    pair is checked on integers, and only a pair off the diamond builds the vertices that word the error."""
+    pair is checked on integers, and only a pair off the diamond loads :mod:`~aztecdimers.lattice`,
+    whose vertices word the error."""
     if not (1 <= w0 <= n and 1 <= w0 + d0 <= n + 1 and 1 <= w1 <= n and 1 <= w1 + d1 <= n + 1):
+        from .lattice import black, check_diamond_pair, white
         check_diamond_pair(n, white(w0, w1 + d1), black(w0 + d0, w1))
     m, stop = _branch_cut(n + 1, w0, d0)
     s = sum(map(mul, krawtchouk_row(n, w1 + d1 - 1)[:stop], krawtchouk_column(w1 - 1, n - 1)[m:]))
     return lowest_terms(-s if _negated(d0, d1) else s, n)
 
 
-def coupling(n: int, v: Vertex, w: Vertex) -> Dyadic:
-    """The coupling function ``c(v, w)`` on the order-``n`` diamond, ``(-1)^{x'-x+y}`` times the
-    signed entry; its absolute value is the probability of the domino ``(v, w)``."""
-    check_diamond_pair(n, v, w)
-    num, scale = coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y)
-    return Dyadic(-num if (w.x - v.x + v.y) % 2 else num, scale)
+def coupling(n: int, v: Cell, w: Cell) -> Dyadic:
+    """The coupling function ``c(v, w)`` at the white ``v = (x, y)`` and the black ``w = (x', y')`` of
+    the order-``n`` diamond, ``(-1)^{x'-x+y}`` times the signed entry, whose :func:`coupling_signed`
+    checks the pair; its absolute value is the probability of the domino ``(v, w)``."""
+    (x, y), (x2, y2) = v, w
+    num, scale = coupling_signed(n, x, x2 - x, y2, y - y2)
+    return Dyadic(-num if (x2 - x + y) % 2 else num, scale)
 
 
-def pattern_probability(n: int, pattern: Sequence[Edge]) -> Dyadic:
+def _pattern_error(text: str, v: Cell, w: Cell) -> ValueError:
+    """``text`` as a :class:`~aztecdimers.lattice.PatternError`, ``{white}`` and ``{black}`` naming the
+    domino's white ``v`` and black ``w`` as vertices.  Only an error loads :mod:`~aztecdimers.lattice`."""
+    from .lattice import PatternError, black, white
+    return PatternError(text.format(white=white(*v), black=black(*w)))
+
+
+def _split_pattern(n: int, pattern: Sequence[Domino]) -> tuple[list[Cell], list[Cell]]:
+    """The whites and the blacks of ``pattern``, order kept, checked on integers as
+    :func:`~aztecdimers.lattice.validate_pattern` checks them on ``build_diamond(n)``, with its errors:
+    the order first, then each domino in order, its edge before its repeats."""
+    if n < 1:
+        from .lattice import BoardError
+        raise BoardError(f"diamond order must be positive, got {n}")
+    seen_whites: set[Cell] = set()
+    seen_blacks: set[Cell] = set()
+    for v, w in pattern:
+        (x, y), (x2, y2) = v, w
+        # A step from a white in columns 1..n to a black in rows 1..n keeps both on the diamond.
+        if not (1 <= x <= n and 1 <= y2 <= n and (x2 - x, y2 - y) in _STEPS):
+            raise _pattern_error("({white!r}, {black!r}) is not a domino of the board", v, w)
+        if v in seen_whites:
+            raise _pattern_error("vertex {white!r} covered twice", v, w)
+        if w in seen_blacks:
+            raise _pattern_error("vertex {black!r} covered twice", v, w)
+        seen_whites.add(v)
+        seen_blacks.add(w)
+    return [v for v, _ in pattern], [w for _, w in pattern]
+
+
+def pattern_probability(n: int, pattern: Sequence[Domino]) -> Dyadic:
     """Probability of a ``k``-domino pattern in a uniform tiling, ``|det[c(v_i, w_j)]|``, as the
     :func:`lowest_terms` pair of an integer over ``2^{nk}``: the determinant is taken exactly over the
-    signed entries, which have the same ``|det|``, as integers over ``2^n``.  The pattern is validated
-    by the diamond's membership test, at a cost that does not grow with ``n``; then the pattern is read
-    in the orientation that sums fewer terms, each distinct white row and black column of that
-    orientation is built once, as far as its entries read it, and each entry is one sum over them."""
+    signed entries, which have the same ``|det|``, as integers over ``2^n``.  The pattern is a sequence
+    of ``((x, y), (x', y'))`` white and black cells, checked on integers at a cost that does not grow
+    with ``n``; then it is read in the orientation that sums fewer terms, each distinct white row and
+    black column of that orientation is built once, as far as its entries read it, and each entry is
+    one sum over them."""
     from .exactlinalg import det  # here, so that commands without a pattern never load it
-    whites, blacks = validate_pattern(build_diamond(n), pattern)
-    whites, blacks = [v[1:] for v in whites], [w[1:] for w in blacks]
+    whites, blacks = _split_pattern(n, pattern)
     if sum([min(y, n + 1 - y) for _, y in blacks]) < sum([min(x, n + 1 - x) for x, _ in whites]):
         # The transposed pattern: its matrix is the transpose, with the same det.
         whites, blacks = [w[::-1] for w in blacks], [v[::-1] for v in whites]

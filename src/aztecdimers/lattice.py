@@ -23,6 +23,15 @@ All formulas in :mod:`aztecdimers.coupling` consume diagonal coordinates
 in the canonical labelling above, with no re-orientation.  The bijection
 stays the link to the tilted drawing; boards themselves never use it.
 
+This module is the board model of the oracles (:mod:`~aztecdimers.kasteleyn`,
+:mod:`~aztecdimers.enumerate`, :mod:`~aztecdimers.verify`) and of the tests.
+The product takes plain ``(x, y)`` integer pairs and checks them on integers,
+so no valid ``count``, ``coupling``, ``prob`` or ``heatmap`` command imports
+this module; ``coupling`` and ``prob`` load it only for the :class:`BoardError`
+or :class:`PatternError` they raise, whose text names :class:`Vertex` values.
+The tests hold that integer check to :func:`validate_pattern`, its twin on
+vertices, which the benchmark still times.
+
 A board's kind decides which vertices it has, by a few range comparisons
 in ``v in kind``, so building a board costs O(1); its vertex tuples are
 built from that test on each read.  The product's one kind is :class:`Diamond`,

@@ -99,7 +99,7 @@ def _normalization(full: bool) -> tuple[bool, str]:
         total: Counter[Vertex] = Counter()
         for v in board.white_vertices:
             for b in board.neighbors(v):
-                num, scale = coupling.coupling(n, v, b)
+                num, scale = coupling.coupling(n, v[1:], b[1:])
                 entry = num << (n - scale)
                 sign = kasteleyn.edge_sign(v, b) * (-1) ** (b.x - v.x + v.y)
                 for u in (v, b):
@@ -109,6 +109,11 @@ def _normalization(full: bool) -> tuple[bool, str]:
             if signed[u] != 2**n or total[u] != 2**n:
                 return False, f"n={n} {u!r}: signed sum {signed[u]}, absolute sum {total[u]} / 2^{n} != 1"
     return True, f"every vertex up to order {top}"
+
+
+def _cells(pattern: Sequence[Edge]) -> list[coupling.Domino]:
+    # The product API's reading of a pattern: each vertex as its (x, y), white then black.
+    return [(v[1:], b[1:]) for v, b in pattern]
 
 
 def _random_pattern(rng: random.Random, board: Board, whites: Sequence[Vertex], size: int) -> list[Edge]:
@@ -136,7 +141,7 @@ def _pattern_vs_transfer(full: bool) -> tuple[bool, str]:
             pattern = _random_pattern(rng, board, board.white_vertices, rng.randint(1, 4))
             rest = remove_vertices(board, [v for edge in pattern for v in edge])
             want = coupling.lowest_terms(enum.weighted_matchings(rest, lambda w, b: 1), n * (n + 1) // 2)
-            got = coupling.pattern_probability(n, pattern)
+            got = coupling.pattern_probability(n, _cells(pattern))
             if got != want:
                 return False, f"n={n} {pattern}: {got} != {want}"
             cases += 1
@@ -164,17 +169,17 @@ def _symmetry(full: bool) -> tuple[bool, str]:
             x0, y0 = rng.randint(1, n - 3), rng.randint(1, n - 2)
             window = [white(x, y) for y in range(y0, y0 + 4) for x in range(x0, x0 + 4)]
             pattern = _random_pattern(rng, board, window, rng.randint(2, 6))
-            want = coupling.pattern_probability(n, pattern)
+            want = coupling.pattern_probability(n, _cells(pattern))
             for image in _reflections(n, pattern):
-                if coupling.pattern_probability(n, image) != want:
+                if coupling.pattern_probability(n, _cells(image)) != want:
                     return False, f"n={n} {pattern}: its reflection {image} has another probability"
                 cases += 1
     n = 1000
     for _ in range(lone):
         v, b = white(rng.randint(1, n), rng.randint(1, n + 1)), black(rng.randint(1, n + 1), rng.randint(1, n))
-        num, scale = coupling.coupling(n, v, b)
+        num, scale = coupling.coupling(n, v[1:], b[1:])
         for (image,) in _reflections(n, [(v, b)]):
-            got, got_scale = coupling.coupling(n, *image)
+            got, got_scale = coupling.coupling(n, image[0][1:], image[1][1:])
             if (abs(got), got_scale) != (abs(num), scale):
                 return False, f"n={n} {v!r},{b!r}: its reflection {image} has another |c|"
             cases += 1

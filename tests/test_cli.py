@@ -118,12 +118,11 @@ def test_prob_single_domino(tmp_path, capsys):
 
 
 def test_prob_accepts_black_first_ordering(tmp_path):
-    doc = {"format": 1, "n": 2, "dominoes": [[["black", 1, 1], ["white", 1, 1]]]}
+    doc = {"format": 1, "n": 2, "dominoes": [[["black", 2, 1], ["white", 1, 1]], [["white", 2, 2], ["black", 2, 2]]]}
     path = tmp_path / "rev.json"
     path.write_text(json.dumps(doc))
-    n, pattern = load_pattern_file(str(path))
-    assert n == 2
-    assert pattern[0][0].color.value == "white"
+    # Each domino is its white cell, then its black one, as integer pairs.
+    assert load_pattern_file(str(path)) == (2, (((1, 1), (2, 1)), ((2, 2), (2, 2))))
 
 
 @pytest.mark.parametrize(
@@ -189,7 +188,7 @@ def test_prob_names_a_domino_with_two_cells_of_one_color(tmp_path, capsys, color
     assert run(capsys, "prob", str(path)) == (2, "", f"error: {path}: domino 0 needs one white and one black cell\n")
 
 
-@pytest.mark.parametrize(
+_BAD_DOMINOES = pytest.mark.parametrize(
     "dominoes,message",
     [
         ([[["white", 1, 1], ["black", 1, 1]], [["black", 2, 1], ["white", 1, 1]],
@@ -202,11 +201,22 @@ def test_prob_names_a_domino_with_two_cells_of_one_color(tmp_path, capsys, color
     ],
     ids=["repeat-before-off-board", "black-repeat", "off-board-and-repeat", "off-board"],
 )
+
+
+@_BAD_DOMINOES
 def test_prob_reports_the_first_bad_domino_in_file_order(tmp_path, capsys, dominoes, message):
     # Dominoes are checked in file order, each for its edge before its repeats.
     path = tmp_path / "order.json"
     path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": dominoes}))
     assert run(capsys, "prob", str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_prob_reports_structural_errors_before_board_errors(tmp_path, capsys):
+    # Domino 0 is off the board, but domino 1 is malformed: the whole file is read first.
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [
+        [["white", 0, 1], ["black", 1, 1]], [["white", 1, 1], ["mauve", 1, 1]]]}))
+    assert run(capsys, "prob", str(path)) == (2, "", f"error: {path}: domino 1: unknown color 'mauve'\n")
 
 
 @pytest.mark.parametrize(
@@ -745,16 +755,17 @@ def _fresh_python(code: str, *args: str, **env: str) -> subprocess.CompletedProc
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-# Loaded only by the commands that need them: verify's oracles by verify; json and exactlinalg by
-# prob; decimal by the commands that print one.  fractions by none, since every exact value is an
-# integer over a power of two.  dataclasses would bring inspect and ast into every command.
-_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn"}
+# Loaded only by the commands that need them: verify's oracles and their board model by verify; json
+# and exactlinalg by prob; decimal by the commands that print one.  fractions by none, since every
+# exact value is an integer over a power of two.  dataclasses would bring inspect and ast into every
+# command.  The other commands read integer coordinates, so no valid one loads the board model.
+_ORACLES = {"aztecdimers.verify", "aztecdimers.enumerate", "aztecdimers.kasteleyn", "aztecdimers.lattice"}
 _PROB_ONLY = {"json", "aztecdimers.exactlinalg"}
 _NO_COMMAND = {"fractions"}
 _MAIN = "import sys; from aztecdimers.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def test_importing_the_cli_loads_no_argparse_gettext_oracle_dataclasses_json_fractions_or_exactlinalg():
+def test_importing_the_cli_loads_no_argparse_gettext_oracle_lattice_dataclasses_json_fractions_or_exactlinalg():
     # Every command pays for this import, so it holds only what every command uses.  The CLI parses its
     # own arguments: argparse, with the gettext it imports, would be about half of the import's time.
     probe = ("import sys; before = set(sys.modules); import aztecdimers.cli; "
@@ -767,9 +778,9 @@ def test_importing_the_cli_loads_no_argparse_gettext_oracle_dataclasses_json_fra
     assert sorted(loaded & unwanted) == []
 
 
-def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg(tmp_path):
-    # Nor do count and verify, which print no decimal, load decimal.  prob loads no oracle, and
-    # no command loads fractions.  One fresh interpreter per command.
+def test_count_coupling_and_heatmap_load_no_oracle_lattice_json_fractions_or_exactlinalg(tmp_path):
+    # Nor do count and verify, which print no decimal, load decimal.  prob loads no oracle and no
+    # board model, and no command loads fractions.  One fresh interpreter per command.
     pattern = tmp_path / "p.json"
     pattern.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]}))
     unwanted = {
@@ -790,8 +801,9 @@ def test_count_coupling_and_heatmap_load_no_oracle_json_fractions_or_exactlinalg
 
 
 def test_outputs_do_not_depend_on_hash_values(tmp_path):
-    # Vertex hashes come from the Color members' addresses and str hashes from the seed, so
-    # no output may depend on the iteration order of a set.
+    # str hashes come from the seed, and the hashes of the Vertex values that verify builds from
+    # the Color members' addresses (prob and heatmap hash only strs and int pairs), so no output
+    # may depend on the iteration order of a set.
     pattern = tmp_path / "pattern.json"
     pattern.write_text(json.dumps({"format": 1, "n": 6, "dominoes": [
         [["white", 3, 3], ["black", 3, 3]], [["white", 4, 4], ["black", 5, 4]], [["black", 2, 6], ["white", 2, 7]]]}))
@@ -836,11 +848,29 @@ def test_prob_prints_the_same_bytes_in_a_fresh_interpreter(tmp_path, capsys, con
     assert (out or err).startswith(first_line.format(path=path))
 
 
+@_BAD_DOMINOES
+def test_board_errors_print_the_same_bytes_in_a_fresh_interpreter(tmp_path, capsys, dominoes, message):
+    # Only a board error loads the board model, to word the error: in a fresh interpreter it first
+    # loads there, and the exit code, stdout and stderr are the in-process ones.
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"format": 1, "n": 3, "dominoes": dominoes}))
+    proc = _fresh_python(_MAIN, "prob", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, "prob", str(path)) == (
+        2, "", f"error: {message}\n")
+
+
+def test_an_off_board_coupling_prints_the_same_bytes_in_a_fresh_interpreter(capsys):
+    argv = ("coupling", "--n", "2", "--white", "3", "1", "--black", "1", "1")
+    proc = _fresh_python(_MAIN, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv) == (
+        2, "", "error: W(3,1) is not a white vertex of the order-2 diamond\n")
+
+
 def test_exact_results_are_fractions_when_fractions_loads_on_first_use():
-    probe = ("from aztecdimers import coupling, exactlinalg; from aztecdimers.lattice import black, white; "
-             "v = coupling.coupling(2, white(1, 1), black(1, 1)); "
+    probe = ("from aztecdimers import coupling, exactlinalg; "
+             "v = coupling.coupling(2, (1, 1), (1, 1)); "
              "r = [v.to_fraction(), v.to_fraction(), exactlinalg.invert([[2]])[1][0][0]]; "
-             "p = coupling.pattern_probability(2, [(white(1, 1), black(1, 1))]); "
+             "p = coupling.pattern_probability(2, [((1, 1), (1, 1))]); "
              "import fractions; print(all(type(f) is fractions.Fraction for f in r), *r, p)")
     proc = _fresh_python(probe)
     assert proc.returncode == 0, proc.stderr

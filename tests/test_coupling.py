@@ -8,9 +8,10 @@ from itertools import accumulate, combinations, cycle, islice, product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aztecdimers import coupling as coupling_mod
+from aztecdimers import lattice
 from aztecdimers.cli import load_pattern_file
 from aztecdimers.combinatorics import krawtchouk_column, krawtchouk_row
 from aztecdimers.coupling import (
@@ -24,8 +25,17 @@ from aztecdimers.coupling import (
 from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
 from aztecdimers.exactlinalg import det
 from aztecdimers.kasteleyn import inverse_coupling_matrix
-from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, remove_vertices, white
-from aztecdimers.verify import _reflections
+from aztecdimers.lattice import (
+    BoardError,
+    PatternError,
+    black,
+    build_diamond,
+    check_diamond_pair,
+    remove_vertices,
+    validate_pattern,
+    white,
+)
+from aztecdimers.verify import _cells, _reflections
 from derivation import first_column_hole_count, krawtchouk_convolution
 
 
@@ -74,7 +84,7 @@ def test_dyadic_is_a_read_only_value():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_master_equivalence(n):
     for (v, w), entry in inverse_coupling_matrix(n).items():
-        assert abs(coupling(n, v, w).to_fraction()) == abs(entry)
+        assert abs(coupling(n, v[1:], w[1:]).to_fraction()) == abs(entry)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 9])
@@ -98,7 +108,7 @@ def _branch_sum_per_term(n, x, y, x2, y2):
 
 def test_kernel_matches_the_per_term_sum_on_every_pair():
     for n, v, w in _every_pair(8):
-        assert coupling(n, v, w) == lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n), (n, v, w)
+        assert coupling(n, v[1:], w[1:]) == lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n), (n, v, w)
 
 
 @given(st.data())
@@ -106,7 +116,7 @@ def test_kernel_matches_the_per_term_sum_on_sampled_pairs(data):
     n = data.draw(st.integers(1, 30), label="n")
     v = white(data.draw(st.integers(1, n)), data.draw(st.integers(1, n + 1)))
     w = black(data.draw(st.integers(1, n + 1)), data.draw(st.integers(1, n)))
-    assert coupling(n, v, w) == lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
+    assert coupling(n, v[1:], w[1:]) == lowest_terms(_branch_sum_per_term(n, v.x, v.y, w.x, w.y), n)
 
 
 def test_hole_ranges_are_the_positions_on_the_diamond():
@@ -246,7 +256,7 @@ def _check_direct_sums_against_the_row_cell(n, v, w, cell):
     """``coupling_signed`` and ``coupling`` at ``(v, w)`` against ``cell``, its kernel-row cell."""
     w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
     assert coupling_signed(n, w0, d0, w1, d1) == lowest_terms(cell, n), (n, v, w)
-    assert coupling(n, v, w) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
+    assert coupling(n, v[1:], w[1:]) == lowest_terms(-cell if (d0 + v.y) % 2 else cell, n), (n, v, w)
 
 
 def _every_pair(top):
@@ -411,7 +421,7 @@ def test_a_pattern_asks_for_no_longer_lines_than_its_sums_read(line_builds, wind
     n, *corner = window
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, corner)
     assert len(pattern) == 8
-    pattern_probability(n, pattern)
+    pattern_probability(n, _cells(pattern))
     whites, blacks = [v[1:] for v, _ in pattern], [w[1:] for _, w in pattern]
     orientations = (whites, blacks), ([w[::-1] for w in blacks], [v[::-1] for v in whites])
     reads = [_prefixes_read(n, *sides) for sides in orientations]
@@ -468,7 +478,7 @@ def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, window, tr
     n = 200
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
     assert len(pattern) == 8
-    got = pattern_probability(n, pattern)
+    got = pattern_probability(n, _cells(pattern))
     summed = len(products)
     direct = sum(_direct_terms(n, v.x, w.x) for (v, _), (_, w) in product(pattern, pattern))
     as_given = sorted({(n, v.y - 1) for v, _ in pattern}), sorted({(w.y - 1, n - 1) for _, w in pattern})
@@ -490,7 +500,7 @@ def test_multi_domino_patterns_equal_the_det_of_their_lone_values(data):
     pattern, _ = _bench_shaped_pattern(data.draw(st.randoms(use_true_random=False)), n, k, window)
     lone = [[coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y) for _, w in pattern] for v, _ in pattern]
     want = lowest_terms(abs(det([[num << (n - scale) for num, scale in row] for row in lone])), n * len(pattern))
-    assert pattern_probability(n, pattern) == want
+    assert pattern_probability(n, _cells(pattern)) == want
 
 
 def test_an_entry_never_sums_more_terms_than_its_direct_sum(products):
@@ -520,8 +530,8 @@ def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
             pattern, doc = _bench_shaped_pattern(rng, n, k)
             path = tmp_path / "pattern.json"
             path.write_text(json.dumps(doc))
-            assert load_pattern_file(str(path)) == (n, pattern)
-            assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
+            assert load_pattern_file(str(path)) == (n, tuple(_cells(pattern)))
+            assert pattern_probability(n, _cells(pattern)) == _transfer_ratio(board, pattern), (n, pattern)
 
 
 def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_ends):
@@ -532,7 +542,7 @@ def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_ends):
         rng = random.Random(f"far end {n}")
         for k in range(1, 9):
             pattern, _ = _bench_shaped_pattern(rng, n, k)
-            assert pattern_probability(n, pattern) == _transfer_ratio(board, pattern), (n, pattern)
+            assert pattern_probability(n, _cells(pattern)) == _transfer_ratio(board, pattern), (n, pattern)
     assert far_ends
 
 
@@ -543,7 +553,7 @@ def test_an_eight_domino_pattern_keeps_only_its_lines():
     assert len(pattern) == 8
     tracemalloc.start()
     try:
-        pattern_probability(1200, pattern)
+        pattern_probability(1200, _cells(pattern))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -567,30 +577,76 @@ def test_signed_entry_checks_its_pair_like_check_diamond_pair():
             assert got == want, (n, w0, d0, w1, d1)
 
 
+@st.composite
+def _near_patterns(draw):
+    """An order from -1 to 6 and up to five white-black pairs near its diamond: cells on and off the
+    board, steps adjacent and not, and cells that repeat an earlier domino's."""
+    n = draw(st.integers(-1, 6), label="n")
+    pattern = []
+    for _ in range(draw(st.integers(0, 5))):
+        dx, dy = draw(st.sampled_from([(0, 0), (1, 0), (0, -1), (1, -1), (-1, 0), (2, -1), (0, 1)]))
+        if pattern and draw(st.booleans()):  # a step from a white or to a black of an earlier domino
+            v, w = draw(st.sampled_from(pattern))
+            if draw(st.booleans()):
+                w = (v[0] + dx, v[1] + dy)
+            else:
+                v = (w[0] - dx, w[1] - dy)
+        else:
+            v = (draw(st.integers(0, n + 1)), draw(st.integers(0, n + 2)))
+            w = (v[0] + dx, v[1] + dy)
+        pattern.append((v, w))
+    return n, pattern
+
+
+def _outcome(split):
+    try:
+        return split()
+    except (BoardError, PatternError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(_near_patterns())
+def test_the_integer_pattern_check_is_validate_patterns_twin(drawn):
+    # pattern_probability checks cells on integers; lattice.validate_pattern checks vertices on
+    # build_diamond(n).  Both accept, with the same cells in order, or both raise the same error.
+    n, pattern = drawn
+
+    def split_vertices():
+        whites, blacks = validate_pattern(build_diamond(n), [(white(*v), black(*w)) for v, w in pattern])
+        return [v[1:] for v in whites], [w[1:] for w in blacks]
+
+    assert _outcome(lambda: coupling_mod._split_pattern(n, pattern)) == _outcome(split_vertices), (n, pattern)
+
+
 def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
     def no_vertex(x, y):
         raise AssertionError("vertex built")
 
-    want = coupling_signed(5, 2, 1, 3, -1)
-    monkeypatch.setattr(coupling_mod, "white", no_vertex)
-    monkeypatch.setattr(coupling_mod, "black", no_vertex)
+    # Nor does a valid coupling() or pattern, which are checked on integers too.
+    pattern = [((2, 2), (3, 2)), ((3, 3), (3, 3))]
+    want, probability = coupling_signed(5, 2, 1, 3, -1), pattern_probability(5, pattern)
+    monkeypatch.setattr(lattice, "white", no_vertex)
+    monkeypatch.setattr(lattice, "black", no_vertex)
     assert coupling_signed(5, 2, 1, 3, -1) == want
+    assert coupling(5, (2, 2), (3, 3)) == (-want.numerator, want.scale)
+    assert pattern_probability(5, pattern) == probability
     assert _signed_row(5, 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
 
 
 def test_pattern_entries_are_not_rechecked(monkeypatch):
-    # validate_pattern has put every white and black on the board; coupling()
-    # alone still checks its pair.
-    pattern = ((white(2, 2), black(2, 2)), (white(3, 3), black(4, 2)))
+    # The pattern's dominoes are checked once, on integers; its entries are not.  coupling() alone
+    # checks its pair, through coupling_signed.
+    pattern = (((2, 2), (2, 2)), ((3, 3), (4, 2)))
     want = pattern_probability(4, pattern)
 
-    def no_check(n, v, w):
+    def no_check(n, w0, d0, w1, d1):
         raise AssertionError("entry rechecked")
 
-    monkeypatch.setattr(coupling_mod, "check_diamond_pair", no_check)
+    monkeypatch.setattr(coupling_mod, "coupling_signed", no_check)
     assert pattern_probability(4, pattern) == want
     with pytest.raises(AssertionError, match="entry rechecked"):
-        coupling(4, white(2, 2), black(2, 2))
+        coupling(4, (2, 2), (2, 2))
 
 
 def test_a_lone_entry_keeps_only_a_row_and_a_column():
@@ -599,7 +655,7 @@ def test_a_lone_entry_keeps_only_a_row_and_a_column():
     # orders n and n - 1 would hold about 300 MiB.
     tracemalloc.start()
     try:
-        coupling(1200, white(600, 600), black(601, 600))
+        coupling(1200, (600, 600), (601, 600))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -617,7 +673,7 @@ def test_corner_domino_probability_matches_brute_force():
         containing += (v, w) in m
 
     total = enumerate_matchings(board, visit)
-    assert abs(coupling(2, v, w).to_fraction()) == Fraction(containing, total)
+    assert abs(coupling(2, v[1:], w[1:]).to_fraction()) == Fraction(containing, total)
 
 
 def test_coupling_scale_never_exceeds_order():
@@ -625,14 +681,14 @@ def test_coupling_scale_never_exceeds_order():
         board = build_diamond(n)
         for v in board.white_vertices:
             for w in board.black_vertices:
-                assert coupling(n, v, w).scale <= n
+                assert coupling(n, v[1:], w[1:]).scale <= n
 
 
 def test_coupling_range_errors():
     with pytest.raises(BoardError):
-        coupling(2, white(3, 1), black(1, 1))
+        coupling(2, (3, 1), (1, 1))
     with pytest.raises(BoardError):
-        coupling(2, white(1, 1), black(1, 3))
+        coupling(2, (1, 1), (1, 3))
     with pytest.raises(BoardError):
         coupling_signed(2, 1, 3, 1, 1)
 
@@ -683,7 +739,7 @@ def test_complete_matchings_of_order_two():
     enumerate_matchings(build_diamond(2), matchings.append)
     assert len(matchings) == 8
     for m in matchings:
-        assert pattern_probability(2, m) == lowest_terms(1, 3)
+        assert pattern_probability(2, _cells(m)) == lowest_terms(1, 3)
 
 
 def _transfer_ratio(board, pattern):
@@ -700,7 +756,7 @@ def test_pattern_probabilities_match_oracle(n):
     board = build_diamond(n)
     dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     for d in dominoes:
-        assert pattern_probability(n, (d,)) == _transfer_ratio(board, (d,))
+        assert pattern_probability(n, _cells((d,))) == _transfer_ratio(board, (d,))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -714,7 +770,7 @@ def test_far_end_pattern_probabilities_match_oracle(far_ends, n):
         if len({d1[0], d2[0]}) + len({d1[1], d2[1]}) < 4:
             continue
         p = (d1, d2)
-        assert pattern_probability(n, p) == _transfer_ratio(board, p)
+        assert pattern_probability(n, _cells(p)) == _transfer_ratio(board, p)
         checked += 1
         if checked >= 40:
             break
@@ -731,7 +787,7 @@ def test_probabilities_bounded_with_dyadic_denominator():
         if d1[0] != d2[0] and d1[1] != d2[1]
     ]
     for d1, d2 in disjoint[:60]:
-        num, scale = pattern_probability(n, (d1, d2))
+        num, scale = pattern_probability(n, _cells((d1, d2)))
         assert 0 <= num <= 2**scale
         assert scale <= n * (n + 1) // 2
         assert (num, scale) == lowest_terms(num, scale)
@@ -747,10 +803,10 @@ def test_disjoint_blocks_factorize():
     for (v1, w1), (v2, w2) in combinations(dominoes, 2):
         if len({v1, v2}) < 2 or len({w1, w2}) < 2:
             continue
-        if coupling(n, v1, w2).numerator or coupling(n, v2, w1).numerator:
+        if coupling(n, v1[1:], w2[1:]).numerator or coupling(n, v2[1:], w1[1:]).numerator:
             continue
-        joint = pattern_probability(n, ((v1, w1), (v2, w2)))
-        (a, s), (b, t) = pattern_probability(n, ((v1, w1),)), pattern_probability(n, ((v2, w2),))
+        joint = pattern_probability(n, _cells(((v1, w1), (v2, w2))))
+        (a, s), (b, t) = pattern_probability(n, _cells(((v1, w1),))), pattern_probability(n, _cells(((v2, w2),)))
         assert joint == lowest_terms(a * b, s + t)
         found += 1
     assert found > 0
@@ -771,8 +827,8 @@ def test_transpose_orientation_defines_the_same_values():
             for w in board.black_vertices:
                 w0, d0, w1, d1 = v.x, w.x - v.x, w.y, v.y - w.y
                 assert coupling_signed(n, w0, d0, w1, d1) == coupling_signed(n, w1, d1, w0, d0)
-                transposed = coupling(n, white(w.y, w.x), black(v.y, v.x))
-                assert abs(coupling(n, v, w).to_fraction()) == abs(transposed.to_fraction())
+                transposed = coupling(n, (w.y, w.x), (v.y, v.x))
+                assert abs(coupling(n, v[1:], w[1:]).to_fraction()) == abs(transposed.to_fraction())
     # Whole kernel rows, as the heatmap reads them: the rows over w0s, transposed, are the rows over w1s.
     for n, d0, d1 in product(range(1, 13), range(-4, 5), range(-4, 5)):
         w0s, w1s = hole_ranges(n, d0, d1)
@@ -788,9 +844,9 @@ def test_patterns_equal_their_reflections_at_large_order():
     n, rng = 200, random.Random("reflections")
     for _ in range(100):
         pattern, _ = _bench_shaped_pattern(rng, n, rng.randint(2, 6))
-        want = pattern_probability(n, pattern)
+        want = pattern_probability(n, _cells(pattern))
         for image in _reflections(n, pattern):
-            assert pattern_probability(n, image) == want, (pattern, image)
+            assert pattern_probability(n, _cells(image)) == want, (pattern, image)
 
 
 def test_lone_couplings_equal_their_reflections_at_large_order():
@@ -799,9 +855,9 @@ def test_lone_couplings_equal_their_reflections_at_large_order():
     n, rng = 1000, random.Random("lone reflections")
     for _ in range(20):
         v, w = white(rng.randint(1, n), rng.randint(1, n + 1)), black(rng.randint(1, n + 1), rng.randint(1, n))
-        num, scale = coupling(n, v, w)
-        for (image,) in _reflections(n, ((v, w),)):
-            assert coupling(n, *image) in ((num, scale), (-num, scale)), (v, w, image)
+        num, scale = coupling(n, v[1:], w[1:])
+        for ((image_v, image_w),) in _reflections(n, ((v, w),)):
+            assert coupling(n, image_v[1:], image_w[1:]) in ((num, scale), (-num, scale)), (v, w, image_v, image_w)
 
 
 def test_mistranscribed_formula_fails_calibration():

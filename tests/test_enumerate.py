@@ -144,7 +144,7 @@ def test_weighted_count_magnitude_matches_coupling():
                 for w1 in range(1, n + 1):
                     for d1 in range(1, n + 2 - w1):
                         spec = HoleSpec(w0, d0, w1, d1)
-                        c = coupling(n, spec.white_hole, spec.black_hole)
+                        c = coupling(n, spec.white_hole[1:], spec.black_hole[1:])
                         lhs = abs(weighted_count(n, spec))
                         assert lhs == abs(c.to_fraction()) * 2 ** (n * (n + 1) // 2)
 

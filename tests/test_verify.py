@@ -100,8 +100,7 @@ def test_wrong_lone_value_is_caught(monkeypatch, mutant):
     assert not failed["normalization"].startswith("raised"), failed
 
 
-_real_next_column, _real_edge_sign, _real_coupling = (
-    coupling_mod.next_krawtchouk_column, kasteleyn.edge_sign, coupling_mod.coupling)
+_real_next_column, _real_edge_sign = coupling_mod.next_krawtchouk_column, kasteleyn.edge_sign
 
 
 def _walk_step_last_entry_off(f, a):
@@ -122,9 +121,11 @@ def _one_edge_sign_flipped(v, b):
 
 
 def _gauge_negated(n, v, w):
-    # coupling() with its sign (-1)^{x'-x+y} negated: every value the coupling command prints.
-    num, scale = _real_coupling(n, v, w)
-    return coupling_mod.Dyadic(-num, scale)
+    # coupling() at the white v = (x, y) and the black w = (x', y') with its gauge (-1)^{x'-x+y}
+    # negated: every value the coupling command prints.  A Vertex in place of a cell fails to unpack.
+    (x, y), (x2, y2) = v, w
+    num, scale = coupling_mod.coupling_signed(n, x, x2 - x, y2, y - y2)
+    return coupling_mod.Dyadic(num if (x2 - x + y) % 2 else -num, scale)
 
 
 @pytest.mark.parametrize("module, name, mutant, caught_by", [
