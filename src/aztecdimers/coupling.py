@@ -298,9 +298,9 @@ def _pattern_error(text: str, v: Cell, w: Cell) -> ValueError:
 
 
 def _split_pattern(n: int, pattern: Sequence[Domino]) -> tuple[list[Cell], list[Cell]]:
-    """The whites and the blacks of ``pattern``, order kept, checked on integers as
-    :func:`~aztecdimers.lattice.validate_pattern` checks them on ``build_diamond(n)``, with its errors:
-    the order first, then each domino in order, its edge before its repeats."""
+    """The whites and the blacks of ``pattern``, order kept, checked on integers against the order-``n``
+    diamond: the order first, then each domino in order, that it is an edge of the diamond before that
+    its white, then its black, is not covered twice."""
     if n < 1:
         from .lattice import BoardError
         raise BoardError(f"diamond order must be positive, got {n}")

@@ -29,8 +29,6 @@ The product takes plain ``(x, y)`` integer pairs and checks them on integers,
 so no valid ``count``, ``coupling``, ``prob`` or ``heatmap`` command imports
 this module; ``coupling`` and ``prob`` load it only for the :class:`BoardError`
 or :class:`PatternError` they raise, whose text names :class:`Vertex` values.
-The tests hold that integer check to :func:`validate_pattern`, its twin on
-vertices, which the benchmark still times.
 
 A board's kind decides which vertices it has, by a few range comparisons
 in ``v in kind``, so building a board costs O(1); its vertex tuples are
@@ -51,7 +49,7 @@ An edge, or domino, is a plain ``(white, black)`` tuple of adjacent vertices
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 
 class Color(Enum):
@@ -164,10 +162,6 @@ class Board(NamedTuple):
             cands = (white(v.x - dx, v.y - dy) for dx, dy in _WHITE_TO_BLACK)
         return tuple(u for u in cands if u in self)
 
-    def is_edge(self, w: Vertex, b: Vertex) -> bool:
-        return (w.color is Color.WHITE and b.color is Color.BLACK and w in self and b in self
-                and (b.x - w.x, b.y - w.y) in _WHITE_TO_BLACK)
-
 
 def build_diamond(n: int) -> Board:
     """Aztec diamond of order ``n``; its vertices are generated on demand."""
@@ -187,23 +181,3 @@ def remove_vertices(board: Board, holes: Iterable[Vertex]) -> Board:
         new_holes.add(v)
     return Board(board.kind, frozenset(new_holes))
 
-
-def validate_pattern(board: Board, pattern: Sequence[Edge]) -> tuple[list[Vertex], list[Vertex]]:
-    """Split a pattern into its white and black vertex lists, order preserved.
-
-    Raises :class:`PatternError` if a pair is not a board edge or a vertex
-    repeats.
-    """
-    whites: list[Vertex] = []
-    blacks: list[Vertex] = []
-    seen: set[Vertex] = set()
-    for w, b in pattern:
-        if not board.is_edge(w, b):
-            raise PatternError(f"({w!r}, {b!r}) is not a domino of the board")
-        for v in (w, b):
-            if v in seen:
-                raise PatternError(f"vertex {v!r} covered twice")
-            seen.add(v)
-        whites.append(w)
-        blacks.append(b)
-    return whites, blacks

@@ -10,10 +10,11 @@ certify them against enumeration, and ``test_enumerate`` holds the
 rectangle counts to the transfer matrix and ``|det K|``.  The two-hole sign
 lemma, signed two-hole counts against the Kasteleyn cofactors, is one sweep
 over every hole pair (:func:`sign_relation_sweep`), which criterion 11 runs
-to order 6 and ``test_verify``'s mutants must fail.  Two references
+to order 6 and ``test_verify``'s mutants must fail.  Three references
 the tests share close the file: the Cartesian coordinates of the tilted
-drawing (:func:`cart`, :func:`from_cart`) and matrix minors, the cofactor
-route to single inverse entries.  Pytest does not collect this file; tests
+drawing (:func:`cart`, :func:`from_cart`), a vertex pattern as the product's
+integer cells (:func:`cells`), and matrix minors, the cofactor route to
+single inverse entries.  Pytest does not collect this file; tests
 import it as ``from derivation import ...``.
 """
 
@@ -630,6 +631,11 @@ def from_cart(cx: int, cy: int) -> Vertex:
     if cx % 2 == 0 and cy % 2 == 1:
         return Vertex(Color.BLACK, cx // 2 + 1, (cy + 1) // 2)
     raise BoardError(f"({cx}, {cy}) is not a lattice vertex")
+
+
+def cells(pattern: Sequence[Edge]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """A pattern of ``(white, black)`` vertices as the ``(x, y)`` cell pairs the product reads."""
+    return [(v[1:], w[1:]) for v, w in pattern]
 
 
 def minor(m: Sequence[Sequence[int]], drop_rows: Sequence[int], drop_cols: Sequence[int]) -> tuple:

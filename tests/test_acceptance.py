@@ -12,12 +12,12 @@ from aztecdimers.coupling import coupling, lowest_terms, pattern_probability
 from aztecdimers.enumerate import HoleSpec, enumerate_matchings, weighted_count, weighted_matchings
 from aztecdimers.kasteleyn import count_matchings_det, inverse_coupling_matrix
 from aztecdimers.lattice import black, build_diamond, remove_vertices
-from aztecdimers.verify import _cells
 from derivation import (
     BlackRect,
     WhiteRect,
     annihilator_coeffs,
     build_rectangle,
+    cells,
     dented_rectangle_matchings,
     first_column_hole_count,
     hole_pair_determinant,
@@ -187,16 +187,16 @@ def test_criterion_09_pattern_probabilities():
         dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
         for d in dominoes:
             p = (d,)
-            assert pattern_probability(n, _cells(p)) == transfer_ratio(p)
+            assert pattern_probability(n, cells(p)) == transfer_ratio(p)
         for d1, d2 in combinations(dominoes, 2):
             if d1[0] == d2[0] or d1[1] == d2[1]:
                 continue
             p = (d1, d2)
-            assert pattern_probability(n, _cells(p)) == transfer_ratio(p)
+            assert pattern_probability(n, cells(p)) == transfer_ratio(p)
         matchings = []
         enumerate_matchings(build_diamond(2), matchings.append)
         for m in matchings:
-            assert pattern_probability(2, _cells(m)) == lowest_terms(1, 3)
+            assert pattern_probability(2, cells(m)) == lowest_terms(1, 3)
 
 
 def test_criterion_10_normalization():

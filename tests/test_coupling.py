@@ -8,7 +8,7 @@ from itertools import accumulate, combinations, cycle, islice, product
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from aztecdimers import coupling as coupling_mod
 from aztecdimers import lattice
@@ -25,18 +25,9 @@ from aztecdimers.coupling import (
 from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
 from aztecdimers.exactlinalg import det
 from aztecdimers.kasteleyn import inverse_coupling_matrix
-from aztecdimers.lattice import (
-    BoardError,
-    PatternError,
-    black,
-    build_diamond,
-    check_diamond_pair,
-    remove_vertices,
-    validate_pattern,
-    white,
-)
-from aztecdimers.verify import _cells, _reflections
-from derivation import first_column_hole_count, krawtchouk_convolution
+from aztecdimers.lattice import BoardError, black, build_diamond, check_diamond_pair, remove_vertices, white
+from aztecdimers.verify import _reflections
+from derivation import cells, first_column_hole_count, krawtchouk_convolution
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +412,7 @@ def test_a_pattern_asks_for_no_longer_lines_than_its_sums_read(line_builds, wind
     n, *corner = window
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, corner)
     assert len(pattern) == 8
-    pattern_probability(n, _cells(pattern))
+    pattern_probability(n, cells(pattern))
     whites, blacks = [v[1:] for v, _ in pattern], [w[1:] for _, w in pattern]
     orientations = (whites, blacks), ([w[::-1] for w in blacks], [v[::-1] for v in whites])
     reads = [_prefixes_read(n, *sides) for sides in orientations]
@@ -478,7 +469,7 @@ def test_a_pattern_near_an_edge_sums_few_terms(line_builds, products, window, tr
     n = 200
     pattern, _ = _bench_shaped_pattern(random.Random(n), n, 8, window)
     assert len(pattern) == 8
-    got = pattern_probability(n, _cells(pattern))
+    got = pattern_probability(n, cells(pattern))
     summed = len(products)
     direct = sum(_direct_terms(n, v.x, w.x) for (v, _), (_, w) in product(pattern, pattern))
     as_given = sorted({(n, v.y - 1) for v, _ in pattern}), sorted({(w.y - 1, n - 1) for _, w in pattern})
@@ -500,7 +491,7 @@ def test_multi_domino_patterns_equal_the_det_of_their_lone_values(data):
     pattern, _ = _bench_shaped_pattern(data.draw(st.randoms(use_true_random=False)), n, k, window)
     lone = [[coupling_signed(n, v.x, w.x - v.x, w.y, v.y - w.y) for _, w in pattern] for v, _ in pattern]
     want = lowest_terms(abs(det([[num << (n - scale) for num, scale in row] for row in lone])), n * len(pattern))
-    assert pattern_probability(n, _cells(pattern)) == want
+    assert pattern_probability(n, cells(pattern)) == want
 
 
 def test_an_entry_never_sums_more_terms_than_its_direct_sum(products):
@@ -530,8 +521,8 @@ def test_bench_shaped_pattern_files_match_the_transfer_matrix(tmp_path, n):
             pattern, doc = _bench_shaped_pattern(rng, n, k)
             path = tmp_path / "pattern.json"
             path.write_text(json.dumps(doc))
-            assert load_pattern_file(str(path)) == (n, tuple(_cells(pattern)))
-            assert pattern_probability(n, _cells(pattern)) == _transfer_ratio(board, pattern), (n, pattern)
+            assert load_pattern_file(str(path)) == (n, tuple(cells(pattern)))
+            assert pattern_probability(n, cells(pattern)) == _transfer_ratio(board, pattern), (n, pattern)
 
 
 def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_ends):
@@ -542,7 +533,7 @@ def test_far_end_bench_shaped_patterns_match_the_transfer_matrix(far_ends):
         rng = random.Random(f"far end {n}")
         for k in range(1, 9):
             pattern, _ = _bench_shaped_pattern(rng, n, k)
-            assert pattern_probability(n, _cells(pattern)) == _transfer_ratio(board, pattern), (n, pattern)
+            assert pattern_probability(n, cells(pattern)) == _transfer_ratio(board, pattern), (n, pattern)
     assert far_ends
 
 
@@ -553,7 +544,7 @@ def test_an_eight_domino_pattern_keeps_only_its_lines():
     assert len(pattern) == 8
     tracemalloc.start()
     try:
-        pattern_probability(1200, _cells(pattern))
+        pattern_probability(1200, cells(pattern))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -575,48 +566,6 @@ def test_signed_entry_checks_its_pair_like_check_diamond_pair():
             except BoardError as exc:
                 got = str(exc)
             assert got == want, (n, w0, d0, w1, d1)
-
-
-@st.composite
-def _near_patterns(draw):
-    """An order from -1 to 6 and up to five white-black pairs near its diamond: cells on and off the
-    board, steps adjacent and not, and cells that repeat an earlier domino's."""
-    n = draw(st.integers(-1, 6), label="n")
-    pattern = []
-    for _ in range(draw(st.integers(0, 5))):
-        dx, dy = draw(st.sampled_from([(0, 0), (1, 0), (0, -1), (1, -1), (-1, 0), (2, -1), (0, 1)]))
-        if pattern and draw(st.booleans()):  # a step from a white or to a black of an earlier domino
-            v, w = draw(st.sampled_from(pattern))
-            if draw(st.booleans()):
-                w = (v[0] + dx, v[1] + dy)
-            else:
-                v = (w[0] - dx, w[1] - dy)
-        else:
-            v = (draw(st.integers(0, n + 1)), draw(st.integers(0, n + 2)))
-            w = (v[0] + dx, v[1] + dy)
-        pattern.append((v, w))
-    return n, pattern
-
-
-def _outcome(split):
-    try:
-        return split()
-    except (BoardError, PatternError) as exc:
-        return type(exc), str(exc)
-
-
-@settings(max_examples=400)
-@given(_near_patterns())
-def test_the_integer_pattern_check_is_validate_patterns_twin(drawn):
-    # pattern_probability checks cells on integers; lattice.validate_pattern checks vertices on
-    # build_diamond(n).  Both accept, with the same cells in order, or both raise the same error.
-    n, pattern = drawn
-
-    def split_vertices():
-        whites, blacks = validate_pattern(build_diamond(n), [(white(*v), black(*w)) for v, w in pattern])
-        return [v[1:] for v in whites], [w[1:] for w in blacks]
-
-    assert _outcome(lambda: coupling_mod._split_pattern(n, pattern)) == _outcome(split_vertices), (n, pattern)
 
 
 def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
@@ -739,7 +688,7 @@ def test_complete_matchings_of_order_two():
     enumerate_matchings(build_diamond(2), matchings.append)
     assert len(matchings) == 8
     for m in matchings:
-        assert pattern_probability(2, _cells(m)) == lowest_terms(1, 3)
+        assert pattern_probability(2, cells(m)) == lowest_terms(1, 3)
 
 
 def _transfer_ratio(board, pattern):
@@ -756,7 +705,7 @@ def test_pattern_probabilities_match_oracle(n):
     board = build_diamond(n)
     dominoes = [(v, w) for v in board.white_vertices for w in board.neighbors(v)]
     for d in dominoes:
-        assert pattern_probability(n, _cells((d,))) == _transfer_ratio(board, (d,))
+        assert pattern_probability(n, cells((d,))) == _transfer_ratio(board, (d,))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -770,7 +719,7 @@ def test_far_end_pattern_probabilities_match_oracle(far_ends, n):
         if len({d1[0], d2[0]}) + len({d1[1], d2[1]}) < 4:
             continue
         p = (d1, d2)
-        assert pattern_probability(n, _cells(p)) == _transfer_ratio(board, p)
+        assert pattern_probability(n, cells(p)) == _transfer_ratio(board, p)
         checked += 1
         if checked >= 40:
             break
@@ -787,7 +736,7 @@ def test_probabilities_bounded_with_dyadic_denominator():
         if d1[0] != d2[0] and d1[1] != d2[1]
     ]
     for d1, d2 in disjoint[:60]:
-        num, scale = pattern_probability(n, _cells((d1, d2)))
+        num, scale = pattern_probability(n, cells((d1, d2)))
         assert 0 <= num <= 2**scale
         assert scale <= n * (n + 1) // 2
         assert (num, scale) == lowest_terms(num, scale)
@@ -805,8 +754,8 @@ def test_disjoint_blocks_factorize():
             continue
         if coupling(n, v1[1:], w2[1:]).numerator or coupling(n, v2[1:], w1[1:]).numerator:
             continue
-        joint = pattern_probability(n, _cells(((v1, w1), (v2, w2))))
-        (a, s), (b, t) = pattern_probability(n, _cells(((v1, w1),))), pattern_probability(n, _cells(((v2, w2),)))
+        joint = pattern_probability(n, cells(((v1, w1), (v2, w2))))
+        (a, s), (b, t) = pattern_probability(n, cells(((v1, w1),))), pattern_probability(n, cells(((v2, w2),)))
         assert joint == lowest_terms(a * b, s + t)
         found += 1
     assert found > 0
@@ -844,9 +793,9 @@ def test_patterns_equal_their_reflections_at_large_order():
     n, rng = 200, random.Random("reflections")
     for _ in range(100):
         pattern, _ = _bench_shaped_pattern(rng, n, rng.randint(2, 6))
-        want = pattern_probability(n, _cells(pattern))
+        want = pattern_probability(n, cells(pattern))
         for image in _reflections(n, pattern):
-            assert pattern_probability(n, _cells(image)) == want, (pattern, image)
+            assert pattern_probability(n, cells(image)) == want, (pattern, image)
 
 
 def test_lone_couplings_equal_their_reflections_at_large_order():

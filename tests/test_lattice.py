@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from aztecdimers.coupling import _split_pattern, pattern_probability
 from aztecdimers.lattice import (
     Board,
     BoardError,
@@ -17,7 +18,6 @@ from aztecdimers.lattice import (
     black,
     build_diamond,
     remove_vertices,
-    validate_pattern,
     white,
 )
 from derivation import BlackRect, WhiteRect, build_rectangle, cart, from_cart
@@ -298,46 +298,51 @@ def test_remove_vertex_errors():
         remove_vertices(holed, [white(1, 1)])
 
 
+# The product checks a pattern on integer cells, ``((wx, wy), (bx, by))`` pairs, against the diamond's
+# vertices and edges; its errors name the dominoes' vertices.
+
+
 def test_validate_empty_pattern():
-    assert validate_pattern(build_diamond(2), ()) == ([], [])
+    assert _split_pattern(2, ()) == ([], [])
+    assert pattern_probability(2, ()) == (1, 0)
 
 
 def test_validate_single_domino():
-    board = build_diamond(2)
-    w, b = _edges(board)[0]
-    assert validate_pattern(board, ((w, b),)) == ([w], [b])
+    w, b = _edges(build_diamond(2))[0]
+    assert _split_pattern(2, [(w[1:], b[1:])]) == ([w[1:]], [b[1:]])
 
 
 def test_validate_rejects_overlap():
-    board = build_diamond(2)
-    w = white(1, 1)
-    b1, b2 = board.neighbors(w)
-    with pytest.raises(PatternError):
-        validate_pattern(board, ((w, b1), (w, b2)))
+    b1, b2 = build_diamond(2).neighbors(white(1, 1))
+    with pytest.raises(PatternError, match=r"^vertex W\(1,1\) covered twice$"):
+        _split_pattern(2, [((1, 1), b1[1:]), ((1, 1), b2[1:])])
+    with pytest.raises(PatternError, match=r"^vertex B\(2,1\) covered twice$"):
+        _split_pattern(2, [((1, 1), (2, 1)), ((2, 2), (2, 1))])
 
 
 def test_validate_rejects_non_edge():
-    board = build_diamond(2)
-    with pytest.raises(PatternError):
-        validate_pattern(board, ((white(1, 1), black(3, 2)),))
-    # color roles must be (white, black)
-    with pytest.raises(PatternError):
-        validate_pattern(board, ((black(1, 1), white(1, 1)),))
+    with pytest.raises(PatternError, match=r"^\(W\(1,1\), B\(3,2\)\) is not a domino of the board$"):
+        _split_pattern(2, [((1, 1), (3, 2))])
+    # The step from the white to the black is one of four; its reverse is not an edge.
+    with pytest.raises(PatternError, match=r"^\(W\(2,1\), B\(1,2\)\) is not a domino of the board$"):
+        _split_pattern(2, [((2, 1), (1, 2))])
+    # The edge check comes before the repeat check.
+    with pytest.raises(PatternError, match="is not a domino"):
+        _split_pattern(2, [((1, 1), (1, 1)), ((1, 1), (3, 2))])
 
 
 def test_validate_skips_holed_edges():
+    # A pattern lies on the whole diamond; the oracles' holed boards drop the edges at their holes.
     board = remove_vertices(build_diamond(2), [black(1, 1)])
-    with pytest.raises(PatternError):
-        validate_pattern(board, ((white(1, 1), black(1, 1)),))
+    assert black(1, 1) not in board.neighbors(white(1, 1))
+    assert _split_pattern(2, [((1, 1), (1, 1))]) == ([(1, 1)], [(1, 1)])
 
 
 def test_validation_on_a_huge_diamond_is_arithmetic():
-    # Building the order-10^9 board costs O(1), so off-board dominoes fail at once.
-    board = build_diamond(10**9)
-    for w, b in [(white(0, 1), black(1, 1)), (white(10**9 + 1, 1), black(10**9 + 1, 1)),
-                 (white(1, 1), black(3, 1))]:
+    # The check is a few integer comparisons per domino, so off-board dominoes fail at once.
+    n = 10**9
+    for v, w in [((0, 1), (1, 1)), ((n + 1, 1), (n + 1, 1)), ((1, n + 1), (1, n + 1)), ((1, 1), (1, 0)),
+                 ((1, 1), (3, 1))]:
         with pytest.raises(PatternError):
-            validate_pattern(board, ((w, b),))
-    assert validate_pattern(board, ((white(1, 1), black(1, 1)),)) == (
-        [white(1, 1)], [black(1, 1)]
-    )
+            _split_pattern(n, [(v, w)])
+    assert _split_pattern(n, [((1, 1), (1, 1))]) == ([(1, 1)], [(1, 1)])
