@@ -30,11 +30,10 @@ rule.  Sweeps and lone values read whole lines and sum from the near end.
 A sweep covers every hole position of its offsets (:func:`hole_ranges`).
 Along its ``w0`` range the sums are the running sums of one row-by-column
 product (:func:`_branch_sums`), and its consecutive ``w1`` read consecutive
-lines, so :func:`line_walk` takes only the first pair from the cached builders
-and steps to each next pair by the one-step identity of
-:mod:`~aztecdimers.combinatorics`; :func:`signed_rows` turns each walked pair
-into one signed row.  ``heatmap`` reads one sweep per command and ``verify``
-one walk per ``d1``, reused for every ``d0``.  A lone value
+lines, so :func:`coupling_signed_rows` takes only the first pair from the
+cached builders and steps to each next pair by the one-step identity of
+:mod:`~aztecdimers.combinatorics`.  It is the one sweep function: ``heatmap``
+reads one sweep per command and ``verify`` one per offset pair.  A lone value
 (:func:`coupling_signed`) is one such sum over its whole row and column from
 the caches, so the thousands of lone values an oracle comparison reads at one
 small order build each line once.  Pattern entries (:func:`_entry`) read prefix
@@ -95,7 +94,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .combinatorics import krawtchouk_column, krawtchouk_row, next_krawtchouk_column, next_krawtchouk_row
 
@@ -235,37 +234,23 @@ def hole_ranges(n: int, d0: int, d1: int) -> tuple[range, range]:
     return w0s, range(max(1, 1 - d1), min(n, n + 1 - d1) + 1)
 
 
-def line_walk(n: int, d1: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The white row ``Kr(., n, w1+d1-1)`` and black column ``Kr(w1-1, n-1, .)`` of the signed entries
-    at each ``w1`` of the :func:`hole_ranges` at ``d1``, a nonempty range, in order.  Only the first
-    pair comes from the cached builders; each later pair is one step of
-    :func:`~aztecdimers.combinatorics.next_krawtchouk_row` and
-    :func:`~aztecdimers.combinatorics.next_krawtchouk_column` from the pair before it."""
-    w1s = hole_ranges(n, 0, d1)[1]
-    c, a = w1s[0] + d1 - 1, w1s[0] - 1
-    row, column = krawtchouk_row(n, c), krawtchouk_column(a, n - 1)
-    yield row, column
-    for k in range(len(w1s) - 1):
-        row, column = next_krawtchouk_row(row, c + k), next_krawtchouk_column(column, a + k)
-        yield row, column
-
-
-def signed_rows(lines: Iterable[tuple[Sequence[int], Sequence[int]]], d0: int, d1: int) -> Iterator[list[int]]:
-    """For each ``(row, column)`` pair of :func:`line_walk`, the signed entries at each ``w0`` of the
-    :func:`hole_ranges` at ``d0``, as integers: entry ``i`` is the value at the ``i``-th ``w0`` times
-    ``2^n``, not reduced.  The sign is taken once."""
-    negated = _negated(d0, d1)
-    for row, column in lines:
-        sums = _branch_sums(row, column, d0)
-        yield [-s for s in sums] if negated else sums
-
-
 def coupling_signed_rows(n: int, d0: int, d1: int) -> Iterator[list[int]]:
     """:func:`coupling_signed` at every hole position of offsets that fit the diamond, :func:`hole_ranges`:
-    one row over its ``w0`` range per ``w1`` of its ``w1`` range, in order, each row one kernel call over
-    walked lines.  Entry ``i`` of a row is the value at the ``i``-th ``w0`` times ``2^n``, not reduced.
-    Every position of the ranges is on the diamond, so nothing is checked."""
-    return signed_rows(line_walk(n, d1), d0, d1)
+    one row over its ``w0`` range per ``w1`` of its ``w1`` range, in order.  Entry ``i`` of a row is the
+    value at the ``i``-th ``w0`` times ``2^n``, not reduced.  Every position of the ranges is on the
+    diamond, so nothing is checked.  Each row is one :func:`_branch_sums` call over the white row
+    ``Kr(., n, w1+d1-1)`` and black column ``Kr(w1-1, n-1, .)`` of its ``w1``; only the first pair comes
+    from the cached builders, each later one is one step of :func:`~aztecdimers.combinatorics.next_krawtchouk_row`
+    and :func:`~aztecdimers.combinatorics.next_krawtchouk_column`, and the sign is taken once."""
+    w1s = hole_ranges(n, d0, d1)[1]
+    c, a = w1s[0] + d1 - 1, w1s[0] - 1
+    row, column = krawtchouk_row(n, c), krawtchouk_column(a, n - 1)
+    negated = _negated(d0, d1)
+    for k in range(len(w1s)):
+        if k:
+            row, column = next_krawtchouk_row(row, c + k - 1), next_krawtchouk_column(column, a + k - 1)
+        sums = _branch_sums(row, column, d0)
+        yield [-s for s in sums] if negated else sums
 
 
 def coupling_signed(n: int, w0: int, d0: int, w1: int, d1: int) -> Dyadic:

@@ -3,8 +3,8 @@
 Backs the ``verify`` CLI command.  Each check is a function of the level,
 ``full`` or quick, and certifies one product path; orders are quick/full:
 
-- ``counts`` (5/10): ``count``'s ``2^{n(n+1)/2}`` equals ``|det K|`` and the transfer-matrix count.
-- ``local-inverse`` (8/16): ``heatmap``'s sweeps satisfy ``K C^T = I``, four sweeps added per white displacement.
+- ``counts`` (5/10): ``count --n N``'s text, read through ``cli.main``, names ``|det K|`` and the transfer-matrix count.
+- ``local-inverse`` (8/16): ``heatmap``'s ``coupling_signed_rows``, one sweep per offset pair, satisfy ``K C^T = I``.
 - ``normalization`` (6/10): ``coupling``'s gauged values give ``K C^T``, ``C^T K`` unit diagonals; ``|c|`` sum to 1.
 - ``pattern-vs-transfer`` (8): ``prob``'s probabilities are transfer-matrix counts of the diamond less the pattern.
 - ``symmetry`` (50..200, 1000): ``prob``'s patterns and ``coupling``'s ``|c|`` equal their reflected images.
@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from contextlib import redirect_stdout
+from io import StringIO
+from itertools import product
 from operator import add, sub
 from typing import Callable, NamedTuple, Sequence
 
 from . import enumerate as enum  # noqa: A001 - package-local module name
-from . import coupling, kasteleyn
+from . import cli, coupling, kasteleyn
 from .lattice import Board, Edge, Vertex, black, build_diamond, remove_vertices, white
 
 
@@ -42,12 +45,17 @@ class CheckResult(NamedTuple):
 
 
 def _counts(full: bool) -> tuple[bool, str]:
+    # The count command's own text, read through cli.main, names the power of two that |det K| and
+    # the transfer-matrix count are.
     top = 10 if full else 5
     for n in range(1, top + 1):
         board = build_diamond(n)
         det, transfer = kasteleyn.count_matchings_det(board), enum.weighted_matchings(board, lambda w, b: 1)
-        if not det == transfer == 2 ** (n * (n + 1) // 2):
-            return False, f"n={n}: det {det}, transfer matrix {transfer}, 2^{n * (n + 1) // 2}"
+        with redirect_stdout(StringIO()) as out:
+            code = cli.main(["count", "--n", str(n)])
+        text, e = out.getvalue(), det.bit_length() - 1
+        if not (det == transfer == 1 << e and code == 0 and text == f"{det} (= 2^{e})\n"):
+            return False, f"n={n}: det {det}, transfer matrix {transfer}, count printed {text!r} (exit {code})"
     return True, f"diamonds up to order {top}"
 
 
@@ -64,11 +72,9 @@ def _local_inverse(full: bool) -> tuple[bool, str]:
     cases = 0
     for n in range(1, top + 1):
         sweeps = {}  # (d0, d1) -> the grid index (y' - 1, x' - 1) of its first entry, and its rows
-        for d1 in range(1 - n, n + 1):
-            lines = list(coupling.line_walk(n, d1))
-            for d0 in range(1 - n, n + 1):
-                w0s, w1s = coupling.hole_ranges(n, d0, d1)
-                sweeps[d0, d1] = w1s.start + d1 - 1, w0s.start - 1, list(coupling.signed_rows(lines, d0, d1))
+        for d1, d0 in product(range(1 - n, n + 1), repeat=2):
+            w0s, w1s = coupling.hole_ranges(n, d0, d1)
+            sweeps[d0, d1] = w1s.start + d1 - 1, w0s.start - 1, list(coupling.coupling_signed_rows(n, d0, d1))
         for dx in range(1 - n, n):
             for dy in range(-n, n + 1):
                 grid = [[0] * n for _ in range(n + 1)]

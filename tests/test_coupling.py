@@ -158,9 +158,10 @@ def test_range_kernel_matches_the_per_term_sum_on_sampled_ranges(data):
 
 
 def _signed_row(n, d0, w1, d1):
-    """The kernel row of the signed entries at ``w1`` over the whole ``w0`` range of the offsets."""
-    (row,) = coupling_mod.signed_rows([(krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1))], d0, d1)
-    return row
+    """The kernel row of the signed entries at ``w1`` over the whole ``w0`` range of the offsets: one
+    :func:`_branch_sums` call over the cached lines, with the sign of :func:`_negated`."""
+    sums = coupling_mod._branch_sums(krawtchouk_row(n, w1 + d1 - 1), krawtchouk_column(w1 - 1, n - 1), d0)
+    return [-s for s in sums] if coupling_mod._negated(d0, d1) else sums
 
 
 def test_signed_row_equals_its_cells():
@@ -580,7 +581,8 @@ def test_signed_entry_on_the_board_builds_no_vertex(monkeypatch):
     assert coupling_signed(5, 2, 1, 3, -1) == want
     assert coupling(5, (2, 2), (3, 3)) == (-want.numerator, want.scale)
     assert pattern_probability(5, pattern) == probability
-    assert _signed_row(5, 1, 3, -1)[1] == want.numerator * 2 ** (5 - want.scale)
+    # The heatmap's sweep at the same offsets, at w1 = 3 (its w1 range starts at 2) and w0 = 2.
+    assert list(coupling_signed_rows(5, 1, -1))[3 - 2][2 - 1] == want.numerator * 2 ** (5 - want.scale)
 
 
 def test_pattern_entries_are_not_rechecked(monkeypatch):

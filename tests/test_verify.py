@@ -1,8 +1,11 @@
 """The self-check suite, including a mutation smoke test."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import sys
+import textwrap
 from collections import Counter
 from itertools import accumulate
 from operator import mul
@@ -12,7 +15,7 @@ import pytest
 import aztecdimers
 from aztecdimers import coupling as coupling_mod
 from aztecdimers import enumerate as enum
-from aztecdimers import kasteleyn, verify
+from aztecdimers import cli, kasteleyn, verify
 from aztecdimers.lattice import black, white
 from derivation import sign_relation_sweep
 
@@ -41,8 +44,20 @@ def test_check_result_repr_names_its_fields():
     )
 
 
-# Each mutation maps the real (row, column) builders to mutated ones, which take the builders'
-# ``size`` as a prefix of the mutated line.
+def _edited(function, snippet, replacement):
+    """``function`` recompiled in its own module with ``snippet``, which must occur exactly once in its
+    source, replaced: a mutant that reads the module's names as the real function does."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(snippet) == 1, (function.__name__, snippet)
+    namespace = {}
+    exec(source.replace(snippet, replacement), function.__globals__, namespace)
+    return namespace[function.__name__]
+
+
+# Each Krawtchouk mutation maps the real (row, column) builders to mutated ones, which take the
+# builders' ``size`` as a prefix of the mutated line.
+_BUILDERS = ("krawtchouk_row", "krawtchouk_column")
+_real_builders = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
 
 
 def _odd_coefficients_negated(row, column):
@@ -59,21 +74,6 @@ def _mistranscribed_c(row, column):
     return lambda b, c, size=None: row(b, b - c, size), lambda a, b, size=None: column(a, b)[::-1][:size]
 
 
-def test_seeded_mutation_is_caught():
-    # Each check that reads the Krawtchouk lines fails on a wrong value, not by raising.
-    real = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
-    for mutation in (_odd_coefficients_negated, _mistranscribed_c):
-        with pytest.MonkeyPatch.context() as mp:
-            row, column = mutation(*real)
-            mp.setattr(coupling_mod, "krawtchouk_row", row)
-            mp.setattr(coupling_mod, "krawtchouk_column", column)
-            results = verify.run_checks()
-        failed = {r.name: r.detail for r in results if not r.ok}
-        for name in ("local-inverse", "normalization", "pattern-vs-transfer"):
-            assert name in failed, (mutation.__name__, name)
-        assert not [d for d in failed.values() if d.startswith("raised")], (mutation.__name__, failed)
-
-
 _real_coupling_signed = coupling_mod.coupling_signed
 
 
@@ -88,16 +88,6 @@ def _lone_column_read_one_late(n, w0, d0, w1, d1):
     row, column = coupling_mod.krawtchouk_row(n, w1 + d1 - 1), coupling_mod.krawtchouk_column(w1 - 1, n - 1)
     s = sum(map(mul, row[:stop], column[m + 1:]))
     return coupling_mod.lowest_terms(-s if coupling_mod._negated(d0, d1) else s, n)
-
-
-@pytest.mark.parametrize("mutant", [_lone_value_negated, _lone_column_read_one_late])
-def test_wrong_lone_value_is_caught(monkeypatch, mutant):
-    # The coupling command's lone path sums whole cached lines, which neither the sweep nor the
-    # pattern evaluator reads; normalization reads every edge through it.
-    monkeypatch.setattr(coupling_mod, "coupling_signed", mutant)
-    failed = {r.name: r.detail for r in verify.run_checks() if not r.ok}
-    assert "normalization" in failed, failed
-    assert not failed["normalization"].startswith("raised"), failed
 
 
 _real_next_column, _real_edge_sign = coupling_mod.next_krawtchouk_column, kasteleyn.edge_sign
@@ -128,17 +118,41 @@ def _gauge_negated(n, v, w):
     return coupling_mod.Dyadic(num if (x2 - x + y) % 2 else -num, scale)
 
 
-@pytest.mark.parametrize("module, name, mutant, caught_by", [
-    (coupling_mod, "next_krawtchouk_column", _walk_step_last_entry_off, {"local-inverse"}),
-    (coupling_mod, "_branch_sums", _branch_sums_never_reversed, {"local-inverse"}),
-    (kasteleyn, "edge_sign", _one_edge_sign_flipped, {"counts", "normalization"}),
-    (coupling_mod, "coupling", _gauge_negated, {"normalization"}),
-], ids=["walk-step", "branch-sums-reversal", "one-edge-sign", "coupling-gauge"])
-def test_each_mutant_fails_exactly_its_checks(monkeypatch, module, name, mutant, caught_by):
-    # The sweep mutants reach local-inverse alone.  counts and normalization read edge_sign on
-    # every edge, local-inverse once per step at an interior white, so a one-edge flip passes it.
-    # normalization reads every edge through coupling(), so it pins that function's gauge.
-    monkeypatch.setattr(module, name, mutant)
+# The count command printing 2^{n(n+1)/2 + 1}: cli.main finds commands in _COMMANDS.
+_count_exponent_one_more = {**cli._COMMANDS, "count": (
+    _edited(cli._cmd_count, "(args.n + 1) // 2", "(args.n + 1) // 2 + 1"), cli._COMMANDS["count"][1])}
+_PATTERN = {"pattern-vs-transfer", "symmetry"}  # the checks that read pattern_probability
+_LINES = {"local-inverse", "normalization", *_PATTERN}  # every check that reads Krawtchouk lines
+
+
+@pytest.mark.parametrize("module, patches, caught_by", [
+    (coupling_mod, {"next_krawtchouk_column": _walk_step_last_entry_off}, {"local-inverse"}),
+    (coupling_mod, {"_branch_sums": _branch_sums_never_reversed}, {"local-inverse"}),
+    (kasteleyn, {"edge_sign": _one_edge_sign_flipped}, {"counts", "normalization"}),
+    (coupling_mod, {"coupling": _gauge_negated}, {"normalization"}),
+    (coupling_mod, {"coupling_signed": _lone_value_negated}, {"normalization"}),
+    (coupling_mod, {"coupling_signed": _lone_column_read_one_late}, {"normalization"}),
+    (coupling_mod, dict(zip(_BUILDERS, _odd_coefficients_negated(*_real_builders))), _LINES),
+    (coupling_mod, dict(zip(_BUILDERS, _mistranscribed_c(*_real_builders))), _LINES),
+    (cli, {"_COMMANDS": _count_exponent_one_more}, {"counts"}),
+    (coupling_mod, {"_entry": _edited(coupling_mod._entry, " ^ d % 2", "")}, _PATTERN),
+    (coupling_mod, {"_lines": _edited(coupling_mod._lines, "max(below, m + 1)", "max(below, m)")}, _PATTERN),
+    (coupling_mod, {"pattern_probability": _edited(
+        coupling_mod.pattern_probability, "[w[::-1] for w in blacks]", "list(blacks)")}, _PATTERN),
+], ids=["walk-step", "branch-sums-reversal", "one-edge-sign", "coupling-gauge", "lone-value-negated",
+        "lone-column-read-one-late", "odd-coefficients-negated", "mistranscribed-c", "count-exponent",
+        "far-end-sign-dropped", "column-below-one-short", "transposed-blacks-unreversed"])
+def test_each_mutant_fails_exactly_its_checks(monkeypatch, module, patches, caught_by):
+    # Each mutant fails its checks by a wrong value, not by raising.  The sweep mutants reach
+    # local-inverse alone, which reads heatmap's coupling_signed_rows.  counts and
+    # normalization read edge_sign on every edge, local-inverse once per step at an interior
+    # white, so a one-edge flip passes it.  normalization reads every edge through coupling(), so
+    # it pins that function's gauge and the lone sums under it; counts reads the count command's
+    # text.  The pattern path's far-end sign, column extents and transposed reading reach
+    # pattern-vs-transfer, and symmetry at orders past the oracles.  The Krawtchouk lines feed
+    # every evaluator.
+    for name, mutant in patches.items():
+        monkeypatch.setattr(module, name, mutant)
     failed = {r.name: r.detail for r in verify.run_checks() if not r.ok}
     assert set(failed) == caught_by, failed
     assert not [d for d in failed.values() if d.startswith("raised")], failed
@@ -234,20 +248,37 @@ def test_package_attributes_are_its_submodules():
         assert getattr(aztecdimers, info.name) is sys.modules[name], name
 
 
-def test_local_inverse_walks_each_d1_once_per_order(monkeypatch):
-    # local-inverse builds each order's sweeps from one walk per d1; no other check walks lines.
-    walks, real = Counter(), coupling_mod.line_walk
+def test_local_inverse_sweeps_each_offset_pair_once_per_order(monkeypatch):
+    # local-inverse reads each order's sweeps through heatmap's coupling_signed_rows, one call per
+    # offset pair; no other check sweeps.
+    sweeps, real = Counter(), coupling_mod.coupling_signed_rows
 
-    def spy(n, d1):
-        walks[n] += 1
-        return real(n, d1)
+    def spy(n, d0, d1):
+        sweeps[n, d0, d1] += 1
+        return real(n, d0, d1)
 
-    monkeypatch.setattr(coupling_mod, "line_walk", spy)
-    assert all(r.ok for r in verify.run_checks())
-    assert walks == {n: 2 * n for n in range(1, 9)}
-    walks.clear()
-    assert all(r.ok for r in verify.run_checks())
-    assert walks == {n: 2 * n for n in range(1, 9)}
+    monkeypatch.setattr(coupling_mod, "coupling_signed_rows", spy)
+    want = Counter({(n, d0, d1): 1 for n in range(1, 9) for d0 in range(1 - n, n + 1) for d1 in range(1 - n, n + 1)})
+    for _ in range(2):
+        sweeps.clear()
+        assert all(r.ok for r in verify.run_checks())
+        assert sweeps == want
+
+
+def test_verify_reads_only_the_coupling_names_the_commands_import():
+    # verify certifies what the commands run: every coupling.<name> it reads is a name cli.py
+    # imports from coupling, or lowest_terms, and it imports no coupling name another way, so no
+    # refactor can give verify a private path to a computation unseen.
+    def imports_from_coupling(tree):
+        return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "coupling" and node.level == 1 for alias in node.names}
+
+    checks = ast.parse(inspect.getsource(verify))
+    read = {node.attr for node in ast.walk(checks) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "coupling"}
+    assert "coupling_signed_rows" in read
+    assert read <= imports_from_coupling(ast.parse(inspect.getsource(cli))) | {"lowest_terms"}
+    assert imports_from_coupling(checks) == set()
 
 
 def test_pattern_check_certifies_far_ends_and_transposed_readings(monkeypatch):
