@@ -14,7 +14,14 @@ multiply to ``-1``, which is Kasteleyn's condition for a face of length 4.
 The rule therefore holds on every board whose bounded faces are lattice
 faces: diamonds, rectangles, and boards with holes on the boundary.  A
 hole strictly inside the board merges lattice faces into a longer bounded
-face, for which this argument says nothing; such boards are not supported.
+face, for which this argument says nothing; such boards are not supported,
+with two exceptions on the diamond.  Removing holes deletes their rows and
+columns of ``K``, and by Jacobi's complementary-minor identity the
+determinant left is ``+-det K`` times the minor of ``K^{-1}`` at the same
+whites and blacks.  So when the holes are a pattern's cells,
+:func:`count_matchings_det` of the holed board is the number of tilings that
+contain the pattern, its probability (Kenyon) times ``|det K|``; and for one
+white-black pair ``(v, w)``, adjacent or not, it is ``|c(v, w)| |det K|``.
 
 Rows are white vertices and columns black vertices, each in row-major
 order of their diagonal coordinates.  Any fixed ordering changes the
@@ -52,10 +59,7 @@ def edge_sign(v: Vertex, b: Vertex) -> int:
 
 def kasteleyn_matrix(board: Board) -> tuple[tuple[int, ...], ...]:
     """Signed adjacency matrix of ``board`` under :func:`edge_sign`, as a tuple of rows."""
-    return _matrix(board, board.white_vertices, board.black_vertices)
-
-
-def _matrix(board: Board, whites: tuple[Vertex, ...], blacks: tuple[Vertex, ...]) -> tuple[tuple[int, ...], ...]:
+    whites, blacks = board.white_vertices, board.black_vertices
     if len(whites) != len(blacks):
         raise ShapeError(
             f"board has {len(whites)} white but {len(blacks)} black vertices"
@@ -86,8 +90,8 @@ def _diamond_inverse(n: int) -> tuple[int, Mapping[tuple[Vertex, Vertex], Fracti
     exhaustive sweeps ask for every pair, and read-only because every caller
     shares them."""
     board = build_diamond(n)
+    d, inv = exactlinalg.invert(kasteleyn_matrix(board))
     whites, blacks = board.white_vertices, board.black_vertices
-    d, inv = exactlinalg.invert(_matrix(board, whites, blacks))
     return d, MappingProxyType({
         (v, w): inv[j][i]
         for i, v in enumerate(whites)

@@ -9,7 +9,8 @@ from math import prod
 import pytest
 
 from aztecdimers import exactlinalg, kasteleyn, verify
-from aztecdimers.enumerate import enumerate_matchings
+from aztecdimers.coupling import coupling, pattern_probability
+from aztecdimers.enumerate import enumerate_matchings, weighted_matchings
 from aztecdimers.exactlinalg import ShapeError, det
 from aztecdimers.kasteleyn import (
     count_matchings_det,
@@ -19,7 +20,7 @@ from aztecdimers.kasteleyn import (
     signed_hole_cofactor,
 )
 from aztecdimers.lattice import Board, BoardError, Color, black, build_diamond, remove_vertices, white
-from derivation import BlackRect, WhiteRect, build_rectangle, minor
+from derivation import BlackRect, WhiteRect, build_rectangle, cells, minor
 
 
 def _determinant_ratio(board, pattern):
@@ -67,8 +68,9 @@ def test_unbalanced_board_count_is_zero():
 
 
 def test_counters_read_each_vertex_tuple_once(monkeypatch):
-    # A board builds its vertex tuples on each read, so each counter, the cached inverse and
-    # verify's random patterns read each color they need once.
+    # A board builds its vertex tuples on each read, so each counter and verify's random patterns
+    # read each color they need once.  The cached inverse reads each twice, once to build K through
+    # kasteleyn_matrix and once to key its entries.
     calls = []
 
     def spy(self, color, real=Board._generate):
@@ -87,7 +89,7 @@ def test_counters_read_each_vertex_tuple_once(monkeypatch):
         assert len(inverse_coupling_matrix(3)) == 12 * 12
     finally:
         kasteleyn._diamond_inverse.cache_clear()
-    assert sorted(calls, key=repr) == [Color.BLACK, Color.WHITE]
+    assert sorted(calls, key=repr) == [Color.BLACK, Color.BLACK, Color.WHITE, Color.WHITE]
     calls.clear()
     board = build_diamond(4)
     assert len(verify._random_pattern(random.Random(12), board, board.white_vertices, 3)) > 0
@@ -144,6 +146,27 @@ def test_single_domino_probability_matches_brute_force():
 
     total = enumerate_matchings(board, visit)
     assert _determinant_ratio(board, ((w, b),)) == Fraction(containing, total)
+
+
+def test_holed_diamond_determinants_count_patterns_and_read_coupling_values():
+    # Jacobi's complementary-minor identity on the diamond's K.  With a pattern's cells removed,
+    # |det| of what is left counts the tilings that contain the pattern: the transfer-matrix count
+    # of the holed board, and prob's value times 2^{n(n+1)/2}.  With one white-black pair removed,
+    # adjacent or not, it is |c(v, w)| 2^{n(n+1)/2}, though that board is no Kasteleyn board of its own.
+    rng = random.Random(7)
+    for n in range(1, 7):
+        board = build_diamond(n)
+        whites, blacks, total = board.white_vertices, board.black_vertices, 2 ** (n * (n + 1) // 2)
+        for _ in range(8):
+            pattern = verify._random_pattern(rng, board, whites, rng.randint(1, 4))
+            rest = remove_vertices(board, [u for edge in pattern for u in edge])
+            num, scale = pattern_probability(n, cells(pattern))
+            count = count_matchings_det(rest)
+            assert count == weighted_matchings(rest, lambda w, b: 1), (n, pattern)
+            assert count << scale == num * total, (n, pattern)
+            v, w = rng.choice(whites), rng.choice(blacks)
+            num, scale = coupling(n, v[1:], w[1:])
+            assert count_matchings_det(remove_vertices(board, [v, w])) << scale == abs(num) * total, (n, v, w)
 
 
 @pytest.mark.parametrize("n", [2, 3])

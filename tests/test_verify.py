@@ -1,14 +1,27 @@
-"""The self-check suite, including a mutation smoke test."""
+"""The self-check suite, and the table of mutants it must catch.
+
+Each row of the table is a one-line edit of one file under ``src/aztecdimers/``: a snippet that
+must occur exactly once in it, its replacement, and the exact set of checks that must fail.  The
+row copies ``src/``, edits the copy and runs ``python -m aztecdimers.cli verify --level quick`` on
+it in a fresh interpreter whose ``PYTHONPATH`` names the copy alone and whose path holds no
+site-packages, so an installed package is never what runs.  A refactor that deletes a snippet
+fails its row until it supplies the matching mutant of the new code, so the suite's reach cannot
+shrink unseen.  The other tests run the suite in-process; their spies count calls and change no
+value.
+"""
 
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import re
+import shutil
+import subprocess
 import sys
-import textwrap
 from collections import Counter
-from itertools import accumulate
-from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +29,6 @@ import aztecdimers
 from aztecdimers import coupling as coupling_mod
 from aztecdimers import enumerate as enum
 from aztecdimers import cli, kasteleyn, verify
-from aztecdimers.lattice import black, white
 from derivation import sign_relation_sweep
 
 
@@ -44,155 +56,109 @@ def test_check_result_repr_names_its_fields():
     )
 
 
-def _edited(function, snippet, replacement):
-    """``function`` recompiled in its own module with ``snippet``, which must occur exactly once in its
-    source, replaced: a mutant that reads the module's names as the real function does."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert source.count(snippet) == 1, (function.__name__, snippet)
-    namespace = {}
-    exec(source.replace(snippet, replacement), function.__globals__, namespace)
-    return namespace[function.__name__]
+_SRC = Path(aztecdimers.__file__).resolve().parent.parent
 
 
-# Each Krawtchouk mutation maps the real (row, column) builders to mutated ones, which take the
-# builders' ``size`` as a prefix of the mutated line.
-_BUILDERS = ("krawtchouk_row", "krawtchouk_column")
-_real_builders = coupling_mod.krawtchouk_row, coupling_mod.krawtchouk_column
+def _python(src, *args, cwd=None):
+    """``python *args`` in a fresh interpreter that imports the package from ``src`` alone: ``-S`` keeps
+    site-packages, where an installed copy may sit, off its path, and saves the import of ``site``."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-S", *args], env=env, cwd=cwd, capture_output=True, text=True)
 
 
-def _odd_coefficients_negated(row, column):
-    # Negates Kr(a, b, c) for every odd a: a row at its odd entries, a column whole.
-    return (
-        lambda b, c, size=None: tuple(-v if a % 2 else v for a, v in enumerate(row(b, c, size))),
-        lambda a, b, size=None: tuple(-v for v in column(a, b, size)) if a % 2 else column(a, b, size),
-    )
-
-
-def _mistranscribed_c(row, column):
-    # Reads Kr(a, b, c) as Kr(a, b, b - c): the (1-x) and (1+x) exponents swapped.  A prefix of the
-    # mistranscribed column is cut from the whole reversed column.
-    return lambda b, c, size=None: row(b, b - c, size), lambda a, b, size=None: column(a, b)[::-1][:size]
-
-
-_real_coupling_signed = coupling_mod.coupling_signed
-
-
-def _lone_value_negated(n, w0, d0, w1, d1):
-    num, scale = _real_coupling_signed(n, w0, d0, w1, d1)
-    return coupling_mod.Dyadic(-num, scale)
-
-
-def _lone_column_read_one_late(n, w0, d0, w1, d1):
-    # coupling_signed summing over column[m + 1:] instead of column[m:].
-    m, stop = coupling_mod._branch_cut(n + 1, w0, d0)
-    row, column = coupling_mod.krawtchouk_row(n, w1 + d1 - 1), coupling_mod.krawtchouk_column(w1 - 1, n - 1)
-    s = sum(map(mul, row[:stop], column[m + 1:]))
-    return coupling_mod.lowest_terms(-s if coupling_mod._negated(d0, d1) else s, n)
-
-
-_real_next_column, _real_edge_sign = coupling_mod.next_krawtchouk_column, kasteleyn.edge_sign
-
-
-def _walk_step_last_entry_off(f, a):
-    # One step of the sweeps' column walk with its last entry off by one.
-    g = _real_next_column(f, a)
-    return (*g[:-1], g[-1] + 1)
-
-
-def _branch_sums_never_reversed(row, column, shift):
-    # The sweep kernel without its reversal for shift <= 0.
-    return list(accumulate(map(mul, row, column[shift - 1 if shift > 0 else -shift:])))
-
-
-def _one_edge_sign_flipped(v, b):
-    # edge_sign negated on the single edge W(2,2)-B(2,2): not a Kasteleyn signing.
-    sign = _real_edge_sign(v, b)
-    return -sign if (v, b) == (white(2, 2), black(2, 2)) else sign
-
-
-def _gauge_negated(n, v, w):
-    # coupling() at the white v = (x, y) and the black w = (x', y') with its gauge (-1)^{x'-x+y}
-    # negated: every value the coupling command prints.  A Vertex in place of a cell fails to unpack.
-    (x, y), (x2, y2) = v, w
-    num, scale = coupling_mod.coupling_signed(n, x, x2 - x, y2, y - y2)
-    return coupling_mod.Dyadic(num if (x2 - x + y) % 2 else -num, scale)
-
-
-# The count command printing 2^{n(n+1)/2 + 1}: cli.main finds commands in _COMMANDS.
-_count_exponent_one_more = {**cli._COMMANDS, "count": (
-    _edited(cli._cmd_count, "(args.n + 1) // 2", "(args.n + 1) // 2 + 1"), cli._COMMANDS["count"][1])}
 _PATTERN = {"pattern-vs-transfer", "symmetry"}  # the checks that read pattern_probability
 _LINES = {"local-inverse", "normalization", *_PATTERN}  # every check that reads Krawtchouk lines
 
+# id: (file, snippet, replacement, the checks that fail).  The sweep's walk steps and its reversal
+# reach local-inverse alone, which reads heatmap's coupling_signed_rows.  counts and normalization
+# read edge_sign on every edge, local-inverse once per step at an interior white, so a one-edge flip
+# passes it; a signing in another gauge keeps |det K| and passes counts.  normalization reads every
+# edge through coupling(), so it pins that function's gauge and the lone sums under it.  counts reads
+# the count command's text and |det K|, whose Bareiss elimination prob's det shares.  The pattern
+# path's far-end sign, column extents and transposed reading reach pattern-vs-transfer, and symmetry
+# at orders past the oracles.  The Krawtchouk builders feed every evaluator.
+_MUTANTS = {
+    "unedited": ("", "", "", set()),
+    "walk-step": ("combinatorics.py", "g, last = [cur], f[0]", "g, last = [cur + 1], f[0]", {"local-inverse"}),
+    "row-walk-step": ("combinatorics.py", "last, cur = v, v - last - cur", "last, cur = v, v - last + cur",
+                      {"local-inverse"}),
+    "branch-sums-reversal": ("coupling.py", "sums.reverse()", "pass", {"local-inverse"}),
+    "one-edge-sign": ("kasteleyn.py", "== (1, -1)", "== (1, -1) or (v.x, v.y, b.x, b.y) == (2, 2, 2, 2)",
+                      {"counts", "normalization"}),
+    "all-plus-edge-sign": ("kasteleyn.py", "return -1 if (b.x - v.x, b.y - v.y) == (1, -1) else 1", "return 1",
+                           {"counts", "local-inverse", "normalization"}),
+    "minus-on-step-1-0": ("kasteleyn.py", "== (1, -1)", "== (1, 0)", {"local-inverse", "normalization"}),
+    "coupling-gauge": ("coupling.py", "Dyadic(-num if (x2 - x + y) % 2 else num, scale)",
+                       "Dyadic(num if (x2 - x + y) % 2 else -num, scale)", {"normalization"}),
+    "lone-value-negated": ("coupling.py", "lowest_terms(-s if _negated(d0, d1) else s, n)",
+                           "lowest_terms(s if _negated(d0, d1) else -s, n)", {"normalization"}),
+    "lone-column-read-one-late": ("coupling.py", "krawtchouk_column(w1 - 1, n - 1)[m:]",
+                                  "krawtchouk_column(w1 - 1, n - 1)[m + 1:]", {"normalization"}),
+    "odd-coefficients-negated": ("combinatorics.py", "p.append(cur)", "p.append(-cur if a % 2 == 0 else cur)",
+                                 _LINES),
+    "odd-coefficients-negated-column": ("combinatorics.py", "f = [cur]", "f = [-cur if a % 2 else cur]", _LINES),
+    "mistranscribed-c": ("combinatorics.py", "b - 2 * c, 0, 1", "2 * c - b, 0, 1", _LINES),
+    "mistranscribed-c-column": ("combinatorics.py", "b - 2 * a, 0, comb(b, a)", "2 * a - b, 0, comb(b, a)",
+                                _LINES - {"symmetry"}),
+    "count-exponent": ("cli.py", "(args.n + 1) // 2", "(args.n + 1) // 2 + 1", {"counts"}),
+    "bareiss-divisor": ("exactlinalg.py", "divisor[r] = p", "divisor[r] = prev", {"counts", "pattern-vs-transfer"}),
+    "far-end-sign-dropped": ("coupling.py", " ^ d % 2", "", _PATTERN),
+    "column-below-one-short": ("coupling.py", "max(below, m + 1)", "max(below, m)", _PATTERN),
+    "transposed-blacks-unreversed": ("coupling.py", "[w[::-1] for w in blacks]", "list(blacks)", _PATTERN),
+}
+_VERDICT = re.compile(r"(PASS|FAIL)  ([a-z-]+) \((.*)\)")
 
-@pytest.mark.parametrize("module, patches, caught_by", [
-    (coupling_mod, {"next_krawtchouk_column": _walk_step_last_entry_off}, {"local-inverse"}),
-    (coupling_mod, {"_branch_sums": _branch_sums_never_reversed}, {"local-inverse"}),
-    (kasteleyn, {"edge_sign": _one_edge_sign_flipped}, {"counts", "normalization"}),
-    (coupling_mod, {"coupling": _gauge_negated}, {"normalization"}),
-    (coupling_mod, {"coupling_signed": _lone_value_negated}, {"normalization"}),
-    (coupling_mod, {"coupling_signed": _lone_column_read_one_late}, {"normalization"}),
-    (coupling_mod, dict(zip(_BUILDERS, _odd_coefficients_negated(*_real_builders))), _LINES),
-    (coupling_mod, dict(zip(_BUILDERS, _mistranscribed_c(*_real_builders))), _LINES),
-    (cli, {"_COMMANDS": _count_exponent_one_more}, {"counts"}),
-    (coupling_mod, {"_entry": _edited(coupling_mod._entry, " ^ d % 2", "")}, _PATTERN),
-    (coupling_mod, {"_lines": _edited(coupling_mod._lines, "max(below, m + 1)", "max(below, m)")}, _PATTERN),
-    (coupling_mod, {"pattern_probability": _edited(
-        coupling_mod.pattern_probability, "[w[::-1] for w in blacks]", "list(blacks)")}, _PATTERN),
-], ids=["walk-step", "branch-sums-reversal", "one-edge-sign", "coupling-gauge", "lone-value-negated",
-        "lone-column-read-one-late", "odd-coefficients-negated", "mistranscribed-c", "count-exponent",
-        "far-end-sign-dropped", "column-below-one-short", "transposed-blacks-unreversed"])
-def test_each_mutant_fails_exactly_its_checks(monkeypatch, module, patches, caught_by):
-    # Each mutant fails its checks by a wrong value, not by raising.  The sweep mutants reach
-    # local-inverse alone, which reads heatmap's coupling_signed_rows.  counts and
-    # normalization read edge_sign on every edge, local-inverse once per step at an interior
-    # white, so a one-edge flip passes it.  normalization reads every edge through coupling(), so
-    # it pins that function's gauge and the lone sums under it; counts reads the count command's
-    # text.  The pattern path's far-end sign, column extents and transposed reading reach
-    # pattern-vs-transfer, and symmetry at orders past the oracles.  The Krawtchouk lines feed
-    # every evaluator.
-    for name, mutant in patches.items():
-        monkeypatch.setattr(module, name, mutant)
-    failed = {r.name: r.detail for r in verify.run_checks() if not r.ok}
+
+@pytest.mark.parametrize("path, snippet, replacement, caught_by", _MUTANTS.values(), ids=_MUTANTS)
+def test_each_mutant_fails_exactly_its_checks(tmp_path, path, snippet, replacement, caught_by):
+    # Each mutant fails its checks by a wrong value, not by raising; the unedited copy passes all five.
+    src = tmp_path / "src"
+    shutil.copytree(_SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    if path:
+        target = src / "aztecdimers" / path
+        text = target.read_text(encoding="utf-8")
+        assert text.count(snippet) == 1, (path, snippet)
+        target.write_text(text.replace(snippet, replacement), encoding="utf-8")
+    proc = _python(src, "-m", "aztecdimers.cli", "verify", "--level", "quick", cwd=tmp_path)
+    assert proc.stderr == "", proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    verdicts = [_VERDICT.fullmatch(line).groups() for line in lines]
+    failed = {name: detail for status, name, detail in verdicts if status == "FAIL"}
+    assert (proc.returncode, len(verdicts)) == (1 if caught_by else 0, 5), proc.stdout
+    assert summary == (f"{len(caught_by)} of 5 checks failed" if caught_by else "all 5 checks passed")
     assert set(failed) == caught_by, failed
     assert not [d for d in failed.values() if d.startswith("raised")], failed
 
 
-def _all_plus(v, b):
-    # Not a Kasteleyn signing: every face multiplies to +1.
-    return 1
+def test_every_module_a_product_command_loads_has_a_mutant(tmp_path):
+    # count, coupling, prob and heatmap, run in one fresh interpreter, load only modules that some row
+    # of the table edits.
+    pattern = tmp_path / "p.json"
+    pattern.write_text(json.dumps({"format": 1, "n": 3, "dominoes": [[["white", 1, 1], ["black", 1, 1]]]}))
+    commands = [["count", "--n", "5"], ["coupling", "--n", "4", "--white", "1", "1", "--black", "2", "1"],
+                ["prob", str(pattern)],
+                ["heatmap", "--n", "6", "--d0", "1", "--d1", "0", "--out", str(tmp_path / "h.csv")]]
+    probe = (f"import sys; from aztecdimers.cli import main; print([main(a) for a in {commands!r}]); "
+             "print(*sorted(sys.modules))")
+    proc = _python(_SRC, "-c", probe)
+    *_, codes, modules = proc.stdout.splitlines()
+    assert codes == "[0, 0, 0, 0]", proc.stderr
+    loaded = {m.split(".")[1] + ".py" for m in modules.split() if m.startswith("aztecdimers.")}
+    assert loaded == {"cli.py", "coupling.py", "combinatorics.py", "exactlinalg.py"}
+    assert loaded <= {path for path, *_ in _MUTANTS.values()}
 
 
-def _minus_on_step_1_0(v, b):
-    # A valid Kasteleyn signing in another gauge: |det K| is right, the signed entries are not.
-    return -1 if (b.x - v.x, b.y - v.y) == (1, 0) else 1
-
-
-def _clear_oracle_cache():
-    kasteleyn._diamond_inverse.cache_clear()
-
-
-def test_wrong_edge_sign_is_caught():
+def test_wrong_edge_sign_is_caught(monkeypatch):
+    # A valid Kasteleyn signing in another gauge, -1 on the step (1, 0): |det K| is right, the signed
+    # cofactors are not, and the signed two-hole counts use no Kasteleyn sign, so the sign relation
+    # fails.  The table holds verify to this signing and to others.
     assert sign_relation_sweep(3) == (None, 46)
+    kasteleyn._diamond_inverse.cache_clear()
+    monkeypatch.setattr(kasteleyn, "edge_sign", lambda v, b: -1 if (b.x - v.x, b.y - v.y) == (1, 0) else 1)
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kasteleyn, "edge_sign", _all_plus)
-            results = {r.name: r for r in verify.run_checks()}
-        assert len(results) == len(verify._CHECKS)
-        for name in ("counts", "local-inverse", "normalization"):
-            assert not results[name].ok, name
-        _clear_oracle_cache()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kasteleyn, "edge_sign", _minus_on_step_1_0)
-            results = {r.name: r.ok for r in verify.run_checks()}
-            first_failure, _ = sign_relation_sweep(3)
-        assert results["counts"]
-        assert not results["local-inverse"]
-        assert not results["normalization"]
-        # The signed two-hole counts use no Kasteleyn sign, so the cofactors alone go wrong.
-        assert first_failure is not None
+        assert sign_relation_sweep(3)[0] is not None
     finally:
-        _clear_oracle_cache()
+        kasteleyn._diamond_inverse.cache_clear()
 
 
 _real_crossing_weight = enum.crossing_weight
